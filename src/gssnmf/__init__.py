@@ -34,11 +34,8 @@ from .factorization import (
 from .linalg import (
     DEFAULT_EPS,
     Matrix,
-    SvdSpectrum,
     as_matrix,
     frobenius_sq,
-    hadamard,
-    matmul,
     safe_divide,
     singular_values,
 )
@@ -67,7 +64,6 @@ from .textpipe import (
     load_stopwords,
     read_corpus_dir,
     save_corpus,
-    stem,
     tokenize,
 )
 
@@ -86,7 +82,6 @@ __all__ = [
     "ModelConfig",
     "PipelineParams",
     "SeedMatrix",
-    "SvdSpectrum",
     "SweepSpec",
     "Vocabulary",
     "as_matrix",
@@ -99,7 +94,6 @@ __all__ = [
     "doc_token_sets",
     "fit",
     "frobenius_sq",
-    "hadamard",
     "initial_factors",
     "load_corpus",
     "load_label_assignments",
@@ -109,7 +103,6 @@ __all__ = [
     "load_seed_words",
     "load_stopwords",
     "macro_f1",
-    "matmul",
     "objective",
     "objective_gradients",
     "porter_stem",
@@ -121,7 +114,6 @@ __all__ = [
     "safe_divide",
     "singular_values",
     "split_mask",
-    "stem",
     "threshold_predictions",
     "tokenize",
     "top_keywords",

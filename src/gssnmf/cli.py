@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -116,10 +117,10 @@ def run_rank_scan(args) -> int:
     spectrum = singular_values(corpus.x, args.top)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("index,singular_value\n")
-        for i, s in enumerate(spectrum.singular_values, start=1):
+        for i, s in enumerate(spectrum, start=1):
             fh.write(f"{i},{s!r}\n")
     print(f"wrote {args.out} ({args.top} singular values, "
-          f"largest={spectrum.singular_values[0]:.6g})")
+          f"largest={spectrum[0]:.6g})")
     return EXIT_OK
 
 
@@ -348,6 +349,8 @@ def _sweep_eval(payload, task):
 
 
 def run_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     spec = SweepSpec(
         lambda_grid=args.lambda_grid or [],
         mu_grid=args.mu_grid or [],
@@ -377,9 +380,10 @@ def run_sweep(args) -> int:
         "tol": args.tol,
     }
     tasks = spec.cells()
-    if args.jobs > 1:
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=args.jobs, initializer=_sweep_init, initargs=(payload,)
+            max_workers=workers, initializer=_sweep_init, initargs=(payload,)
         ) as pool:
             rows = list(pool.map(_sweep_run_task, tasks))
     else:
@@ -608,7 +612,8 @@ def build_parser():
     sp.add_argument("--eps", type=float, default=1e-12)
     sp.add_argument("--tol", type=float, default=0.0)
     sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes; output order is identical for any value")
+                    help="worker processes (>= 1; capped at the cell count and "
+                         "the CPU count); output is identical for any value")
     _add_config_flag(sp)
     sp.set_defaults(func=run_sweep)
     commands["sweep"] = sp

@@ -23,7 +23,7 @@ reduction equivalences above hold bitwise only under this grouping.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +34,7 @@ from .linalg import (
     as_matrix,
     format_float,
     frobenius_sq,
-    hadamard,
     load_matrix_csv,
-    matmul,
     safe_divide,
     save_matrix_csv,
 )
@@ -125,26 +123,19 @@ class FactorizationResult:
         }
 
 
-def _unwrap_x(x) -> Matrix:
-    return x.x if isinstance(x, CorpusMatrix) else as_matrix(x)
+# The wrapper types hold arrays their builders already validated.
+_WRAPPED = {CorpusMatrix: "x", SeedMatrix: "y", LabelMatrix: "z", MaskMatrix: "l"}
 
 
-def _unwrap_y(y) -> Matrix | None:
-    if y is None:
+def _as_input(a) -> Matrix | None:
+    """The array inside a corpus/seed/label/mask wrapper, else ``as_matrix(a)``.
+
+    None stays None.
+    """
+    if a is None:
         return None
-    return y.y if isinstance(y, SeedMatrix) else as_matrix(y)
-
-
-def _unwrap_z(z) -> Matrix | None:
-    if z is None:
-        return None
-    return z.z if isinstance(z, LabelMatrix) else as_matrix(z)
-
-
-def _unwrap_l(l) -> Matrix | None:
-    if l is None:
-        return None
-    return l.l if isinstance(l, MaskMatrix) else as_matrix(l)
+    name = _WRAPPED.get(type(a))
+    return as_matrix(a) if name is None else getattr(a, name)
 
 
 def _check_objective_shapes(x, w, h, y, b, z, l, c, lam, mu):
@@ -179,6 +170,13 @@ def _check_objective_shapes(x, w, h, y, b, z, l, c, lam, mu):
             )
 
 
+def _validated(x, w, h, y, b, z, l, c, lam, mu):
+    """Every objective input as a checked float64 array, shapes agreeing."""
+    x, w, h, y, b, z, l, c = map(_as_input, (x, w, h, y, b, z, l, c))
+    _check_objective_shapes(x, w, h, y, b, z, l, c, lam, mu)
+    return x, w, h, y, b, z, l, c
+
+
 def objective(
     x,
     w,
@@ -196,19 +194,18 @@ def objective(
     reconstruction = 1/2 ||X - W H||_F^2, guiding = lam/2 ||Y - W B||_F^2,
     label = mu/2 ||L o (Z - C H)||_F^2; the first return value is their sum.
     """
-    x, w, h = _unwrap_x(x), as_matrix(w), as_matrix(h)
-    y, b = _unwrap_y(y), None if b is None else as_matrix(b)
-    z, l = _unwrap_z(z), _unwrap_l(l)
-    c = None if c is None else as_matrix(c)
-    _check_objective_shapes(x, w, h, y, b, z, l, c, lam, mu)
+    return _losses(*_validated(x, w, h, y, b, z, l, c, lam, mu), lam, mu)
 
-    recon = 0.5 * frobenius_sq(x - matmul(w, h))
+
+def _losses(x, w, h, y, b, z, l, c, lam, mu) -> tuple[float, float, float, float]:
+    """``objective`` on inputs that ``_validated`` already checked."""
+    recon = 0.5 * frobenius_sq(x - w @ h)
     guide = 0.0
     if y is not None:
-        guide = 0.5 * lam * frobenius_sq(y - matmul(w, b))
+        guide = 0.5 * lam * frobenius_sq(y - w @ b)
     label = 0.0
     if z is not None:
-        label = 0.5 * mu * frobenius_sq(hadamard(l, z - matmul(c, h)))
+        label = 0.5 * mu * frobenius_sq(l * (z - c @ h))
     return recon + guide + label, recon, guide, label
 
 
@@ -234,11 +231,7 @@ def objective_gradients(
         dF/dB = -lam W^T Y + lam W^T W B
         dF/dC = -mu (L o L o Z) H^T + mu (L o L o C H) H^T
     """
-    x, w, h = _unwrap_x(x), as_matrix(w), as_matrix(h)
-    y, b = _unwrap_y(y), None if b is None else as_matrix(b)
-    z, l = _unwrap_z(z), _unwrap_l(l)
-    c = None if c is None else as_matrix(c)
-    _check_objective_shapes(x, w, h, y, b, z, l, c, lam, mu)
+    x, w, h, y, b, z, l, c = _validated(x, w, h, y, b, z, l, c, lam, mu)
 
     gw = w @ (h @ h.T) - x @ h.T
     gh = (w.T @ w) @ h - w.T @ x
@@ -305,9 +298,11 @@ def update_step(
     Each rule multiplies the factor by a ratio of non-negative gradient
     parts, so non-negativity is preserved without projection and exact
     zeros stay zero. Pass ``iteration`` to tag divergence errors.
+
+    This is the unchecked step kernel: X, Y, Z and L must be the float64
+    arrays ``fit`` validated (Y, Z, L may be None), with shapes that agree
+    with the factors. ``fit`` and ``objective`` do that checking.
     """
-    x = _unwrap_x(x)
-    y, z, l = _unwrap_y(y), _unwrap_z(z), _unwrap_l(l)
     ll = None if l is None else l * l
     lz = None if z is None else ll * z
 
@@ -316,7 +311,7 @@ def update_step(
     if y is not None:
         numer = numer + lam * (y @ b.T)
         denom = denom + lam * (w @ (b @ b.T))
-    w = hadamard(w, safe_divide(numer, denom, eps))
+    w = w * safe_divide(numer, denom, eps)
     _check_finite("W", w, iteration)
 
     numer = w.T @ x
@@ -324,15 +319,15 @@ def update_step(
     if z is not None:
         numer = numer + mu * (c.T @ lz)
         denom = denom + mu * (c.T @ (ll * (c @ h)))
-    h = hadamard(h, safe_divide(numer, denom, eps))
+    h = h * safe_divide(numer, denom, eps)
     _check_finite("H", h, iteration)
 
     if y is not None:
-        b = hadamard(b, safe_divide(w.T @ y, (w.T @ w) @ b, eps))
+        b = b * safe_divide(w.T @ y, (w.T @ w) @ b, eps)
         _check_finite("B", b, iteration)
 
     if z is not None:
-        c = hadamard(c, safe_divide(lz @ h.T, (ll * (c @ h)) @ h.T, eps))
+        c = c * safe_divide(lz @ h.T, (ll * (c @ h)) @ h.T, eps)
         _check_finite("C", c, iteration)
 
     return w, h, b, c
@@ -355,8 +350,7 @@ def fit(x, config: ModelConfig, *, y=None, z=None, l=None) -> FactorizationResul
     ``config.tol > 0`` the loop stops early once the relative objective
     change drops below it. Deterministic given identical inputs and config.
     """
-    x = _unwrap_x(x)
-    y, z, l = _unwrap_y(y), _unwrap_z(z), _unwrap_l(l)
+    x, y, z, l = map(_as_input, (x, y, z, l))
     if config.lam > 0 and y is None:
         raise ValueError("lam > 0 requires a seed matrix")
     if config.mu > 0 and (z is None or l is None):
@@ -382,7 +376,7 @@ def fit(x, config: ModelConfig, *, y=None, z=None, l=None) -> FactorizationResul
             w, h, b, c, x, y, z, l,
             lam=config.lam, mu=config.mu, eps=config.eps, iteration=i,
         )
-        total, recon, guide, label = objective(
+        total, recon, guide, label = _losses(
             x, w, h, y, b, z, l, c, config.lam, config.mu
         )
         trace.append(total)
@@ -465,7 +459,20 @@ def load_result(result_dir) -> tuple[FactorizationResult, dict]:
             raise ValueError(
                 f"{manifest_path}:{exc.lineno}: invalid manifest: {exc.msg}"
             ) from None
-    config = ModelConfig.from_dict(manifest["config"])
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ValueError(
+            f"{manifest_path}: invalid manifest: expected an object with a "
+            "'config' object"
+        )
+    try:
+        config = ModelConfig.from_dict(manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{manifest_path}: invalid config: {exc}") from None
+    doc_ids = manifest.get("doc_ids")
+    if doc_ids is not None and not (
+        isinstance(doc_ids, list) and all(isinstance(d, str) for d in doc_ids)
+    ):
+        raise ValueError(f"{manifest_path}: doc_ids must be a list of strings")
     w = load_matrix_csv(root / "w.csv")
     h = load_matrix_csv(root / "h.csv")
     b = load_matrix_csv(root / "b.csv") if (root / "b.csv").is_file() else None

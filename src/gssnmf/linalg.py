@@ -1,16 +1,14 @@
-"""Dense matrix kernels shared by every other module.
+"""Dense matrix helpers shared by every other module.
 
 Matrices are plain 2-D float64 numpy arrays in C (row-major) order; at the
 corpus sizes this package targets (hundreds by hundreds) dense storage is
-all that is needed. Non-negativity of factor matrices is maintained by the
-callers' update rules, so the helpers here only enforce shape agreement
-and finiteness.
+all that is needed. Products and entry-wise operations are numpy's own
+``@`` and ``*``. The helpers here validate input matrices, floor
+denominators, take a leading singular spectrum, and read and write the
+dense CSV form (one row per line) used by every matrix file.
 """
 
 from __future__ import annotations
-
-import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,30 +31,6 @@ def as_matrix(data) -> Matrix:
     return a
 
 
-def _shape_str(a: Matrix) -> str:
-    return f"{a.shape[0]}x{a.shape[1]}"
-
-
-def _check_same_shape(op: str, a: Matrix, b: Matrix) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: shapes differ, {_shape_str(a)} vs {_shape_str(b)}")
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product ``a @ b`` with an explicit conformability check."""
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul: inner dimensions differ, {_shape_str(a)} times {_shape_str(b)}"
-        )
-    return a @ b
-
-
-def hadamard(a: Matrix, b: Matrix) -> Matrix:
-    """Entry-wise product of two equally shaped matrices."""
-    _check_same_shape("hadamard", a, b)
-    return a * b
-
-
 def safe_divide(numer: Matrix, denom: Matrix, eps: float = DEFAULT_EPS) -> Matrix:
     """Entry-wise ``numer / (denom + eps)``.
 
@@ -65,7 +39,9 @@ def safe_divide(numer: Matrix, denom: Matrix, eps: float = DEFAULT_EPS) -> Matri
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    _check_same_shape("safe_divide", numer, denom)
+    if numer.shape != denom.shape:
+        (r1, c1), (r2, c2) = numer.shape, denom.shape
+        raise ValueError(f"safe_divide: shapes differ, {r1}x{c1} vs {r2}x{c2}")
     return numer / (denom + eps)
 
 
@@ -74,15 +50,7 @@ def frobenius_sq(a: Matrix) -> float:
     return float(np.sum(np.square(a)))
 
 
-@dataclass
-class SvdSpectrum:
-    """Leading singular values of a matrix, sorted descending."""
-
-    singular_values: list[float]
-    count_requested: int
-
-
-def singular_values(a: Matrix, top: int) -> SvdSpectrum:
+def singular_values(a: Matrix, top: int) -> list[float]:
     """Largest ``top`` singular values of ``a`` in descending order.
 
     Computed from the symmetric eigendecomposition of the smaller Gram
@@ -98,16 +66,12 @@ def singular_values(a: Matrix, top: int) -> SvdSpectrum:
     gram = a @ a.T if rows <= cols else a.T @ a
     eigvals = np.linalg.eigvalsh(gram)  # ascending
     sigma = np.sqrt(np.clip(eigvals[::-1], 0.0, None))
-    return SvdSpectrum(
-        singular_values=[float(s) for s in sigma[:top]],
-        count_requested=top,
-    )
+    return [float(s) for s in sigma[:top]]
 
 
 # ---------------------------------------------------------------------------
-# Serialization: dense CSV (one row per line) and JSON {rows, cols, data}.
-# Values are written with 17 significant digits so round trips are
-# value-exact for float64.
+# Serialization: dense CSV, one row per line. Values are written with 17
+# significant digits so round trips are value-exact for float64.
 # ---------------------------------------------------------------------------
 
 def format_float(v: float) -> str:
@@ -145,37 +109,3 @@ def load_matrix_csv(path) -> Matrix:
         raise ValueError(f"{path}: no matrix rows found")
     return as_matrix(rows)
 
-
-def matrix_to_json(a: Matrix) -> dict:
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "data": [float(v) for v in a.ravel()],
-    }
-
-
-def matrix_from_json(obj: dict) -> Matrix:
-    try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix object: {exc}") from None
-    if len(data) != rows * cols:
-        raise ValueError(
-            f"matrix object claims {rows}x{cols} but carries {len(data)} values"
-        )
-    return as_matrix(np.asarray(data, dtype=np.float64).reshape(rows, cols))
-
-
-def save_matrix_json(a: Matrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(a), fh)
-        fh.write("\n")
-
-
-def load_matrix_json(path) -> Matrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
-    return matrix_from_json(obj)

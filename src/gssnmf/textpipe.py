@@ -44,11 +44,6 @@ def tokenize(raw: str) -> list[str]:
     return [t for t in _TOKEN_RE.findall(raw.lower()) if t.isalpha()]
 
 
-def stem(token: str) -> str:
-    """Stem one lowercase alphabetic token."""
-    return porter_stem(token)
-
-
 def default_stopwords() -> frozenset[str]:
     """The stopword list shipped with the package."""
     text = resources.files("gssnmf").joinpath("data/stopwords_en.txt").read_text("utf-8")

@@ -157,6 +157,19 @@ def _guided_loop(x, y, w, h, b, lam, eps, iters):
     return w, h, b
 
 
+def _gssnmf_loop(x, y, z, l, w, h, b, c, lam, mu, eps, iters):
+    ll = l * l
+    lz = ll * z
+    for _ in range(iters):
+        w = w * (((x @ h.T) + lam * (y @ b.T))
+                 / (w @ (h @ h.T) + lam * (w @ (b @ b.T)) + eps))
+        h = h * (((w.T @ x) + mu * (c.T @ lz))
+                 / ((w.T @ w) @ h + mu * (c.T @ (ll * (c @ h))) + eps))
+        b = b * ((w.T @ y) / ((w.T @ w) @ b + eps))
+        c = c * ((lz @ h.T) / ((ll * (c @ h)) @ h.T + eps))
+    return w, h, b, c
+
+
 def test_criterion_3_reduction_equivalence(capsys):
     ok = False
     try:
@@ -169,6 +182,20 @@ def test_criterion_3_reduction_equivalence(capsys):
         z = np.zeros((p, n))
         z[rng.integers(0, p, n), np.arange(n)] = 1.0
         mask = split_mask(n, 0.7, rng_seed=1, n_classes=p)
+
+        # lam > 0 and mu > 0: the combined model
+        config = ModelConfig(rank=k, lam=0.05, mu=0.05, max_iters=iters,
+                             rng_seed=14)
+        res = fit(x, config, y=y, z=z, l=mask)
+        w0, h0, b0, c0 = initial_factors(d, n, config, n_seeds=s, n_classes=p)
+        w_ref, h_ref, b_ref, c_ref = _gssnmf_loop(
+            x, y, z, mask.l, w0, h0, b0, c0, config.lam, config.mu, config.eps,
+            iters,
+        )
+        assert np.array_equal(res.w, w_ref)
+        assert np.array_equal(res.h, h_ref)
+        assert np.array_equal(res.b, b_ref)
+        assert np.array_equal(res.c, c_ref)
 
         # lam = 0: label-supervised variant
         config = ModelConfig(rank=k, lam=0.0, mu=0.05, max_iters=iters, rng_seed=11)

@@ -242,6 +242,31 @@ def test_classify_without_label_supervision_exits_2(workspace, capsys):
     assert "not label-supervised" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda m: {**m, "config": {**m["config"], "bogus": 1}},  # unknown key
+    lambda m: {k: v for k, v in m.items() if k != "config"},  # missing key
+    lambda m: [m],  # not a JSON object
+    lambda m: {**m, "doc_ids": 5},  # doc_ids not a list
+], ids=["unknown-config-key", "missing-config", "list", "doc-ids-not-list"])
+def test_bad_manifest_exits_2_naming_it(workspace, capsys, mangle):
+    out = workspace["root"] / "model_bad_manifest"
+    assert main([
+        "factorize", str(workspace["corpus_file"]), "--out", str(out),
+        "--rank", "2", "--mu", "0.1", "--max-iters", "5",
+        "--labels", str(workspace["labels"]),
+    ]) == 0
+    path = out / "manifest.json"
+    path.write_text(json.dumps(mangle(json.loads(path.read_text("utf-8")))),
+                    "utf-8")
+    capsys.readouterr()
+    for argv in (["coherence", str(out), str(workspace["corpus_file"])],
+                 ["classify", str(out), str(workspace["labels"]),
+                  str(out / "mask.json")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+
 def test_classify_degenerate_scores_is_deterministic(workspace, tmp_path):
     out = workspace["root"] / "model3"
     assert main([
@@ -456,6 +481,12 @@ def test_sweep_parallel_matches_serial(workspace, tmp_path):
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
     assert (serial / "sweep.mean.csv").read_bytes() == \
         (parallel / "sweep.mean.csv").read_bytes()
+
+
+def test_sweep_rejects_jobs_below_one(workspace, tmp_path, capsys):
+    assert main(_sweep_args(workspace, tmp_path, extra=("--jobs", "0"))) == 2
+    assert capsys.readouterr().err.startswith("error: --jobs")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_coherence_metric_and_best_by_lambda(workspace, tmp_path):

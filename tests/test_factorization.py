@@ -212,6 +212,10 @@ def test_fit_trace_matches_iterations_and_is_monotone():
     assert np.all(np.diff(trace) <= trace[:-1] * 1e-9)
     for total, parts in zip(res.objective_trace, res.term_trace):
         assert total == pytest.approx(sum(parts), rel=1e-12)
+    # the last trace entry is exactly what objective reports on the result
+    assert (res.objective_trace[-1], *res.term_trace[-1]) == objective(
+        x, res.w, res.h, y, res.b, z, mask, res.c, cfg.lam, cfg.mu
+    )
     assert np.all(res.w >= 0) and np.all(res.h >= 0)
     assert np.all(res.b >= 0) and np.all(res.c >= 0)
 

@@ -6,12 +6,16 @@ argument), then scored with Macro F1, the unweighted mean of per-class F1.
 
 Topic quality: the coherence of a keyword list sums, over ordered keyword
 pairs, the log of (co-document count + 1) over the earlier keyword's
-document count. Counts are raw document counts, not probabilities, and
-the log is natural.
+document count (UMass coherence). Counts are raw document counts, not
+probabilities, and the log is natural. They come from one 0/1 keyword x
+document incidence matrix D: the document counts are its row sums and the
+co-document counts are ``D D^T``, both exact integers, so the score equals
+the pair-by-pair count bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -76,9 +80,9 @@ def macro_f1(pred: Matrix, truth: Matrix) -> tuple[float, list[float]]:
 def coherence(topic_keywords: list[str], docs) -> float:
     """Pairwise co-occurrence score of a keyword list over tokenized docs.
 
-    ``docs`` is an iterable of token collections; each is reduced to a
-    set, so only document membership matters. For keywords
-    ``w_1 .. w_N`` in descending topic weight the score is
+    ``docs`` is an iterable of token collections, consumed once; only
+    document membership matters. For keywords ``w_1 .. w_N`` in
+    descending topic weight the score is
 
         sum over b in 2..N, l in 1..b-1 of
             ln((count(docs with w_b and w_l) + 1) / count(docs with w_l))
@@ -88,20 +92,25 @@ def coherence(topic_keywords: list[str], docs) -> float:
     keywords = list(topic_keywords)
     if len(keywords) < 2:
         raise ValueError(f"need at least 2 keywords, got {len(keywords)}")
-    doc_sets = [frozenset(d) for d in docs]
-    df = {}
-    for w in keywords:
-        if w not in df:
-            df[w] = sum(1 for s in doc_sets if w in s)
-        if df[w] == 0:
+    index = {w: i for i, w in enumerate(dict.fromkeys(keywords))}
+    wanted = frozenset(index)
+    hits = [[index[w] for w in wanted.intersection(doc)] for doc in docs]
+    inc = np.zeros((len(index), len(hits)), dtype=np.int64)
+    rows = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp)
+    cols = np.repeat(np.arange(len(hits)), [len(h) for h in hits])
+    inc[rows, cols] = 1
+    df = inc.sum(axis=1).tolist()
+    pos = [index[w] for w in keywords]
+    for w, i in zip(keywords, pos):
+        if df[i] == 0:
             raise ValueError(f"keyword '{w}' appears in no document")
+    co = (inc @ inc.T).tolist()
     score = 0.0
-    for bpos in range(1, len(keywords)):
-        wb = keywords[bpos]
+    for bpos in range(1, len(pos)):
+        co_b = co[pos[bpos]]
         for lpos in range(bpos):
-            wl = keywords[lpos]
-            co = sum(1 for s in doc_sets if wb in s and wl in s)
-            score += math.log((co + 1) / df[wl])
+            a = pos[lpos]
+            score += math.log((co_b[a] + 1) / df[a])
     return score
 
 

@@ -18,6 +18,17 @@ factors already updated earlier in the same iteration:
 Denominators get a small ``eps`` floor before dividing. Triple products
 are grouped Gram-first, e.g. ``W (H H^T)`` and ``(W^T W) H``; the
 reduction equivalences above hold bitwise only under this grouping.
+
+The loss never forms the d x n residual ``X - W H``. Its reconstruction
+term uses the Gram-form identity
+
+    ||X - W H||_F^2 = ||X||_F^2 - 2 <W^T X, H> + <W^T W, H H^T>
+
+with ``||X||_F^2`` computed once per fit, so one evaluation allocates
+k x n and k x k temporaries instead of d x n ones. Cancellation can leave
+the expansion a few ulps below zero on a near-exact fit, so it is clamped
+at zero. The guiding (d x s) and label (p x n) terms are small and keep
+the direct formula.
 """
 
 from __future__ import annotations
@@ -193,13 +204,26 @@ def objective(
 
     reconstruction = 1/2 ||X - W H||_F^2, guiding = lam/2 ||Y - W B||_F^2,
     label = mu/2 ||L o (Z - C H)||_F^2; the first return value is their sum.
+
+    The reconstruction term is evaluated in Gram form,
+    ``1/2 max(0, ||X||^2 - 2 <W^T X, H> + <W^T W, H H^T>)``, so the d x n
+    residual is never formed. The clamp at zero absorbs the rounding that
+    can push the expansion slightly negative on an exact fit.
     """
-    return _losses(*_validated(x, w, h, y, b, z, l, c, lam, mu), lam, mu)
+    x, w, h, y, b, z, l, c = _validated(x, w, h, y, b, z, l, c, lam, mu)
+    return _losses(x, frobenius_sq(x), w, h, y, b, z, l, c, lam, mu)
 
 
-def _losses(x, w, h, y, b, z, l, c, lam, mu) -> tuple[float, float, float, float]:
-    """``objective`` on inputs that ``_validated`` already checked."""
-    recon = 0.5 * frobenius_sq(x - w @ h)
+def _losses(
+    x, xx, w, h, y, b, z, l, c, lam, mu
+) -> tuple[float, float, float, float]:
+    """``objective`` on inputs that ``_validated`` already checked.
+
+    ``xx`` is ``||X||_F^2``, computed once by the caller.
+    """
+    cross = float(np.vdot(w.T @ x, h))
+    gram = float(np.vdot(w.T @ w, h @ h.T))
+    recon = 0.5 * max(0.0, xx - 2.0 * cross + gram)
     guide = 0.0
     if y is not None:
         guide = 0.5 * lam * frobenius_sq(y - w @ b)
@@ -366,8 +390,9 @@ def fit(x, config: ModelConfig, *, y=None, z=None, l=None) -> FactorizationResul
         n_seeds=None if y is None else y.shape[1],
         n_classes=None if z is None else z.shape[0],
     )
-    # Validates every shape combination up front.
-    prev, _, _, _ = objective(x, w, h, y, b, z, l, c, config.lam, config.mu)
+    _check_objective_shapes(x, w, h, y, b, z, l, c, config.lam, config.mu)
+    xx = frobenius_sq(x)
+    prev, _, _, _ = _losses(x, xx, w, h, y, b, z, l, c, config.lam, config.mu)
 
     trace: list[float] = []
     terms: list[tuple[float, float, float]] = []
@@ -377,7 +402,7 @@ def fit(x, config: ModelConfig, *, y=None, z=None, l=None) -> FactorizationResul
             lam=config.lam, mu=config.mu, eps=config.eps, iteration=i,
         )
         total, recon, guide, label = _losses(
-            x, w, h, y, b, z, l, c, config.lam, config.mu
+            x, xx, w, h, y, b, z, l, c, config.lam, config.mu
         )
         trace.append(total)
         terms.append((recon, guide, label))
@@ -479,20 +504,23 @@ def load_result(result_dir) -> tuple[FactorizationResult, dict]:
     c = load_matrix_csv(root / "c.csv") if (root / "c.csv").is_file() else None
     trace: list[float] = []
     terms: list[tuple[float, float, float]] = []
-    with open(root / "trace.csv", "r", encoding="utf-8") as fh:
+    trace_path = root / "trace.csv"
+    with open(trace_path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("iteration,"):
-            raise ValueError(f"{root / 'trace.csv'}:1: unexpected header")
+            raise ValueError(f"{trace_path}:1: unexpected header")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             fields = line.split(",")
             if len(fields) != 5:
-                raise ValueError(
-                    f"{root / 'trace.csv'}:{lineno}: expected 5 fields"
-                )
-            trace.append(float(fields[1]))
-            terms.append((float(fields[2]), float(fields[3]), float(fields[4])))
+                raise ValueError(f"{trace_path}:{lineno}: expected 5 fields")
+            try:
+                total, recon, guide, label = map(float, fields[1:])
+            except ValueError as exc:
+                raise ValueError(f"{trace_path}:{lineno}: bad number: {exc}") from None
+            trace.append(total)
+            terms.append((recon, guide, label))
     result = FactorizationResult(w, h, b, c, trace, terms, config)
     return result, manifest

@@ -46,8 +46,8 @@ def safe_divide(numer: Matrix, denom: Matrix, eps: float = DEFAULT_EPS) -> Matri
 
 
 def frobenius_sq(a: Matrix) -> float:
-    """Sum of squared entries."""
-    return float(np.sum(np.square(a)))
+    """Sum of squared entries, without a squared copy of ``a``."""
+    return float(np.vdot(a, a))
 
 
 def singular_values(a: Matrix, top: int) -> list[float]:

@@ -8,6 +8,8 @@ no shorter suffix is tried.
 
 from __future__ import annotations
 
+import functools
+
 _VOWELS = "aeiou"
 
 
@@ -187,6 +189,15 @@ def _step5b(word: str) -> str:
 
 def porter_stem(word: str) -> str:
     """Stem a lowercase alphabetic token."""
+    return _stem(word)
+
+
+# Text repeats a few thousand token types many times over; the bound keeps
+# the memo's size independent of the input's length. The memo sits behind
+# ``porter_stem`` so that the public name stays a plain function, which is
+# what perfbench's span tracer wraps.
+@functools.lru_cache(maxsize=1 << 16)
+def _stem(word: str) -> str:
     if len(word) <= 2:
         return word
     word = _step1a(word)

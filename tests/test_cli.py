@@ -267,6 +267,23 @@ def test_bad_manifest_exits_2_naming_it(workspace, capsys, mangle):
         assert err.startswith("error: ") and str(path) in err
 
 
+def test_bad_trace_number_exits_2_naming_file_and_line(workspace, capsys):
+    out = workspace["root"] / "model_bad_trace"
+    assert main([
+        "factorize", str(workspace["corpus_file"]), "--out", str(out),
+        "--rank", "2", "--max-iters", "5",
+    ]) == 0
+    path = out / "trace.csv"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("1,abc,2,3,4\n")
+    capsys.readouterr()
+    # header on line 1, five iterations on lines 2-6, the bad row on line 7
+    assert main(["coherence", str(out), str(workspace["corpus_file"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{path}:7: bad number" in err and "'abc'" in err
+
+
 def test_classify_degenerate_scores_is_deterministic(workspace, tmp_path):
     out = workspace["root"] / "model3"
     assert main([

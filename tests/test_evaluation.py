@@ -155,6 +155,47 @@ def test_coherence_matches_bruteforce(seed):
     assert coherence(keywords, docs) == _coherence_bruteforce(keywords, docs)
 
 
+def _token_lists(rng, vocab, n_docs):
+    # Documents as token lists with repeats; each keeps at least one token.
+    return [
+        [str(w) for w in rng.choice(vocab, int(rng.integers(1, 12)))]
+        for _ in range(n_docs)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_coherence_token_lists_with_repeats_match_bruteforce(seed):
+    rng = np.random.default_rng(100 + seed)
+    vocab = [f"t{i}" for i in range(40)]
+    docs = _token_lists(rng, vocab, 150)
+    present = sorted({w for d in docs for w in d})
+    keywords = [str(w) for w in rng.choice(present, 12, replace=False)]
+    assert coherence(keywords, docs) == _coherence_bruteforce(keywords, docs)
+
+
+def test_coherence_consumes_a_one_shot_generator():
+    rng = np.random.default_rng(7)
+    docs = _token_lists(rng, list("abcdefg"), 30)
+    keywords = ["c", "a", "f", "b"]
+    assert coherence(keywords, (d for d in docs)) == _coherence_bruteforce(
+        keywords, docs
+    )
+
+
+def test_coherence_repeated_keywords_match_bruteforce():
+    rng = np.random.default_rng(8)
+    docs = [set(d) for d in _token_lists(rng, list("abcdef"), 25)]
+    keywords = ["b", "a", "b", "d", "a", "b"]
+    assert coherence(keywords, docs) == _coherence_bruteforce(keywords, docs)
+
+
+def test_coherence_names_first_absent_keyword_in_list_order():
+    docs = [["a", "b"], ["b", "c"]]
+    with pytest.raises(ValueError) as err:
+        coherence(["a", "zeta", "b", "alpha", "zeta"], docs)
+    assert str(err.value) == "keyword 'zeta' appears in no document"
+
+
 def test_avg_coherence():
     assert avg_coherence([5.0]) == 5.0
     assert avg_coherence([0.0, 0.0]) == 0.0

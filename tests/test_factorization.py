@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gssnmf import factorization, linalg
 from gssnmf.factorization import (
     FactorizationError,
     FactorizationResult,
@@ -49,6 +52,39 @@ def test_objective_perfect_reconstruction_is_zero():
     w = np.array([[1.0], [2.0]])
     h = np.array([[3.0, 4.0]])
     assert objective(w @ h, w, h) == (0.0, 0.0, 0.0, 0.0)
+
+
+def _direct_terms(x, w, h, y, b, z, l, c, lam, mu):
+    # The loss terms from their definitions, residuals and all.
+    recon = 0.5 * np.sum((x - w @ h) ** 2)
+    guide = 0.5 * lam * np.sum((y - w @ b) ** 2)
+    label = 0.5 * mu * np.sum((l * (z - c @ h)) ** 2)
+    return recon, guide, label
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_objective_matches_direct_formula(seed):
+    rng = np.random.default_rng(300 + seed)
+    d, n, k = (int(v) for v in rng.integers(2, 40, 3))
+    inst = _random_instance(seed, d=d, n=n, k=k, s=3, p=4)
+    lam, mu = rng.uniform(0.01, 2.0, 2)
+    total, *terms = objective(**inst, lam=lam, mu=mu)
+    expected = _direct_terms(**inst, lam=lam, mu=mu)
+    for got, want in zip(terms, expected):
+        assert got == pytest.approx(want, rel=1e-12)
+    assert total == pytest.approx(sum(expected), rel=1e-12)
+
+
+def test_objective_exact_reconstruction_stays_non_negative():
+    # X = W H in floats: the Gram-form expansion cancels to a few ulps of
+    # ||X||^2 either side of zero, and the clamp keeps it from going below.
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        w = rng.random((50, 4))
+        h = rng.random((4, 40))
+        x = w @ h
+        _, recon, _, _ = objective(x, w, h)
+        assert 0.0 <= recon <= 1e-14 * np.sum(x * x), f"seed {seed}: {recon}"
 
 
 def test_objective_scalar_cases():
@@ -218,6 +254,48 @@ def test_fit_trace_matches_iterations_and_is_monotone():
     )
     assert np.all(res.w >= 0) and np.all(res.h >= 0)
     assert np.all(res.b >= 0) and np.all(res.c >= 0)
+
+
+def test_fit_checks_each_bare_input_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    x = rng.random((25, 18))
+    y = np.zeros((25, 2))
+    y[3, 0] = y[11, 1] = 1.0
+    z = np.zeros((3, 18))
+    z[rng.integers(0, 3, 18), np.arange(18)] = 1.0
+    mask = split_mask(18, 0.7, rng_seed=0, n_classes=3)
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return linalg.as_matrix(a)
+
+    monkeypatch.setattr(factorization, "as_matrix", counting)
+    for iters in (10, 100):
+        calls.clear()
+        cfg = ModelConfig(rank=4, lam=0.2, mu=0.2, max_iters=iters, rng_seed=5)
+        fit(x, cfg, y=y, z=z, l=mask)
+        # X, Y and Z are bare arrays; the mask arrives already checked
+        assert [id(a) for a in calls] == [id(x), id(y), id(z)]
+
+
+def test_fit_loop_allocates_no_d_by_n_temporary():
+    rng = np.random.default_rng(11)
+    d, n, p = 400, 300, 3
+    x = rng.random((d, n))
+    y = np.zeros((d, 2))
+    y[7, 0] = y[90, 1] = 1.0
+    z = np.zeros((p, n))
+    z[rng.integers(0, p, n), np.arange(n)] = 1.0
+    mask = split_mask(n, 0.7, rng_seed=0, n_classes=p)
+    cfg = ModelConfig(rank=5, lam=0.3, mu=0.006, max_iters=20, rng_seed=2)
+    tracemalloc.start()
+    try:
+        fit(x, cfg, y=y, z=z, l=mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * x.nbytes, f"peak {peak / x.nbytes:.2f} d x n arrays"
 
 
 def test_fit_early_stop_tolerance():

@@ -12,6 +12,7 @@ from .evaluation import (
     EvalReport,
     avg_coherence,
     coherence,
+    incidence_coherence,
     load_report,
     macro_f1,
     save_report,
@@ -22,6 +23,7 @@ from .factorization import (
     FactorizationError,
     FactorizationResult,
     ModelConfig,
+    Problem,
     fit,
     initial_factors,
     load_result,
@@ -80,6 +82,7 @@ __all__ = [
     "MaskMatrix",
     "Matrix",
     "ModelConfig",
+    "Problem",
     "PipelineParams",
     "SeedMatrix",
     "SweepSpec",
@@ -90,6 +93,7 @@ __all__ = [
     "build_label_matrix",
     "build_seed_matrix",
     "coherence",
+    "incidence_coherence",
     "default_stopwords",
     "doc_token_sets",
     "fit",

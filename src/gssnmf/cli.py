@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 from .evaluation import (
     EvalReport,
     avg_coherence,
-    coherence,
+    incidence_coherence,
     macro_f1,
     save_report,
     threshold_predictions,
@@ -53,7 +52,6 @@ from .textpipe import (
     PipelineParams,
     Vocabulary,
     build_corpus,
-    doc_token_sets,
     load_corpus,
     load_stopwords,
     read_corpus_dir,
@@ -233,10 +231,9 @@ def run_coherence(args) -> int:
         )
     if args.n_top < 2:
         raise ValueError(f"--n-top must be >= 2, got {args.n_top}")
-    token_sets = doc_token_sets(corpus)
-    k = result.w.shape[1]
-    topics = [top_keywords(result.w, corpus.vocab, t, args.n_top) for t in range(k)]
-    per_topic = [coherence(kw, token_sets) for kw in topics]
+    topics, per_topic = _topic_coherences(
+        result.w, corpus.vocab, corpus.x != 0, args.n_top
+    )
     report = EvalReport(
         per_topic_coherence=per_topic,
         avg_coherence=avg_coherence(per_topic),
@@ -253,6 +250,16 @@ def run_coherence(args) -> int:
         print(f"topic {i}: coherence={c:.3f} keywords={' '.join(topics[i - 1][:10])}")
     print(f"avg_coherence={report.avg_coherence:.3f}")
     return EXIT_OK
+
+
+def _topic_coherences(w, vocab: Vocabulary, present, n_top: int):
+    """Top keywords and coherence of every topic column of ``w``.
+
+    ``present`` is the boolean term x document incidence ``X != 0``.
+    """
+    topics = [top_keywords(w, vocab, t, n_top) for t in range(w.shape[1])]
+    scores = [incidence_coherence(kw, present, vocab.term_index) for kw in topics]
+    return topics, scores
 
 
 # --- sweep ------------------------------------------------------------------
@@ -333,14 +340,10 @@ def _sweep_eval(payload, task):
             preds = threshold_predictions(ch[:, test], counts)
             value, _ = macro_f1(preds, truth)
         else:
-            vocab = Vocabulary(payload["vocab_terms"])
-            topics = [
-                top_keywords(result.w, vocab, t, payload["n_top"])
-                for t in range(rank)
-            ]
-            value = avg_coherence(
-                [coherence(kw, payload["token_sets"]) for kw in topics]
+            _, scores = _topic_coherences(
+                result.w, payload["vocab"], payload["present"], payload["n_top"]
             )
+            value = avg_coherence(scores)
     except (ValueError, FactorizationError) as exc:
         raise type(exc)(
             f"sweep cell (rank={rank}, lambda={lam}, mu={mu}, trial={trial}): {exc}"
@@ -369,8 +372,9 @@ def run_sweep(args) -> int:
         "y": seeds.y,
         "z": labels.z,
         "n_classes": len(labels.label_names),
-        "vocab_terms": corpus.vocab.terms,
-        "token_sets": doc_token_sets(corpus),
+        "vocab": corpus.vocab,
+        # One byte per entry; every cell reads its keywords' rows.
+        "present": corpus.x != 0,
         "train_fraction": spec.train_fraction,
         "base_seed": spec.base_rng_seed,
         "metric": spec.metric,
@@ -382,6 +386,9 @@ def run_sweep(args) -> int:
     tasks = spec.cells()
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: the pool machinery would slow every command's start.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_sweep_init, initargs=(payload,)
         ) as pool:

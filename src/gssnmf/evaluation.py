@@ -7,10 +7,14 @@ argument), then scored with Macro F1, the unweighted mean of per-class F1.
 Topic quality: the coherence of a keyword list sums, over ordered keyword
 pairs, the log of (co-document count + 1) over the earlier keyword's
 document count (UMass coherence). Counts are raw document counts, not
-probabilities, and the log is natural. They come from one 0/1 keyword x
-document incidence matrix D: the document counts are its row sums and the
-co-document counts are ``D D^T``, both exact integers, so the score equals
-the pair-by-pair count bit for bit.
+probabilities, and the log is natural. One scoring core,
+``incidence_coherence``, serves both entry points: it takes the keyword
+rows D of a boolean term x document incidence, reads the document counts
+as the row sums of D and the co-document counts as ``D D^T`` (exact
+integers, so the score equals the pair-by-pair count bit for bit), then
+sums the ordered log pairs. Callers scoring many topics build the
+incidence once per corpus (``X != 0``), so the documents are scanned
+once; ``coherence`` builds one over its keywords from token collections.
 """
 
 from __future__ import annotations
@@ -90,21 +94,40 @@ def coherence(topic_keywords: list[str], docs) -> float:
     Every keyword must appear in at least one document.
     """
     keywords = list(topic_keywords)
-    if len(keywords) < 2:
-        raise ValueError(f"need at least 2 keywords, got {len(keywords)}")
     index = {w: i for i, w in enumerate(dict.fromkeys(keywords))}
     wanted = frozenset(index)
     hits = [[index[w] for w in wanted.intersection(doc)] for doc in docs]
-    inc = np.zeros((len(index), len(hits)), dtype=np.int64)
+    present = np.zeros((len(index), len(hits)), dtype=bool)
     rows = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp)
     cols = np.repeat(np.arange(len(hits)), [len(h) for h in hits])
-    inc[rows, cols] = 1
-    df = inc.sum(axis=1).tolist()
+    present[rows, cols] = True
+    return incidence_coherence(keywords, present, index)
+
+
+def incidence_coherence(topic_keywords: list[str], present, term_index) -> float:
+    """``coherence`` read from a boolean term x document incidence matrix.
+
+    ``present[t, j]`` is true when term ``t`` occurs in document ``j``
+    (``X != 0`` for a corpus matrix X) and ``term_index`` maps each keyword
+    to its row. Only the keywords' rows are read, so one matrix serves
+    every topic. This is the scoring core that ``coherence`` also runs.
+    Counts are formed in float64, where 0/1 sums are exact, and read back
+    as ints, so every log term is the pair-by-pair count's.
+    """
+    keywords = list(topic_keywords)
+    if len(keywords) < 2:
+        raise ValueError(f"need at least 2 keywords, got {len(keywords)}")
+    index = {w: i for i, w in enumerate(dict.fromkeys(keywords))}
+    try:
+        inc = present[[term_index[w] for w in index]].astype(np.float64)
+    except KeyError as exc:
+        raise ValueError(f"keyword {exc} is not a vocabulary term") from None
+    df = inc.sum(axis=1).astype(np.int64).tolist()
     pos = [index[w] for w in keywords]
     for w, i in zip(keywords, pos):
         if df[i] == 0:
             raise ValueError(f"keyword '{w}' appears in no document")
-    co = (inc @ inc.T).tolist()
+    co = (inc @ inc.T).astype(np.int64).tolist()
     score = 0.0
     for bpos in range(1, len(pos)):
         co_b = co[pos[bpos]]

@@ -24,17 +24,22 @@ term uses the Gram-form identity
 
     ||X - W H||_F^2 = ||X||_F^2 - 2 <W^T X, H> + <W^T W, H H^T>
 
-with ``||X||_F^2`` computed once per fit, so one evaluation allocates
-k x n and k x k temporaries instead of d x n ones. Cancellation can leave
-the expansion a few ulps below zero on a near-exact fit, so it is clamped
-at zero. The guiding (d x s) and label (p x n) terms are small and keep
-the direct formula.
+Cancellation can leave the expansion a few ulps below zero on a near-exact
+fit, so it is clamped at zero. The guiding (d x s) and label (p x n) terms
+are small and keep the direct formula.
+
+Inside ``fit`` the loss costs no pass over X. The H update already forms
+``W^T X`` and ``W^T W`` for the final W of the iteration; ``update_step``
+reuses both for the loss at the new factors (and ``W^T W`` for the B
+update). What does not change between iterations lives in a frozen
+``Problem`` built once per fit: the checked X, Y, Z, L, the weights, and
+the cached ``||X||_F^2``, ``L o L`` and ``L o L o Z``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +154,34 @@ def _as_input(a) -> Matrix | None:
     return as_matrix(a) if name is None else getattr(a, name)
 
 
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """The solver inputs and the terms every iteration reuses.
+
+    X, Y, Z and L must be float64 arrays that were already checked (Y, Z,
+    L may be None) with shapes that agree; ``fit`` and ``objective`` check
+    them before building one. ``xx`` (``||X||_F^2``), ``ll`` (``L o L``)
+    and ``llz`` (``L o L o Z``) are computed once, at construction.
+    """
+
+    x: Matrix
+    y: Matrix | None = None
+    z: Matrix | None = None
+    l: Matrix | None = None
+    lam: float = 0.0
+    mu: float = 0.0
+    eps: float = DEFAULT_EPS
+    xx: float = field(init=False)
+    ll: Matrix | None = field(init=False)
+    llz: Matrix | None = field(init=False)
+
+    def __post_init__(self):
+        ll = None if self.l is None else self.l * self.l
+        object.__setattr__(self, "xx", frobenius_sq(self.x))
+        object.__setattr__(self, "ll", ll)
+        object.__setattr__(self, "llz", None if self.z is None else ll * self.z)
+
+
 def _check_objective_shapes(x, w, h, y, b, z, l, c, lam, mu):
     d, n = x.shape
     if w.shape[0] != d or h.shape[1] != n or w.shape[1] != h.shape[0]:
@@ -211,25 +244,20 @@ def objective(
     can push the expansion slightly negative on an exact fit.
     """
     x, w, h, y, b, z, l, c = _validated(x, w, h, y, b, z, l, c, lam, mu)
-    return _losses(x, frobenius_sq(x), w, h, y, b, z, l, c, lam, mu)
+    return _losses(Problem(x, y, z, l, lam, mu), w, h, b, c, w.T @ x, w.T @ w)
 
 
-def _losses(
-    x, xx, w, h, y, b, z, l, c, lam, mu
-) -> tuple[float, float, float, float]:
-    """``objective`` on inputs that ``_validated`` already checked.
-
-    ``xx`` is ``||X||_F^2``, computed once by the caller.
-    """
-    cross = float(np.vdot(w.T @ x, h))
-    gram = float(np.vdot(w.T @ w, h @ h.T))
-    recon = 0.5 * max(0.0, xx - 2.0 * cross + gram)
+def _losses(p: Problem, w, h, b, c, wtx, wtw) -> tuple[float, float, float, float]:
+    """``objective`` at (W, H, B, C), given ``wtx = W^T X`` and ``wtw = W^T W``."""
+    cross = float(np.vdot(wtx, h))
+    gram = float(np.vdot(wtw, h @ h.T))
+    recon = 0.5 * max(0.0, p.xx - 2.0 * cross + gram)
     guide = 0.0
-    if y is not None:
-        guide = 0.5 * lam * frobenius_sq(y - w @ b)
+    if p.y is not None:
+        guide = 0.5 * p.lam * frobenius_sq(p.y - w @ b)
     label = 0.0
-    if z is not None:
-        label = 0.5 * mu * frobenius_sq(l * (z - c @ h))
+    if p.z is not None:
+        label = 0.5 * p.mu * frobenius_sq(p.l * (p.z - c @ h))
     return recon + guide + label, recon, guide, label
 
 
@@ -302,59 +330,49 @@ def _check_finite(name: str, a: Matrix, iteration: int | None):
         )
 
 
-def update_step(
-    w,
-    h,
-    b,
-    c,
-    x,
-    y=None,
-    z=None,
-    l=None,
-    *,
-    lam: float = 0.0,
-    mu: float = 0.0,
-    eps: float = DEFAULT_EPS,
-    iteration: int | None = None,
-):
+def update_step(p: Problem, w, h, b, c, *, iteration: int | None = None):
     """One multiplicative update of W, H, B, C, in listing order.
 
     Each rule multiplies the factor by a ratio of non-negative gradient
     parts, so non-negativity is preserved without projection and exact
     zeros stay zero. Pass ``iteration`` to tag divergence errors.
 
-    This is the unchecked step kernel: X, Y, Z and L must be the float64
-    arrays ``fit`` validated (Y, Z, L may be None), with shapes that agree
-    with the factors. ``fit`` and ``objective`` do that checking.
-    """
-    ll = None if l is None else l * l
-    lz = None if z is None else ll * z
+    Returns ``(w, h, b, c, losses)``. ``losses`` is the
+    ``(total, reconstruction, guiding, label)`` tuple at the new factors,
+    bitwise what ``objective`` returns for them: its reconstruction term
+    reuses the ``W^T X`` and ``W^T W`` that the H update forms for the
+    final W, so it makes no further pass over X.
 
-    numer = x @ h.T
+    This is the unchecked step kernel: it trusts ``p`` (see ``Problem``)
+    and checks only that the updated factors stay finite.
+    """
+    numer = p.x @ h.T
     denom = w @ (h @ h.T)
-    if y is not None:
-        numer = numer + lam * (y @ b.T)
-        denom = denom + lam * (w @ (b @ b.T))
-    w = w * safe_divide(numer, denom, eps)
+    if p.y is not None:
+        numer = numer + p.lam * (p.y @ b.T)
+        denom = denom + p.lam * (w @ (b @ b.T))
+    w = w * safe_divide(numer, denom, p.eps)
     _check_finite("W", w, iteration)
 
-    numer = w.T @ x
-    denom = (w.T @ w) @ h
-    if z is not None:
-        numer = numer + mu * (c.T @ lz)
-        denom = denom + mu * (c.T @ (ll * (c @ h)))
-    h = h * safe_divide(numer, denom, eps)
+    wtx = w.T @ p.x
+    wtw = w.T @ w
+    numer = wtx
+    denom = wtw @ h
+    if p.z is not None:
+        numer = numer + p.mu * (c.T @ p.llz)
+        denom = denom + p.mu * (c.T @ (p.ll * (c @ h)))
+    h = h * safe_divide(numer, denom, p.eps)
     _check_finite("H", h, iteration)
 
-    if y is not None:
-        b = b * safe_divide(w.T @ y, (w.T @ w) @ b, eps)
+    if p.y is not None:
+        b = b * safe_divide(w.T @ p.y, wtw @ b, p.eps)
         _check_finite("B", b, iteration)
 
-    if z is not None:
-        c = c * safe_divide(lz @ h.T, (ll * (c @ h)) @ h.T, eps)
+    if p.z is not None:
+        c = c * safe_divide(p.llz @ h.T, (p.ll * (c @ h)) @ h.T, p.eps)
         _check_finite("C", c, iteration)
 
-    return w, h, b, c
+    return w, h, b, c, _losses(p, w, h, b, c, wtx, wtw)
 
 
 def fit(x, config: ModelConfig, *, y=None, z=None, l=None) -> FactorizationResult:
@@ -373,6 +391,11 @@ def fit(x, config: ModelConfig, *, y=None, z=None, l=None) -> FactorizationResul
     objective and its components after every iteration. When
     ``config.tol > 0`` the loop stops early once the relative objective
     change drops below it. Deterministic given identical inputs and config.
+
+    The inputs are checked once, and one ``Problem`` caches ``||X||_F^2``,
+    ``L o L`` and ``L o L o Z`` for the whole run. Every iteration is one
+    ``update_step``, whose returned loss becomes the trace entry. The loss
+    at the initial factors is evaluated only when ``tol > 0`` needs it.
     """
     x, y, z, l = map(_as_input, (x, y, z, l))
     if config.lam > 0 and y is None:
@@ -391,24 +414,22 @@ def fit(x, config: ModelConfig, *, y=None, z=None, l=None) -> FactorizationResul
         n_classes=None if z is None else z.shape[0],
     )
     _check_objective_shapes(x, w, h, y, b, z, l, c, config.lam, config.mu)
-    xx = frobenius_sq(x)
-    prev, _, _, _ = _losses(x, xx, w, h, y, b, z, l, c, config.lam, config.mu)
+    p = Problem(x, y, z, l, config.lam, config.mu, config.eps)
+    if config.tol > 0:
+        prev = _losses(p, w, h, b, c, w.T @ x, w.T @ w)[0]
 
     trace: list[float] = []
     terms: list[tuple[float, float, float]] = []
     for i in range(1, config.max_iters + 1):
-        w, h, b, c = update_step(
-            w, h, b, c, x, y, z, l,
-            lam=config.lam, mu=config.mu, eps=config.eps, iteration=i,
-        )
-        total, recon, guide, label = _losses(
-            x, xx, w, h, y, b, z, l, c, config.lam, config.mu
+        w, h, b, c, (total, recon, guide, label) = update_step(
+            p, w, h, b, c, iteration=i
         )
         trace.append(total)
         terms.append((recon, guide, label))
-        if config.tol > 0 and abs(total - prev) / max(prev, config.eps) < config.tol:
-            break
-        prev = total
+        if config.tol > 0:
+            if abs(total - prev) / max(prev, config.eps) < config.tol:
+                break
+            prev = total
 
     return FactorizationResult(w, h, b, c, trace, terms, config)
 
@@ -428,8 +449,14 @@ def top_keywords(w, vocab: Vocabulary, topic: int, n_top: int) -> list[str]:
         raise ValueError(
             f"vocabulary has {len(vocab)} terms but W has {d} rows"
         )
-    order = sorted(range(d), key=lambda i: (-w[i, topic], vocab.terms[i]))
-    return [vocab.terms[i] for i in order[:n_top]]
+    col = w[:, topic]
+    # Only terms weighing at least the n_top-th largest weight can rank;
+    # ties at that weight all stay in, so the term order still breaks them.
+    cut = np.partition(col, d - n_top)[d - n_top]
+    weights, terms = col.tolist(), vocab.terms
+    order = sorted(np.flatnonzero(col >= cut).tolist(),
+                   key=lambda i: (-weights[i], terms[i]))
+    return [terms[i] for i in order[:n_top]]
 
 
 # ---------------------------------------------------------------------------

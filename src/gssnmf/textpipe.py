@@ -308,6 +308,12 @@ def load_corpus(path) -> CorpusMatrix:
             params = _params_from_json(header.get("params"))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{path}:1: malformed header: {exc}") from None
+        # Checked before the matrix is allocated from the declared shape.
+        if not (rows == len(vocab_terms) >= 1 and cols == len(doc_ids) >= 1):
+            raise CorpusFormatError(
+                f"{path}:1: header declares {rows}x{cols} but lists "
+                f"{len(vocab_terms)} terms and {len(doc_ids)} documents"
+            )
 
         data = np.zeros((rows, cols))
         for r in range(rows):

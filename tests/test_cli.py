@@ -333,6 +333,24 @@ def test_coherence_rank_one_average_equals_single_topic(workspace):
     assert report.avg_coherence == report.per_topic_coherence[0]
 
 
+@pytest.mark.parametrize("rows", ["negative", "vocab+2"])
+def test_corpus_header_shape_mismatch_exits_2_naming_line_1(
+    workspace, tmp_path, capsys, rows
+):
+    lines = workspace["corpus_file"].read_text("utf-8").splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["rows"] = -3 if rows == "negative" else len(header["vocab"]) + 2
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    corpus_file = bad / "corpus.txt"
+    corpus_file.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), "utf-8")
+    code = main(["rank-scan", str(corpus_file), "--out", str(bad / "rank.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "corpus.txt:1:" in err
+    assert not (bad / "rank.csv").exists()
+
+
 def test_coherence_corpus_mismatch_exits_2(workspace, tmp_path, capsys):
     out = workspace["root"] / "model6"
     assert main([
@@ -498,6 +516,47 @@ def test_sweep_parallel_matches_serial(workspace, tmp_path):
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
     assert (serial / "sweep.mean.csv").read_bytes() == \
         (parallel / "sweep.mean.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_coherence_rows_equal_public_api(workspace, tmp_path, jobs):
+    from gssnmf.evaluation import avg_coherence, coherence
+    from gssnmf.factorization import ModelConfig, fit, top_keywords
+    from gssnmf.supervision import (build_label_matrix, build_seed_matrix,
+                                    load_label_assignments, load_seed_words,
+                                    split_mask)
+    from gssnmf.textpipe import doc_token_sets
+
+    assert main(_sweep_args(workspace, tmp_path, extra=(
+        "--metric", "avg_coherence", "--n-top", "5", "--jobs", jobs,
+    ))) == 0
+    corpus = load_corpus(workspace["corpus_file"])
+    seeds = build_seed_matrix(load_seed_words(workspace["seeds"]), corpus.vocab)
+    labels = build_label_matrix(load_label_assignments(workspace["labels"]),
+                                corpus.doc_ids)
+    sets = doc_token_sets(corpus)
+    rows = (tmp_path / "sweep.csv").read_text("utf-8").splitlines()[1:]
+    assert len(rows) == 8
+    for row in rows:
+        rank, lam, mu, trial, value = row.split(",")
+        rank, lam, mu, trial = int(rank), float(lam), float(mu), int(trial)
+        mask = split_mask(corpus.n_docs, 0.7, 9 + trial, len(labels.label_names))
+        config = ModelConfig(rank=rank, lam=lam, mu=mu, max_iters=20,
+                             rng_seed=9 + trial)
+        result = fit(corpus.x, config, y=seeds.y, z=labels.z, l=mask)
+        want = avg_coherence([
+            coherence(top_keywords(result.w, corpus.vocab, t, 5), sets)
+            for t in range(rank)
+        ])
+        assert value == repr(want)
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    code = ("import sys, gssnmf.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_sweep_rejects_jobs_below_one(workspace, tmp_path, capsys):

@@ -8,6 +8,7 @@ from gssnmf.evaluation import (
     EvalReport,
     avg_coherence,
     coherence,
+    incidence_coherence,
     load_report,
     macro_f1,
     save_report,
@@ -194,6 +195,37 @@ def test_coherence_names_first_absent_keyword_in_list_order():
     with pytest.raises(ValueError) as err:
         coherence(["a", "zeta", "b", "alpha", "zeta"], docs)
     assert str(err.value) == "keyword 'zeta' appears in no document"
+
+
+def _incidence(vocab, docs):
+    present = np.array([[w in d for d in docs] for w in vocab], dtype=bool)
+    return present, {w: i for i, w in enumerate(vocab)}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_incidence_coherence_matches_bruteforce(seed):
+    rng = np.random.default_rng(200 + seed)
+    vocab = [f"t{i}" for i in range(40)]
+    docs = [set(d) for d in _token_lists(rng, vocab, 150)]
+    present, term_index = _incidence(vocab, docs)
+    seen = sorted({w for d in docs for w in d})
+    keywords = [str(w) for w in rng.choice(seen, 12, replace=False)]
+    keywords += keywords[:3]  # repeats keep their list positions
+    want = _coherence_bruteforce(keywords, docs)
+    assert incidence_coherence(keywords, present, term_index) == want
+    assert coherence(keywords, docs) == want
+
+
+def test_incidence_coherence_rejects_absent_and_unknown_keywords():
+    docs = [{"a", "b"}, {"b", "c"}]
+    present, term_index = _incidence(["a", "b", "c", "zeta"], docs)
+    with pytest.raises(ValueError) as err:
+        incidence_coherence(["a", "zeta", "b"], present, term_index)
+    assert str(err.value) == "keyword 'zeta' appears in no document"
+    with pytest.raises(ValueError, match="'omega' is not a vocabulary term"):
+        incidence_coherence(["a", "omega"], present, term_index)
+    with pytest.raises(ValueError, match="at least 2 keywords"):
+        incidence_coherence(["a"], present, term_index)
 
 
 def test_avg_coherence():

@@ -8,6 +8,7 @@ from gssnmf.factorization import (
     FactorizationError,
     FactorizationResult,
     ModelConfig,
+    Problem,
     fit,
     initial_factors,
     load_result,
@@ -113,11 +114,12 @@ def test_update_step_scalar_fixed_point():
     w = np.array([[1.0]])
     h = np.array([[1.0]])
     x = np.array([[4.0]])
-    w, h, _, _ = update_step(w, h, None, None, x)
+    p = Problem(x)
+    w, h, _, _, _ = update_step(p, w, h, None, None)
     assert w[0, 0] == pytest.approx(4.0, rel=1e-9)
-    w, h, _, _ = update_step(w, h, None, None, x)
+    w, h, _, _, _ = update_step(p, w, h, None, None)
     for _ in range(5):
-        w, h, _, _ = update_step(w, h, None, None, x)
+        w, h, _, _, _ = update_step(p, w, h, None, None)
     assert (w @ h)[0, 0] == pytest.approx(4.0, rel=1e-9)
 
 
@@ -128,11 +130,9 @@ def test_update_step_preserves_zeros():
     h[0, 3] = 0.0
     b[1, 0] = 0.0
     c[0, 2] = 0.0
+    p = Problem(inst["x"], inst["y"], inst["z"], inst["l"], lam=0.4, mu=0.2)
     for i in range(50):
-        w, h, b, c = update_step(
-            w, h, b, c, inst["x"], inst["y"], inst["z"], inst["l"],
-            lam=0.4, mu=0.2, iteration=i + 1,
-        )
+        w, h, b, c, _ = update_step(p, w, h, b, c, iteration=i + 1)
         assert w[2, 1] == 0.0 and h[0, 3] == 0.0
         assert b[1, 0] == 0.0 and c[0, 2] == 0.0
         assert np.all(w >= 0) and np.all(h >= 0)
@@ -143,7 +143,7 @@ def test_update_step_lambda_zero_matches_plain_rule():
     inst = _random_instance(1)
     x, w0, h0 = inst["x"], inst["w"], inst["h"]
     eps = 1e-12
-    w1, h1, _, _ = update_step(w0.copy(), h0.copy(), None, None, x, eps=eps)
+    w1, h1, _, _, _ = update_step(Problem(x, eps=eps), w0.copy(), h0.copy(), None, None)
     w_plain = w0 * ((x @ h0.T) / (w0 @ (h0 @ h0.T) + eps))
     assert np.array_equal(w1, w_plain)
     h_plain = h0 * ((w1.T @ x) / ((w1.T @ w1) @ h0 + eps))
@@ -156,7 +156,7 @@ def test_update_step_flags_divergence():
     h = np.array([[np.inf]])
     with np.errstate(all="ignore"):
         with pytest.raises(FactorizationError, match="iteration 7"):
-            update_step(w, h, None, None, np.array([[1.0]]), iteration=7)
+            update_step(Problem(np.array([[1.0]])), w, h, None, None, iteration=7)
 
 
 @pytest.mark.parametrize("lam,mu", [(0.7, 0.3), (0.0, 0.3), (0.7, 0.0)])
@@ -208,7 +208,7 @@ def test_stationary_point_barely_moves():
     gw, gh, gb, gc = objective_gradients(x, w, h, y, b, z, l, c, 0.6, 0.4)
     for g in (gw, gh, gb, gc):
         assert np.max(np.abs(g)) < 1e-10
-    w2, h2, b2, c2 = update_step(w, h, b, c, x, y, z, l, lam=0.6, mu=0.4)
+    w2, h2, b2, c2, _ = update_step(Problem(x, y, z, l, lam=0.6, mu=0.4), w, h, b, c)
     for before, after in ((w, w2), (h, h2), (b, b2), (c, c2)):
         assert np.max(np.abs(after - before) / before) < 1e-8
 
@@ -254,6 +254,23 @@ def test_fit_trace_matches_iterations_and_is_monotone():
     )
     assert np.all(res.w >= 0) and np.all(res.h >= 0)
     assert np.all(res.b >= 0) and np.all(res.c >= 0)
+
+
+def test_every_trace_entry_equals_objective():
+    rng = np.random.default_rng(21)
+    x = rng.random((20, 16))
+    y = np.zeros((20, 2))
+    y[2, 0] = y[9, 1] = 1.0
+    z = np.zeros((3, 16))
+    z[rng.integers(0, 3, 16), np.arange(16)] = 1.0
+    mask = split_mask(16, 0.7, rng_seed=1, n_classes=3)
+    full = fit(x, ModelConfig(rank=3, lam=0.3, mu=0.2, max_iters=8, rng_seed=6),
+               y=y, z=z, l=mask)
+    for i in range(1, 9):
+        cfg = ModelConfig(rank=3, lam=0.3, mu=0.2, max_iters=i, rng_seed=6)
+        res = fit(x, cfg, y=y, z=z, l=mask)
+        want = objective(x, res.w, res.h, y, res.b, z, mask, res.c, cfg.lam, cfg.mu)
+        assert (full.objective_trace[i - 1], *full.term_trace[i - 1]) == want
 
 
 def test_fit_checks_each_bare_input_once(monkeypatch):
@@ -326,6 +343,21 @@ def test_top_keywords_ordering_and_ties():
         top_keywords(w, vocab, 2, 1)
     with pytest.raises(ValueError, match="n_top"):
         top_keywords(w, vocab, 0, 4)
+
+
+def test_top_keywords_matches_full_sort_with_ties():
+    rng = np.random.default_rng(12)
+    terms = [f"t{chr(97 + i % 26)}{chr(97 + i // 26)}" for i in range(60)]
+    vocab = Vocabulary(list(rng.permutation(terms)))
+    for _ in range(20):
+        w = np.round(rng.random((60, 3)), 1)  # coarse weights: many ties
+        w[rng.random(w.shape) < 0.3] = 0.0
+        w[:, 2] = 0.0
+        for topic in range(3):
+            full = sorted(range(60), key=lambda i: (-w[i, topic], vocab.terms[i]))
+            for n_top in (1, 7, 30, 60):
+                assert top_keywords(w, vocab, topic, n_top) == \
+                    [vocab.terms[i] for i in full[:n_top]]
 
 
 def test_result_round_trip(tmp_path):

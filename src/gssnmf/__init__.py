@@ -25,6 +25,7 @@ from .factorization import (
     ModelConfig,
     Problem,
     fit,
+    fit_cells,
     initial_factors,
     load_result,
     objective,
@@ -97,6 +98,7 @@ __all__ = [
     "default_stopwords",
     "doc_token_sets",
     "fit",
+    "fit_cells",
     "frobenius_sq",
     "initial_factors",
     "load_corpus",

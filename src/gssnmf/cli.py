@@ -34,6 +34,7 @@ from .factorization import (
     FactorizationError,
     ModelConfig,
     fit,
+    fit_cells,
     load_result,
     save_result,
     top_keywords,
@@ -303,6 +304,17 @@ class SweepSpec:
             for trial in range(self.trials)
         ]
 
+    def groups(self):
+        """The cells as ``(rank, trial, [(lam, mu), ...])`` groups.
+
+        The cells of one group share their split and their initial factors,
+        so they run as one ``fit_cells`` batch.
+        """
+        groups: dict[tuple, list] = {}
+        for rank, lam, mu, trial in self.cells():
+            groups.setdefault((rank, trial), []).append((lam, mu))
+        return [(rank, trial, weights) for (rank, trial), weights in groups.items()]
+
 
 _WORKER_PAYLOAD = {}
 
@@ -311,44 +323,54 @@ def _sweep_init(payload):
     _WORKER_PAYLOAD["payload"] = payload
 
 
-def _sweep_run_task(task):
-    return _sweep_eval(_WORKER_PAYLOAD["payload"], task)
+def _sweep_run_task(group):
+    return _sweep_eval(_WORKER_PAYLOAD["payload"], group)
 
 
-def _sweep_eval(payload, task):
-    """Evaluate one (rank, lambda, mu, trial) cell; returns its CSV row tuple."""
-    rank, lam, mu, trial = task
+def _sweep_eval(payload, group):
+    """Evaluate one (rank, trial) group of cells as one batch.
+
+    Returns one ``(rank, lam, mu, trial, value)`` row per cell, in the
+    group's order. A cell that fails gets, as its value, the error that
+    names it; the other cells of the group still run.
+    """
+    rank, trial, weights = group
+    corpus, labels = payload["corpus"], payload["labels"]
     try:
         seed = payload["base_seed"] + trial
-        n = payload["x"].shape[1]
-        mask = split_mask(n, payload["train_fraction"], seed, payload["n_classes"])
-        config = ModelConfig(
-            rank=rank,
-            lam=lam,
-            mu=mu,
-            max_iters=payload["max_iters"],
-            rng_seed=seed,
-            eps=payload["eps"],
-            tol=payload["tol"],
-        )
-        result = fit(payload["x"], config, y=payload["y"], z=payload["z"], l=mask)
-        if payload["metric"] == "macro_f1":
-            ch = result.c @ result.h
-            test = mask.test_ids
-            truth = payload["z"][:, test]
-            counts = [int(v) for v in truth.sum(axis=0)]
-            preds = threshold_predictions(ch[:, test], counts)
-            value, _ = macro_f1(preds, truth)
-        else:
-            _, scores = _topic_coherences(
-                result.w, payload["vocab"], payload["present"], payload["n_top"]
-            )
-            value = avg_coherence(scores)
+        mask = split_mask(corpus.n_docs, payload["train_fraction"], seed,
+                          len(labels.label_names))
+        configs = [
+            ModelConfig(rank=rank, lam=lam, mu=mu, max_iters=payload["max_iters"],
+                        rng_seed=seed, eps=payload["eps"], tol=payload["tol"])
+            for lam, mu in weights
+        ]
+        fits = fit_cells(corpus, configs, y=payload["seeds"], z=labels, l=mask)
     except (ValueError, FactorizationError) as exc:
-        raise type(exc)(
-            f"sweep cell (rank={rank}, lambda={lam}, mu={mu}, trial={trial}): {exc}"
-        ) from None
-    return rank, lam, mu, trial, value
+        fits = [exc] * len(weights)
+    rows = []
+    for (lam, mu), result in zip(weights, fits):
+        try:
+            if isinstance(result, Exception):
+                raise result
+            if payload["metric"] == "macro_f1":
+                ch = result.c @ result.h
+                test = mask.test_ids
+                truth = labels.z[:, test]
+                counts = [int(v) for v in truth.sum(axis=0)]
+                preds = threshold_predictions(ch[:, test], counts)
+                value, _ = macro_f1(preds, truth)
+            else:
+                _, scores = _topic_coherences(
+                    result.w, corpus.vocab, payload["present"], payload["n_top"]
+                )
+                value = avg_coherence(scores)
+        except (ValueError, FactorizationError) as exc:
+            value = type(exc)(
+                f"sweep cell (rank={rank}, lambda={lam}, mu={mu}, trial={trial}): {exc}"
+            )
+        rows.append((rank, lam, mu, trial, value))
+    return rows
 
 
 def run_sweep(args) -> int:
@@ -368,11 +390,10 @@ def run_sweep(args) -> int:
     assignments = load_label_assignments(args.labels_file)
     labels = build_label_matrix(assignments, corpus.doc_ids)
     payload = {
-        "x": corpus.x,
-        "y": seeds.y,
-        "z": labels.z,
-        "n_classes": len(labels.label_names),
-        "vocab": corpus.vocab,
+        # The checked wrappers, so no cell checks X, Y or Z again.
+        "corpus": corpus,
+        "seeds": seeds,
+        "labels": labels,
         # One byte per entry; every cell reads its keywords' rows.
         "present": corpus.x != 0,
         "train_fraction": spec.train_fraction,
@@ -383,8 +404,8 @@ def run_sweep(args) -> int:
         "eps": args.eps,
         "tol": args.tol,
     }
-    tasks = spec.cells()
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    groups = spec.groups()
+    workers = min(args.jobs, len(groups), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: the pool machinery would slow every command's start.
         from concurrent.futures import ProcessPoolExecutor
@@ -392,11 +413,15 @@ def run_sweep(args) -> int:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_sweep_init, initargs=(payload,)
         ) as pool:
-            rows = list(pool.map(_sweep_run_task, tasks))
+            done = list(pool.map(_sweep_run_task, groups))
     else:
-        rows = [_sweep_eval(payload, task) for task in tasks]
-    # The collector owns the output order regardless of scheduling.
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+        done = [_sweep_eval(payload, group) for group in groups]
+    # The collector owns the output order regardless of scheduling, and
+    # reports the first failing cell in that order.
+    rows = sorted((row for group in done for row in group), key=lambda r: r[:4])
+    for row in rows:
+        if isinstance(row[4], Exception):
+            raise row[4]
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("rank,lambda,mu,trial,metric_value\n")
@@ -619,8 +644,9 @@ def build_parser():
     sp.add_argument("--eps", type=float, default=1e-12)
     sp.add_argument("--tol", type=float, default=0.0)
     sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (>= 1; capped at the cell count and "
-                         "the CPU count); output is identical for any value")
+                    help="worker processes (>= 1; capped at the number of "
+                         "(rank, trial) groups and the CPU count); output is "
+                         "identical for any value")
     _add_config_flag(sp)
     sp.set_defaults(func=run_sweep)
     commands["sweep"] = sp

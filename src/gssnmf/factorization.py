@@ -34,6 +34,16 @@ reuses both for the loss at the new factors (and ``W^T W`` for the B
 update). What does not change between iterations lives in a frozen
 ``Problem`` built once per fit: the checked X, Y, Z, L, the weights, and
 the cached ``||X||_F^2``, ``L o L`` and ``L o L o Z``.
+
+``fit_cells`` runs configs that share a start (rank and rng seed) as one
+batch, and ``fit`` is its one-config case. The batch splits the step where
+the W update consumes ``X H^T``: the running cells take theirs as column
+blocks of one stacked product ``X [H_1; ...; H_B]^T``, and the rest of the
+step, ``W^T X`` included, runs per cell. A stacked product is bitwise the
+per-cell products only for some shapes under some BLAS builds, so each
+width is compared ``==`` with the per-cell products before it is used, and
+one mismatch sends the batch back to per-cell products. Every cell's
+factors and traces are therefore bitwise those of its own ``fit``.
 """
 
 from __future__ import annotations
@@ -346,7 +356,12 @@ def update_step(p: Problem, w, h, b, c, *, iteration: int | None = None):
     This is the unchecked step kernel: it trusts ``p`` (see ``Problem``)
     and checks only that the updated factors stay finite.
     """
-    numer = p.x @ h.T
+    return _step(p, p.x @ h.T, w, h, b, c, iteration)
+
+
+def _step(p: Problem, xht, w, h, b, c, iteration):
+    """``update_step`` with ``X H^T`` supplied by the caller as ``xht``."""
+    numer = xht
     denom = w @ (h @ h.T)
     if p.y is not None:
         numer = numer + p.lam * (p.y @ b.T)
@@ -375,6 +390,143 @@ def update_step(p: Problem, w, h, b, c, *, iteration: int | None = None):
     return w, h, b, c, _losses(p, w, h, b, c, wtx, wtw)
 
 
+def _blocks_equal(stacked, singles) -> bool:
+    """Whether every block of a stacked product ``==`` its own product."""
+    return all(np.array_equal(s, t) for s, t in zip(stacked, singles))
+
+
+class _XHt:
+    """``X H_i^T`` for the H of every running cell of a batch.
+
+    Two or more cells share one stacked product ``X [H_1; ...; H_B]^T``
+    and take its column blocks. BLAS may sum a wider product in another
+    order, so a width is used only after its blocks compared ``==`` with
+    the cells' own products ``X H_i^T``. Until then, and for good after
+    the first mismatch, every cell gets its own product. Cells only leave
+    a batch, so the one width checked last is all there is to remember.
+    """
+
+    def __init__(self, x):
+        self.x = x
+        self.width = 1
+        self.exact = True
+
+    def __call__(self, hs):
+        x, width = self.x, len(hs)
+        if self.exact and width == self.width > 1:
+            return np.hsplit(x @ np.vstack(hs).T, width)
+        # Cells that still share an H (all of them, at the start) share its
+        # product.
+        distinct = {id(h): h for h in hs}
+        own = {key: x @ h.T for key, h in distinct.items()}
+        singles = [own[id(h)] for h in hs]
+        if self.exact and width > 1:
+            stacked = np.hsplit(x @ np.vstack(hs).T, width)
+            self.exact = _blocks_equal(stacked, singles)
+            self.width = width
+        return singles
+
+
+@dataclass(eq=False)
+class _Cell:
+    """One config's state inside a ``fit_cells`` batch.
+
+    ``outcome`` is None while the cell runs, then its result or the
+    ``FactorizationError`` that stopped it.
+    """
+
+    config: ModelConfig
+    p: Problem
+    factors: tuple
+    prev: float = 0.0
+    trace: list[float] = field(default_factory=list)
+    terms: list[tuple[float, float, float]] = field(default_factory=list)
+    outcome: FactorizationResult | FactorizationError | None = None
+
+    def step(self, xht, iteration: int) -> bool:
+        """Iterate once, given ``xht = X H^T``; whether the cell runs on."""
+        try:
+            *factors, (total, recon, guide, label) = _step(
+                self.p, xht, *self.factors, iteration
+            )
+        except FactorizationError as exc:
+            self.outcome = exc
+            return False
+        self.factors = factors
+        self.trace.append(total)
+        self.terms.append((recon, guide, label))
+        config = self.config
+        stop = iteration == config.max_iters
+        if config.tol > 0:
+            change = abs(total - self.prev) / max(self.prev, config.eps)
+            stop = stop or change < config.tol
+            self.prev = total
+        if stop:
+            self.outcome = FactorizationResult(
+                *factors, self.trace, self.terms, config
+            )
+        return not stop
+
+
+def fit_cells(
+    x, configs, *, y=None, z=None, l=None
+) -> list[FactorizationResult | FactorizationError]:
+    """Run the solver for several configs that share a start, as one batch.
+
+    ``configs`` must share ``rank`` and ``rng_seed``, so every cell starts
+    from the same W, H, B, C; weights, ``max_iters``, ``eps`` and ``tol``
+    are per cell. Each iteration gives the running cells their ``X H^T``
+    from one stacked product where that is bitwise exact (see ``_XHt``);
+    everything else, ``W^T X`` included, is per cell through the step
+    kernel of ``update_step``. So every cell's factors and traces are
+    bitwise what ``fit`` returns for its config alone. A cell leaves the
+    batch when it meets its ``tol`` or ``max_iters``, or when it diverges.
+
+    Returns one entry per config, in order: its ``FactorizationResult``,
+    or the ``FactorizationError`` that stopped it. Invalid inputs raise
+    ``ValueError`` before any cell runs. Arguments are as for ``fit``.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("fit_cells needs at least one config")
+    first = configs[0]
+    if any((c.rank, c.rng_seed) != (first.rank, first.rng_seed) for c in configs):
+        raise ValueError("configs of one batch must share rank and rng_seed")
+    x, y, z, l = map(_as_input, (x, y, z, l))
+    lam, mu = max(c.lam for c in configs), max(c.mu for c in configs)
+    if lam > 0 and y is None:
+        raise ValueError("lam > 0 requires a seed matrix")
+    if mu > 0 and (z is None or l is None):
+        raise ValueError("mu > 0 requires a label matrix and a mask")
+    if (z is None) != (l is None):
+        raise ValueError("label matrix and mask must be supplied together")
+
+    d, n = x.shape
+    w, h, b, c = initial_factors(
+        d,
+        n,
+        first,
+        n_seeds=None if y is None else y.shape[1],
+        n_classes=None if z is None else z.shape[0],
+    )
+    _check_objective_shapes(x, w, h, y, b, z, l, c, lam, mu)
+    cells = [_Cell(cfg, Problem(x, y, z, l, cfg.lam, cfg.mu, cfg.eps), (w, h, b, c))
+             for cfg in configs]
+    if any(cfg.tol > 0 for cfg in configs):
+        wtx, wtw = w.T @ x, w.T @ w
+        for cell in cells:
+            if cell.config.tol > 0:
+                cell.prev = _losses(cell.p, w, h, b, c, wtx, wtw)[0]
+
+    xht = _XHt(x)
+    running, i = cells, 0
+    while running:
+        i += 1
+        blocks = xht([cell.factors[1] for cell in running])
+        running = [cell for cell, block in zip(running, blocks) if cell.step(block, i)]
+    return [cell.outcome for cell in cells]
+
+
 def fit(x, config: ModelConfig, *, y=None, z=None, l=None) -> FactorizationResult:
     """Run the multiplicative-update solver.
 
@@ -392,46 +544,17 @@ def fit(x, config: ModelConfig, *, y=None, z=None, l=None) -> FactorizationResul
     ``config.tol > 0`` the loop stops early once the relative objective
     change drops below it. Deterministic given identical inputs and config.
 
-    The inputs are checked once, and one ``Problem`` caches ``||X||_F^2``,
-    ``L o L`` and ``L o L o Z`` for the whole run. Every iteration is one
-    ``update_step``, whose returned loss becomes the trace entry. The loss
-    at the initial factors is evaluated only when ``tol > 0`` needs it.
+    ``fit`` is ``fit_cells`` with one config, so its iterations run the
+    products of ``update_step``: ``X H^T`` and ``W^T X``, one each. The
+    inputs are checked once, and one ``Problem`` caches ``||X||_F^2``,
+    ``L o L`` and ``L o L o Z`` for the whole run. Each step's returned
+    loss becomes the trace entry. The loss at the initial factors is
+    evaluated only when ``tol > 0`` needs it.
     """
-    x, y, z, l = map(_as_input, (x, y, z, l))
-    if config.lam > 0 and y is None:
-        raise ValueError("lam > 0 requires a seed matrix")
-    if config.mu > 0 and (z is None or l is None):
-        raise ValueError("mu > 0 requires a label matrix and a mask")
-    if (z is None) != (l is None):
-        raise ValueError("label matrix and mask must be supplied together")
-
-    d, n = x.shape
-    w, h, b, c = initial_factors(
-        d,
-        n,
-        config,
-        n_seeds=None if y is None else y.shape[1],
-        n_classes=None if z is None else z.shape[0],
-    )
-    _check_objective_shapes(x, w, h, y, b, z, l, c, config.lam, config.mu)
-    p = Problem(x, y, z, l, config.lam, config.mu, config.eps)
-    if config.tol > 0:
-        prev = _losses(p, w, h, b, c, w.T @ x, w.T @ w)[0]
-
-    trace: list[float] = []
-    terms: list[tuple[float, float, float]] = []
-    for i in range(1, config.max_iters + 1):
-        w, h, b, c, (total, recon, guide, label) = update_step(
-            p, w, h, b, c, iteration=i
-        )
-        trace.append(total)
-        terms.append((recon, guide, label))
-        if config.tol > 0:
-            if abs(total - prev) / max(prev, config.eps) < config.tol:
-                break
-            prev = total
-
-    return FactorizationResult(w, h, b, c, trace, terms, config)
+    (result,) = fit_cells(x, [config], y=y, z=z, l=l)
+    if isinstance(result, FactorizationError):
+        raise result
+    return result
 
 
 def top_keywords(w, vocab: Vocabulary, topic: int, n_top: int) -> list[str]:

@@ -79,11 +79,24 @@ def format_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def write_rows(fh, a) -> None:
+    """Write ``a`` to ``fh`` as CSV, one row per line, in ``format_float`` form.
+
+    Most entries of a corpus matrix are zero. A zero without the sign bit
+    is written as ``0``, which is what ``format_float`` gives it, and only
+    the other entries are formatted.
+    """
+    for row in np.asarray(a, dtype=np.float64):
+        values, fields = row.tolist(), ["0"] * len(row)
+        for j in np.flatnonzero((row != 0) | np.signbit(row)).tolist():
+            fields[j] = format(values[j], ".17g")
+        fh.write(",".join(fields))
+        fh.write("\n")
+
+
 def save_matrix_csv(a: Matrix, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for row in a:
-            fh.write(",".join(format_float(v) for v in row))
-            fh.write("\n")
+        write_rows(fh, a)
 
 
 def load_matrix_csv(path) -> Matrix:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import Matrix, as_matrix, format_float
+from .linalg import Matrix, as_matrix, write_rows
 from .stemmer import porter_stem
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -284,9 +284,7 @@ def save_corpus(corpus: CorpusMatrix, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(header, fh, separators=(",", ":"))
         fh.write("\n")
-        for row in corpus.x:
-            fh.write(",".join(format_float(v) for v in row))
-            fh.write("\n")
+        write_rows(fh, corpus.x)
 
 
 def load_corpus(path) -> CorpusMatrix:

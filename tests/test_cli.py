@@ -518,9 +518,17 @@ def test_sweep_parallel_matches_serial(workspace, tmp_path):
         (parallel / "sweep.mean.csv").read_bytes()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_sweep_coherence_rows_equal_public_api(workspace, tmp_path, jobs):
-    from gssnmf.evaluation import avg_coherence, coherence
+@pytest.mark.parametrize("jobs,metric,tol", [
+    pytest.param("1", "avg_coherence", 0.0, id="1"),
+    pytest.param("2", "avg_coherence", 0.0, id="2"),
+    pytest.param("1", "avg_coherence", 3e-3, id="tol-1"),
+    pytest.param("2", "avg_coherence", 3e-3, id="tol-2"),
+    pytest.param("1", "macro_f1", 0.0, id="macro_f1-1"),
+    pytest.param("2", "macro_f1", 3e-3, id="macro_f1-tol-2"),
+])
+def test_sweep_coherence_rows_equal_public_api(workspace, tmp_path, jobs, metric, tol):
+    from gssnmf.evaluation import (avg_coherence, coherence, macro_f1,
+                                   threshold_predictions)
     from gssnmf.factorization import ModelConfig, fit, top_keywords
     from gssnmf.supervision import (build_label_matrix, build_seed_matrix,
                                     load_label_assignments, load_seed_words,
@@ -528,7 +536,7 @@ def test_sweep_coherence_rows_equal_public_api(workspace, tmp_path, jobs):
     from gssnmf.textpipe import doc_token_sets
 
     assert main(_sweep_args(workspace, tmp_path, extra=(
-        "--metric", "avg_coherence", "--n-top", "5", "--jobs", jobs,
+        "--metric", metric, "--n-top", "5", "--jobs", jobs, "--tol", repr(tol),
     ))) == 0
     corpus = load_corpus(workspace["corpus_file"])
     seeds = build_seed_matrix(load_seed_words(workspace["seeds"]), corpus.vocab)
@@ -537,18 +545,84 @@ def test_sweep_coherence_rows_equal_public_api(workspace, tmp_path, jobs):
     sets = doc_token_sets(corpus)
     rows = (tmp_path / "sweep.csv").read_text("utf-8").splitlines()[1:]
     assert len(rows) == 8
+    stops = {}
     for row in rows:
         rank, lam, mu, trial, value = row.split(",")
         rank, lam, mu, trial = int(rank), float(lam), float(mu), int(trial)
         mask = split_mask(corpus.n_docs, 0.7, 9 + trial, len(labels.label_names))
         config = ModelConfig(rank=rank, lam=lam, mu=mu, max_iters=20,
-                             rng_seed=9 + trial)
+                             rng_seed=9 + trial, tol=tol)
         result = fit(corpus.x, config, y=seeds.y, z=labels.z, l=mask)
-        want = avg_coherence([
-            coherence(top_keywords(result.w, corpus.vocab, t, 5), sets)
-            for t in range(rank)
-        ])
+        stops.setdefault((rank, trial), set()).add(result.iterations)
+        if metric == "macro_f1":
+            truth = labels.z[:, mask.test_ids]
+            preds = threshold_predictions((result.c @ result.h)[:, mask.test_ids],
+                                          [int(v) for v in truth.sum(axis=0)])
+            want, _ = macro_f1(preds, truth)
+        else:
+            want = avg_coherence([
+                coherence(top_keywords(result.w, corpus.vocab, t, 5), sets)
+                for t in range(rank)
+            ])
         assert value == repr(want)
+    if tol:
+        # the cells of each (rank, trial) group stop at different iterations
+        assert all(len(its) > 1 for its in stops.values())
+
+
+def test_sweep_reports_first_failing_cell_across_groups(workspace, tmp_path,
+                                                        monkeypatch, capsys):
+    from gssnmf import cli
+    from gssnmf.factorization import FactorizationError
+
+    real = cli.fit_cells
+    # (lambda, mu, trial) of two failing cells in different (rank, trial)
+    # groups; the later group holds the first failing cell in row order.
+    failing = {(0.3, 0.1, 0), (0.0, 0.1, 1)}
+
+    def failing_fit_cells(x, configs, **kwargs):
+        out = real(x, configs, **kwargs)
+        return [FactorizationError(f"diverged ({c.lam}, {c.mu})")
+                if (c.lam, c.mu, c.rng_seed - 9) in failing else r
+                for c, r in zip(configs, out)]
+
+    monkeypatch.setattr(cli, "fit_cells", failing_fit_cells)
+    assert main(_sweep_args(workspace, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: sweep cell (rank=2, lambda=0.0, mu=0.1, trial=1): "
+                   "diverged (0.0, 0.1)\n")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_rows_do_not_depend_on_stacking(workspace, tmp_path, monkeypatch):
+    from gssnmf import factorization
+
+    stacked, alone = tmp_path / "stacked", tmp_path / "alone"
+    stacked.mkdir()
+    alone.mkdir()
+    extra = ("--metric", "avg_coherence", "--n-top", "5")
+    assert main(_sweep_args(workspace, stacked, extra=extra)) == 0
+    monkeypatch.setattr(factorization, "_blocks_equal", lambda *blocks: False)
+    assert main(_sweep_args(workspace, alone, extra=extra)) == 0
+    assert (stacked / "sweep.csv").read_bytes() == (alone / "sweep.csv").read_bytes()
+
+
+def test_sweep_cells_do_not_check_x_again(workspace, tmp_path, monkeypatch):
+    from gssnmf import factorization, linalg
+
+    shape = load_corpus(workspace["corpus_file"]).x.shape
+    shapes = []
+
+    def counting(a):
+        out = linalg.as_matrix(a)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(factorization, "as_matrix", counting)
+    assert main(_sweep_args(workspace, tmp_path, extra=(
+        "--metric", "avg_coherence", "--n-top", "5", "--jobs", "1",
+    ))) == 0
+    assert shapes and shape not in shapes
 
 
 def test_cli_import_leaves_process_pool_unloaded():

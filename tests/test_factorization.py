@@ -10,6 +10,7 @@ from gssnmf.factorization import (
     ModelConfig,
     Problem,
     fit,
+    fit_cells,
     initial_factors,
     load_result,
     objective,
@@ -322,6 +323,115 @@ def test_fit_early_stop_tolerance():
     assert eager.iterations < full.iterations == 500
     # the early-stopped trace is a prefix of the full one
     assert full.objective_trace[: eager.iterations] == eager.objective_trace
+
+
+def _labelled_problem(seed, d, n, density=1.0, p=3):
+    rng = np.random.default_rng(seed)
+    x = rng.random((d, n)) * (rng.random((d, n)) < density)
+    x[np.arange(d), rng.integers(0, n, d)] += 1.0  # no empty term row
+    y = np.zeros((d, 2))
+    y[1, 0] = y[d // 2, 1] = 1.0
+    z = np.zeros((p, n))
+    z[rng.integers(0, p, n), np.arange(n)] = 1.0
+    return x, y, z, split_mask(n, 0.7, rng_seed=seed, n_classes=p)
+
+
+def _assert_same_fit(got, want):
+    assert isinstance(got, FactorizationResult)
+    for name in ("w", "h", "b", "c"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.objective_trace == want.objective_trace
+    assert got.term_trace == want.term_trace
+    assert got.config == want.config
+
+
+_GRID = [(lam, mu) for lam in (0.0, 0.3) for mu in (0.0, 0.05)]
+
+
+@pytest.mark.parametrize("d,n,density,rank,iters", [
+    (50, 40, 1.0, 2, 30),
+    (50, 40, 1.0, 3, 30),
+    (600, 700, 0.05, 7, 3),
+])
+def test_fit_cells_equal_standalone_fit(d, n, density, rank, iters):
+    x, y, z, mask = _labelled_problem(rank, d, n, density)
+    configs = [ModelConfig(rank=rank, lam=lam, mu=mu, max_iters=iters, rng_seed=4)
+               for lam, mu in _GRID]
+    for got, config in zip(fit_cells(x, configs, y=y, z=z, l=mask), configs):
+        _assert_same_fit(got, fit(x, config, y=y, z=z, l=mask))
+
+
+def test_fit_cells_without_stacking_still_equal_fit(monkeypatch):
+    x, y, z, mask = _labelled_problem(8, 60, 50)
+    checked = []
+
+    def mismatch(stacked, singles):
+        checked.append(len(stacked))
+        return False
+
+    monkeypatch.setattr(factorization, "_blocks_equal", mismatch)
+    configs = [ModelConfig(rank=3, lam=lam, mu=mu, max_iters=12, rng_seed=2)
+               for lam, mu in _GRID]
+    results = fit_cells(x, configs, y=y, z=z, l=mask)
+    # one check, on the first iteration; every cell runs alone after it
+    assert checked == [4]
+    for got, config in zip(results, configs):
+        _assert_same_fit(got, fit(x, config, y=y, z=z, l=mask))
+
+
+def test_fit_cells_stop_each_cell_on_its_own(monkeypatch):
+    x, y, z, mask = _labelled_problem(9, 40, 30)
+    checks = []
+    real = factorization._blocks_equal
+
+    def spy(stacked, singles):
+        checks.append((len(stacked), real(stacked, singles)))
+        return checks[-1][1]
+
+    monkeypatch.setattr(factorization, "_blocks_equal", spy)
+    configs = [
+        ModelConfig(rank=3, lam=0.3, mu=0.05, max_iters=60, rng_seed=1),
+        ModelConfig(rank=3, lam=0.3, mu=0.05, max_iters=60, rng_seed=1, tol=1e-3),
+        ModelConfig(rank=3, lam=0.0, mu=0.05, max_iters=25, rng_seed=1),
+        ModelConfig(rank=3, lam=0.3, mu=0.0, max_iters=60, rng_seed=1, tol=1e-2),
+    ]
+    results = fit_cells(x, configs, y=y, z=z, l=mask)
+    stops = [r.iterations for r in results]
+    assert len(set(stops)) == 4 and stops[0] == 60
+    # Each width the batch ran at was checked once before use, widest
+    # first, until a check failed and the cells went on alone.
+    widths, passed = zip(*checks)
+    assert widths == (4, 3, 2)[: len(checks)]
+    assert all(passed[:-1]) and (len(checks) == 3 or not passed[-1])
+    for got, config in zip(results, configs):
+        _assert_same_fit(got, fit(x, config, y=y, z=z, l=mask))
+
+
+def test_fit_cells_diverging_cell_leaves_the_batch():
+    x, y, z, mask = _labelled_problem(3, 50, 40)
+    configs = [ModelConfig(rank=3, lam=lam, mu=0.1, max_iters=20, rng_seed=1)
+               for lam in (0.2, 1.7e308, 0.5)]
+    with np.errstate(all="ignore"):
+        results = fit_cells(x, configs, y=y, z=z, l=mask)
+        with pytest.raises(FactorizationError) as alone:
+            fit(x, configs[1], y=y, z=z, l=mask)
+    assert isinstance(results[1], FactorizationError)
+    assert str(results[1]) == str(alone.value)
+    assert "iteration" in str(alone.value)
+    for i in (0, 2):
+        _assert_same_fit(results[i], fit(x, configs[i], y=y, z=z, l=mask))
+
+
+def test_fit_cells_requires_a_shared_start():
+    x = np.random.default_rng(0).random((6, 5))
+    with pytest.raises(ValueError, match="at least one"):
+        fit_cells(x, [])
+    with pytest.raises(ValueError, match="share rank and rng_seed"):
+        fit_cells(x, [ModelConfig(rank=2), ModelConfig(rank=3)])
+    with pytest.raises(ValueError, match="share rank and rng_seed"):
+        fit_cells(x, [ModelConfig(rank=2), ModelConfig(rank=2, rng_seed=1)])
+    with pytest.raises(ValueError, match="seed matrix"):
+        fit_cells(x, [ModelConfig(rank=2), ModelConfig(rank=2, lam=0.1)])
 
 
 def test_fit_unsupervised_leaves_b_and_c_unset():

@@ -3,11 +3,13 @@ import pytest
 
 from gssnmf.linalg import (
     as_matrix,
+    format_float,
     frobenius_sq,
     load_matrix_csv,
     safe_divide,
     save_matrix_csv,
     singular_values,
+    write_rows,
 )
 
 
@@ -110,3 +112,22 @@ def test_csv_load_reports_bad_lines(tmp_path):
     with pytest.raises(ValueError, match="bad number"):
         load_matrix_csv(path)
 
+
+
+def test_write_rows_matches_per_entry_format(tmp_path):
+    a = as_matrix([
+        [0.0, -0.0, 5e-324, 1e308],
+        [0.1, 0.12345678901234568, 1.0 / 3.0, 0.0],
+        [-2.5e-310, 123456789.01234567, 0.0, 0.0],
+    ])
+    path = tmp_path / "m.csv"
+    save_matrix_csv(a, path)
+    want = "".join(",".join(format_float(v) for v in row) + "\n" for row in a)
+    assert path.read_text("utf-8") == want
+    assert want.startswith("0,-0,")
+    back = load_matrix_csv(path)
+    assert np.array_equal(back, a)
+    assert np.array_equal(np.signbit(back), np.signbit(a))
+    with open(tmp_path / "again.csv", "w", encoding="utf-8") as fh:
+        write_rows(fh, a.tolist())
+    assert (tmp_path / "again.csv").read_text("utf-8") == want

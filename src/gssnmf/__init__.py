@@ -29,7 +29,6 @@ from .factorization import (
     initial_factors,
     load_result,
     objective,
-    objective_gradients,
     save_result,
     top_keywords,
     update_step,
@@ -110,7 +109,6 @@ __all__ = [
     "load_stopwords",
     "macro_f1",
     "objective",
-    "objective_gradients",
     "porter_stem",
     "read_corpus_dir",
     "save_corpus",

@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,26 +64,24 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def _float_list(text) -> list[float]:
-    try:
-        if isinstance(text, (list, tuple)):
-            return [float(v) for v in text]
-        return [float(v) for v in str(text).split(",") if v.strip() != ""]
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
-        ) from None
+def _list_parser(kind, what: str):
+    """An argparse type for a comma-separated list, or a config-file list."""
+
+    def parse(text) -> list:
+        try:
+            if isinstance(text, (list, tuple)):
+                return [kind(v) for v in text]
+            return [kind(v) for v in str(text).split(",") if v.strip() != ""]
+        except (TypeError, ValueError):
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}"
+            ) from None
+
+    return parse
 
 
-def _int_list(text) -> list[int]:
-    try:
-        if isinstance(text, (list, tuple)):
-            return [int(v) for v in text]
-        return [int(v) for v in str(text).split(",") if v.strip() != ""]
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+_float_list = _list_parser(float, "numbers")
+_int_list = _list_parser(int, "integers")
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +136,8 @@ def _model_config(args) -> ModelConfig:
 
 
 def run_factorize(args) -> int:
-    corpus = load_corpus(args.corpus_file)
     config = _model_config(args)
+    corpus = load_corpus(args.corpus_file)
     if config.lam > 0 and not args.seeds:
         raise ValueError("--lambda > 0 requires --seeds FILE")
     if config.mu > 0 and not args.labels:
@@ -193,33 +191,33 @@ def run_classify(args) -> int:
         )
     assignments = load_label_assignments(args.labels_file)
     labels = build_label_matrix(assignments, doc_ids)
-    mask = load_mask(args.mask_file)
     p, n = labels.z.shape
-    if mask.l.shape != (p, n):
-        raise ValueError(
-            f"mask is {mask.l.shape[0]}x{mask.l.shape[1]} but labels are {p}x{n}"
-        )
+    mask = load_mask(args.mask_file, p, n)
     if result.h.shape[1] != n:
         raise ValueError(
             f"model has {result.h.shape[1]} document columns but labels have {n}"
         )
 
-    ch = result.c @ result.h
-    test = mask.test_ids
-    truth = labels.z[:, test]
-    counts = [int(v) for v in truth.sum(axis=0)]
-    preds = threshold_predictions(ch[:, test], counts)
-    macro, per_class = macro_f1(preds, truth)
+    macro, per_class = _test_macro_f1(result, labels, mask)
     report = EvalReport(
         macro_f1=macro, per_class_f1=per_class, label_names=labels.label_names
     )
     if args.out:
         save_report(report, args.out)
         print(f"wrote {args.out}")
-    print(f"macro_f1={macro:.6f} over {len(test)} test documents")
+    print(f"macro_f1={macro:.6f} over {len(mask.test_ids)} test documents")
     for name, f1 in zip(labels.label_names, per_class):
         print(f"  f1[{name}]={f1:.6f}")
     return EXIT_OK
+
+
+def _test_macro_f1(result, labels, mask):
+    """Macro and per-class F1 of ``C H`` on the test columns of ``mask``."""
+    ch = result.c @ result.h
+    test = mask.test_ids
+    truth = labels.z[:, test]
+    counts = [int(v) for v in truth.sum(axis=0)]
+    return macro_f1(threshold_predictions(ch[:, test], counts), truth)
 
 
 def run_coherence(args) -> int:
@@ -286,8 +284,8 @@ class SweepSpec:
             raise ValueError(
                 "--ranks, --lambda-grid, and --mu-grid must be non-empty"
             )
-        if any(v < 0 for v in self.lambda_grid + self.mu_grid):
-            raise ValueError("grid values must be >= 0")
+        if not all(0 <= v < float("inf") for v in self.lambda_grid + self.mu_grid):
+            raise ValueError("grid values must be finite and >= 0")
         if any(r < 1 for r in self.ranks):
             raise ValueError("ranks must be >= 1")
         if self.trials < 1:
@@ -340,11 +338,8 @@ def _sweep_eval(payload, group):
         seed = payload["base_seed"] + trial
         mask = split_mask(corpus.n_docs, payload["train_fraction"], seed,
                           len(labels.label_names))
-        configs = [
-            ModelConfig(rank=rank, lam=lam, mu=mu, max_iters=payload["max_iters"],
-                        rng_seed=seed, eps=payload["eps"], tol=payload["tol"])
-            for lam, mu in weights
-        ]
+        configs = [replace(payload["config"], rank=rank, lam=lam, mu=mu, rng_seed=seed)
+                   for lam, mu in weights]
         fits = fit_cells(corpus, configs, y=payload["seeds"], z=labels, l=mask)
     except (ValueError, FactorizationError) as exc:
         fits = [exc] * len(weights)
@@ -354,12 +349,7 @@ def _sweep_eval(payload, group):
             if isinstance(result, Exception):
                 raise result
             if payload["metric"] == "macro_f1":
-                ch = result.c @ result.h
-                test = mask.test_ids
-                truth = labels.z[:, test]
-                counts = [int(v) for v in truth.sum(axis=0)]
-                preds = threshold_predictions(ch[:, test], counts)
-                value, _ = macro_f1(preds, truth)
+                value, _ = _test_macro_f1(result, labels, mask)
             else:
                 _, scores = _topic_coherences(
                     result.w, corpus.vocab, payload["present"], payload["n_top"]
@@ -385,6 +375,9 @@ def run_sweep(args) -> int:
         train_fraction=args.train_fraction,
         metric=args.metric,
     )
+    # The settings every cell shares, checked before anything is read; each
+    # cell sets its own rank, weights and seed.
+    shared = ModelConfig(rank=1, max_iters=args.max_iters, eps=args.eps, tol=args.tol)
     corpus = load_corpus(args.corpus_file)
     seeds = build_seed_matrix(load_seed_words(args.seeds_file), corpus.vocab)
     assignments = load_label_assignments(args.labels_file)
@@ -400,9 +393,7 @@ def run_sweep(args) -> int:
         "base_seed": spec.base_rng_seed,
         "metric": spec.metric,
         "n_top": args.n_top,
-        "max_iters": args.max_iters,
-        "eps": args.eps,
-        "tol": args.tol,
+        "config": shared,
     }
     groups = spec.groups()
     workers = min(args.jobs, len(groups), os.cpu_count() or 1)
@@ -429,20 +420,20 @@ def run_sweep(args) -> int:
             fh.write(f"{rank},{lam!r},{mu!r},{trial},{value!r}\n")
     print(f"wrote {args.out} ({len(rows)} rows)")
 
-    means: dict[tuple, list[float]] = {}
+    values: dict[tuple, list[float]] = {}
     for rank, lam, mu, _, value in rows:
-        means.setdefault((rank, lam, mu), []).append(value)
+        values.setdefault((rank, lam, mu), []).append(value)
+    means = {cell: sum(v) / len(v) for cell, v in sorted(values.items())}
     out_mean = args.out_mean or str(Path(args.out).with_suffix(".mean.csv"))
     with open(out_mean, "w", encoding="utf-8") as fh:
         fh.write("rank,lambda,mu,mean_metric_value\n")
-        for (rank, lam, mu), values in sorted(means.items()):
-            fh.write(f"{rank},{lam!r},{mu!r},{sum(values) / len(values)!r}\n")
+        for (rank, lam, mu), mean in means.items():
+            fh.write(f"{rank},{lam!r},{mu!r},{mean!r}\n")
     print(f"wrote {out_mean} ({len(means)} cells)")
 
     if args.best_by_lambda:
         best: dict[tuple, tuple] = {}
-        for (rank, lam, mu), values in sorted(means.items()):
-            mean = sum(values) / len(values)
+        for (rank, lam, mu), mean in means.items():
             key = (rank, lam)
             # Strict > keeps the smallest mu on ties.
             if key not in best or mean > best[key][1]:
@@ -709,14 +700,10 @@ def main(argv=None) -> int:
     parser, commands = build_parser()
     try:
         _apply_config(argv, commands)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
         return args.func(args)
     except FactorizationError as exc:
         print(f"error: {exc}", file=sys.stderr)

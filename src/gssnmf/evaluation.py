@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -172,31 +172,10 @@ class EvalReport:
                     "avg_coherence is not the mean of per_topic_coherence"
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "macro_f1": self.macro_f1,
-            "per_class_f1": self.per_class_f1,
-            "label_names": self.label_names,
-            "per_topic_coherence": self.per_topic_coherence,
-            "avg_coherence": self.avg_coherence,
-            "topics": self.topics,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EvalReport":
-        return cls(
-            macro_f1=obj.get("macro_f1"),
-            per_class_f1=obj.get("per_class_f1"),
-            label_names=obj.get("label_names"),
-            per_topic_coherence=obj.get("per_topic_coherence"),
-            avg_coherence=obj.get("avg_coherence"),
-            topics=obj.get("topics"),
-        )
-
 
 def save_report(report: EvalReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(asdict(report), fh, indent=2)
         fh.write("\n")
 
 
@@ -206,7 +185,10 @@ def load_report(path) -> EvalReport:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{exc.lineno}: invalid report: {exc.msg}") from None
-    return EvalReport.from_dict(obj)
+    try:
+        return EvalReport(**obj)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: invalid report: {exc}") from None
 
 
 def topics_table(report: EvalReport) -> str:

@@ -31,9 +31,10 @@ are small and keep the direct formula.
 Inside ``fit`` the loss costs no pass over X. The H update already forms
 ``W^T X`` and ``W^T W`` for the final W of the iteration; ``update_step``
 reuses both for the loss at the new factors (and ``W^T W`` for the B
-update). What does not change between iterations lives in a frozen
-``Problem`` built once per fit: the checked X, Y, Z, L, the weights, and
-the cached ``||X||_F^2``, ``L o L`` and ``L o L o Z``.
+update). What does not change between iterations lives in a ``Problem``,
+the solver's one checked entry for its data, built once per batch: the
+checked X, Y, Z, L and the cached ``||X||_F^2``, ``L o L`` and
+``L o L o Z``. The weights and eps come from each cell's ``ModelConfig``.
 
 ``fit_cells`` runs configs that share a start (rank and rng seed) as one
 batch, and ``fit`` is its one-config case. The batch splits the step where
@@ -49,7 +50,8 @@ factors and traces are therefore bitwise those of its own ``fit``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -93,27 +95,15 @@ class ModelConfig:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name in ("lam", "mu", "eps", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam < 0 or self.mu < 0:
             raise ValueError(f"weights must be >= 0, got lam={self.lam} mu={self.mu}")
         if self.eps <= 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.tol < 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
-
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "lam": self.lam,
-            "mu": self.mu,
-            "max_iters": self.max_iters,
-            "rng_seed": self.rng_seed,
-            "eps": self.eps,
-            "tol": self.tol,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ModelConfig":
-        return cls(**obj)
 
 
 @dataclass
@@ -164,36 +154,42 @@ def _as_input(a) -> Matrix | None:
     return as_matrix(a) if name is None else getattr(a, name)
 
 
-@dataclass(frozen=True, eq=False)
 class Problem:
-    """The solver inputs and the terms every iteration reuses.
+    """The checked solver data and the terms every iteration reuses.
 
-    X, Y, Z and L must be float64 arrays that were already checked (Y, Z,
-    L may be None) with shapes that agree; ``fit`` and ``objective`` check
-    them before building one. ``xx`` (``||X||_F^2``), ``ll`` (``L o L``)
-    and ``llz`` (``L o L o Z``) are computed once, at construction.
+    X (d x n) and the optional Y (d x s), Z and L (p x n, together) may be
+    their wrapper types, whose arrays were checked when built, or anything
+    ``as_matrix`` accepts. This is the one place they are checked, for
+    finite entries and agreeing shapes. ``xx`` (``||X||_F^2``), ``ll``
+    (``L o L``) and ``llz`` (``L o L o Z``) are computed once, here. The
+    weights are not part of it, so one ``Problem`` serves a whole batch.
     """
 
-    x: Matrix
-    y: Matrix | None = None
-    z: Matrix | None = None
-    l: Matrix | None = None
-    lam: float = 0.0
-    mu: float = 0.0
-    eps: float = DEFAULT_EPS
-    xx: float = field(init=False)
-    ll: Matrix | None = field(init=False)
-    llz: Matrix | None = field(init=False)
+    __slots__ = ("x", "y", "z", "l", "xx", "ll", "llz")
 
-    def __post_init__(self):
-        ll = None if self.l is None else self.l * self.l
-        object.__setattr__(self, "xx", frobenius_sq(self.x))
-        object.__setattr__(self, "ll", ll)
-        object.__setattr__(self, "llz", None if self.z is None else ll * self.z)
+    def __init__(self, x, y=None, z=None, l=None):
+        x, y, z, l = map(_as_input, (x, y, z, l))
+        d, n = x.shape
+        if y is not None and y.shape[0] != d:
+            raise ValueError(
+                f"guiding term: Y is {y.shape[0]}x{y.shape[1]} but X is {d}x{n}"
+            )
+        if (z is None) != (l is None):
+            raise ValueError("label term: Z and L must be supplied together")
+        if z is not None and (z.shape[1] != n or l.shape != z.shape):
+            raise ValueError(
+                f"label term: Z is {z.shape[0]}x{z.shape[1]} and "
+                f"L is {l.shape[0]}x{l.shape[1]}, expected p x {n} for both"
+            )
+        self.x, self.y, self.z, self.l = x, y, z, l
+        self.xx = frobenius_sq(x)
+        self.ll = None if l is None else l * l
+        self.llz = None if z is None else self.ll * z
 
 
-def _check_objective_shapes(x, w, h, y, b, z, l, c, lam, mu):
-    d, n = x.shape
+def _check_factors(p: Problem, w, h, b, c, lam, mu):
+    """Check W, H, B, C and the weights lam, mu against the data of ``p``."""
+    d, n = p.x.shape
     if w.shape[0] != d or h.shape[1] != n or w.shape[1] != h.shape[0]:
         raise ValueError(
             "reconstruction term: X is "
@@ -201,34 +197,24 @@ def _check_objective_shapes(x, w, h, y, b, z, l, c, lam, mu):
             f"H is {h.shape[0]}x{h.shape[1]}"
         )
     k = w.shape[1]
-    if lam > 0 and (y is None or b is None):
-        raise ValueError("guiding term: lam > 0 requires both Y and B")
-    if y is not None or b is not None:
-        if y is None or b is None:
-            raise ValueError("guiding term: Y and B must be supplied together")
-        if y.shape[0] != d or b.shape[0] != k or y.shape[1] != b.shape[1]:
-            raise ValueError(
-                f"guiding term: Y is {y.shape[0]}x{y.shape[1]} but W is {d}x{k} "
-                f"and B is {b.shape[0]}x{b.shape[1]}"
-            )
-    if mu > 0 and (z is None or l is None or c is None):
-        raise ValueError("label term: mu > 0 requires Z, L, and C")
-    if z is not None or l is not None or c is not None:
-        if z is None or l is None or c is None:
-            raise ValueError("label term: Z, L, and C must be supplied together")
-        if z.shape[1] != n or l.shape != z.shape or c.shape != (z.shape[0], k):
-            raise ValueError(
-                f"label term: Z is {z.shape[0]}x{z.shape[1]}, "
-                f"L is {l.shape[0]}x{l.shape[1]}, C is {c.shape[0]}x{c.shape[1]}, "
-                f"expected p x {n}, p x {n}, p x {k}"
-            )
-
-
-def _validated(x, w, h, y, b, z, l, c, lam, mu):
-    """Every objective input as a checked float64 array, shapes agreeing."""
-    x, w, h, y, b, z, l, c = map(_as_input, (x, w, h, y, b, z, l, c))
-    _check_objective_shapes(x, w, h, y, b, z, l, c, lam, mu)
-    return x, w, h, y, b, z, l, c
+    if lam > 0 and p.y is None:
+        raise ValueError("guiding term: lam > 0 requires a seed matrix Y")
+    if (p.y is None) != (b is None):
+        raise ValueError("guiding term: Y and B must be supplied together")
+    if b is not None and b.shape != (k, p.y.shape[1]):
+        raise ValueError(
+            f"guiding term: B is {b.shape[0]}x{b.shape[1]}, "
+            f"expected {k}x{p.y.shape[1]}"
+        )
+    if mu > 0 and p.z is None:
+        raise ValueError("label term: mu > 0 requires a label matrix Z and a mask L")
+    if (p.z is None) != (c is None):
+        raise ValueError("label term: Z, L, and C must be supplied together")
+    if c is not None and c.shape != (p.z.shape[0], k):
+        raise ValueError(
+            f"label term: C is {c.shape[0]}x{c.shape[1]}, "
+            f"expected {p.z.shape[0]}x{k}"
+        )
 
 
 def objective(
@@ -253,61 +239,24 @@ def objective(
     residual is never formed. The clamp at zero absorbs the rounding that
     can push the expansion slightly negative on an exact fit.
     """
-    x, w, h, y, b, z, l, c = _validated(x, w, h, y, b, z, l, c, lam, mu)
-    return _losses(Problem(x, y, z, l, lam, mu), w, h, b, c, w.T @ x, w.T @ w)
+    p = Problem(x, y, z, l)
+    w, h, b, c = map(_as_input, (w, h, b, c))
+    _check_factors(p, w, h, b, c, lam, mu)
+    return _losses(p, lam, mu, w, h, b, c, w.T @ p.x, w.T @ w)
 
 
-def _losses(p: Problem, w, h, b, c, wtx, wtw) -> tuple[float, float, float, float]:
+def _losses(p: Problem, lam, mu, w, h, b, c, wtx, wtw):
     """``objective`` at (W, H, B, C), given ``wtx = W^T X`` and ``wtw = W^T W``."""
     cross = float(np.vdot(wtx, h))
     gram = float(np.vdot(wtw, h @ h.T))
     recon = 0.5 * max(0.0, p.xx - 2.0 * cross + gram)
     guide = 0.0
     if p.y is not None:
-        guide = 0.5 * p.lam * frobenius_sq(p.y - w @ b)
+        guide = 0.5 * lam * frobenius_sq(p.y - w @ b)
     label = 0.0
     if p.z is not None:
-        label = 0.5 * p.mu * frobenius_sq(p.l * (p.z - c @ h))
+        label = 0.5 * mu * frobenius_sq(p.l * (p.z - c @ h))
     return recon + guide + label, recon, guide, label
-
-
-def objective_gradients(
-    x,
-    w,
-    h,
-    y=None,
-    b=None,
-    z=None,
-    l=None,
-    c=None,
-    lam: float = 0.0,
-    mu: float = 0.0,
-):
-    """Analytic partial derivatives of the total loss.
-
-    Returns ``(gw, gh, gb, gc)`` with None for factors whose supervision
-    input is absent:
-
-        dF/dW = -X H^T + W H H^T - lam Y B^T + lam W B B^T
-        dF/dH = -W^T X + W^T W H - mu C^T (L o L o Z) + mu C^T (L o L o C H)
-        dF/dB = -lam W^T Y + lam W^T W B
-        dF/dC = -mu (L o L o Z) H^T + mu (L o L o C H) H^T
-    """
-    x, w, h, y, b, z, l, c = _validated(x, w, h, y, b, z, l, c, lam, mu)
-
-    gw = w @ (h @ h.T) - x @ h.T
-    gh = (w.T @ w) @ h - w.T @ x
-    gb = None
-    gc = None
-    if y is not None:
-        gw = gw + lam * (w @ (b @ b.T) - y @ b.T)
-        gb = lam * ((w.T @ w) @ b - w.T @ y)
-    if z is not None:
-        ll = l * l
-        resid = ll * (c @ h) - ll * z
-        gh = gh + mu * (c.T @ resid)
-        gc = mu * (resid @ h.T)
-    return gw, gh, gb, gc
 
 
 def initial_factors(
@@ -340,8 +289,13 @@ def _check_finite(name: str, a: Matrix, iteration: int | None):
         )
 
 
-def update_step(p: Problem, w, h, b, c, *, iteration: int | None = None):
+def update_step(
+    p: Problem, config: ModelConfig, w, h, b, c, *, iteration: int | None = None
+):
     """One multiplicative update of W, H, B, C, in listing order.
+
+    The data and their cached terms come from ``p``; ``lam``, ``mu`` and
+    ``eps`` come from ``config``.
 
     Each rule multiplies the factor by a ratio of non-negative gradient
     parts, so non-negativity is preserved without projection and exact
@@ -353,20 +307,22 @@ def update_step(p: Problem, w, h, b, c, *, iteration: int | None = None):
     reuses the ``W^T X`` and ``W^T W`` that the H update forms for the
     final W, so it makes no further pass over X.
 
-    This is the unchecked step kernel: it trusts ``p`` (see ``Problem``)
-    and checks only that the updated factors stay finite.
+    This is the step kernel: ``p`` checked the data, and the kernel does
+    not check the factors against them (``fit_cells`` and ``objective`` do).
+    It checks only that the updated factors stay finite.
     """
-    return _step(p, p.x @ h.T, w, h, b, c, iteration)
+    return _step(p, config, p.x @ h.T, w, h, b, c, iteration)
 
 
-def _step(p: Problem, xht, w, h, b, c, iteration):
+def _step(p: Problem, config: ModelConfig, xht, w, h, b, c, iteration):
     """``update_step`` with ``X H^T`` supplied by the caller as ``xht``."""
+    lam, mu, eps = config.lam, config.mu, config.eps
     numer = xht
     denom = w @ (h @ h.T)
     if p.y is not None:
-        numer = numer + p.lam * (p.y @ b.T)
-        denom = denom + p.lam * (w @ (b @ b.T))
-    w = w * safe_divide(numer, denom, p.eps)
+        numer = numer + lam * (p.y @ b.T)
+        denom = denom + lam * (w @ (b @ b.T))
+    w = w * safe_divide(numer, denom, eps)
     _check_finite("W", w, iteration)
 
     wtx = w.T @ p.x
@@ -374,20 +330,20 @@ def _step(p: Problem, xht, w, h, b, c, iteration):
     numer = wtx
     denom = wtw @ h
     if p.z is not None:
-        numer = numer + p.mu * (c.T @ p.llz)
-        denom = denom + p.mu * (c.T @ (p.ll * (c @ h)))
-    h = h * safe_divide(numer, denom, p.eps)
+        numer = numer + mu * (c.T @ p.llz)
+        denom = denom + mu * (c.T @ (p.ll * (c @ h)))
+    h = h * safe_divide(numer, denom, eps)
     _check_finite("H", h, iteration)
 
     if p.y is not None:
-        b = b * safe_divide(w.T @ p.y, wtw @ b, p.eps)
+        b = b * safe_divide(w.T @ p.y, wtw @ b, eps)
         _check_finite("B", b, iteration)
 
     if p.z is not None:
-        c = c * safe_divide(p.llz @ h.T, (p.ll * (c @ h)) @ h.T, p.eps)
+        c = c * safe_divide(p.llz @ h.T, (p.ll * (c @ h)) @ h.T, eps)
         _check_finite("C", c, iteration)
 
-    return w, h, b, c, _losses(p, w, h, b, c, wtx, wtw)
+    return w, h, b, c, _losses(p, lam, mu, w, h, b, c, wtx, wtw)
 
 
 def _blocks_equal(stacked, singles) -> bool:
@@ -436,18 +392,17 @@ class _Cell:
     """
 
     config: ModelConfig
-    p: Problem
     factors: tuple
     prev: float = 0.0
     trace: list[float] = field(default_factory=list)
     terms: list[tuple[float, float, float]] = field(default_factory=list)
     outcome: FactorizationResult | FactorizationError | None = None
 
-    def step(self, xht, iteration: int) -> bool:
+    def step(self, p: Problem, xht, iteration: int) -> bool:
         """Iterate once, given ``xht = X H^T``; whether the cell runs on."""
         try:
             *factors, (total, recon, guide, label) = _step(
-                self.p, xht, *self.factors, iteration
+                p, self.config, xht, *self.factors, iteration
             )
         except FactorizationError as exc:
             self.outcome = exc
@@ -483,8 +438,9 @@ def fit_cells(
     batch when it meets its ``tol`` or ``max_iters``, or when it diverges.
 
     Returns one entry per config, in order: its ``FactorizationResult``,
-    or the ``FactorizationError`` that stopped it. Invalid inputs raise
-    ``ValueError`` before any cell runs. Arguments are as for ``fit``.
+    or the ``FactorizationError`` that stopped it. One ``Problem`` checks
+    the data and serves every cell; invalid inputs raise ``ValueError``
+    before any cell runs. Arguments are as for ``fit``.
     """
     configs = list(configs)
     if not configs:
@@ -492,38 +448,30 @@ def fit_cells(
     first = configs[0]
     if any((c.rank, c.rng_seed) != (first.rank, first.rng_seed) for c in configs):
         raise ValueError("configs of one batch must share rank and rng_seed")
-    x, y, z, l = map(_as_input, (x, y, z, l))
-    lam, mu = max(c.lam for c in configs), max(c.mu for c in configs)
-    if lam > 0 and y is None:
-        raise ValueError("lam > 0 requires a seed matrix")
-    if mu > 0 and (z is None or l is None):
-        raise ValueError("mu > 0 requires a label matrix and a mask")
-    if (z is None) != (l is None):
-        raise ValueError("label matrix and mask must be supplied together")
-
-    d, n = x.shape
+    p = Problem(x, y, z, l)
     w, h, b, c = initial_factors(
-        d,
-        n,
+        *p.x.shape,
         first,
-        n_seeds=None if y is None else y.shape[1],
-        n_classes=None if z is None else z.shape[0],
+        n_seeds=None if p.y is None else p.y.shape[1],
+        n_classes=None if p.z is None else p.z.shape[0],
     )
-    _check_objective_shapes(x, w, h, y, b, z, l, c, lam, mu)
-    cells = [_Cell(cfg, Problem(x, y, z, l, cfg.lam, cfg.mu, cfg.eps), (w, h, b, c))
-             for cfg in configs]
+    _check_factors(p, w, h, b, c, max(cfg.lam for cfg in configs),
+                   max(cfg.mu for cfg in configs))
+    cells = [_Cell(cfg, (w, h, b, c)) for cfg in configs]
     if any(cfg.tol > 0 for cfg in configs):
-        wtx, wtw = w.T @ x, w.T @ w
+        wtx, wtw = w.T @ p.x, w.T @ w
         for cell in cells:
-            if cell.config.tol > 0:
-                cell.prev = _losses(cell.p, w, h, b, c, wtx, wtw)[0]
+            cfg = cell.config
+            if cfg.tol > 0:
+                cell.prev = _losses(p, cfg.lam, cfg.mu, w, h, b, c, wtx, wtw)[0]
 
-    xht = _XHt(x)
+    xht = _XHt(p.x)
     running, i = cells, 0
     while running:
         i += 1
         blocks = xht([cell.factors[1] for cell in running])
-        running = [cell for cell, block in zip(running, blocks) if cell.step(block, i)]
+        running = [cell for cell, block in zip(running, blocks)
+                   if cell.step(p, block, i)]
     return [cell.outcome for cell in cells]
 
 
@@ -610,7 +558,7 @@ def save_result(
                 f"{format_float(guide)},{format_float(label)}\n"
             )
     manifest = {
-        "config": result.config.to_dict(),
+        "config": asdict(result.config),
         "iterations_run": result.iterations,
         "final_losses": result.final_losses,
         "doc_ids": doc_ids,
@@ -640,7 +588,7 @@ def load_result(result_dir) -> tuple[FactorizationResult, dict]:
             "'config' object"
         )
     try:
-        config = ModelConfig.from_dict(manifest["config"])
+        config = ModelConfig(**manifest["config"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path}: invalid config: {exc}") from None
     doc_ids = manifest.get("doc_ids")

@@ -121,10 +121,14 @@ def split_mask(
     # round() guards the ceiling against float dust in the product
     # (e.g. fraction * n landing a hair above an exact integer).
     n_train = min(math.ceil(round(train_fraction * n_docs, 9)), n_docs - 1)
-    perm = np.random.default_rng(rng_seed).permutation(n_docs)
-    train_ids = sorted(int(i) for i in perm[:n_train])
-    test_ids = sorted(int(i) for i in perm[n_train:])
-    l = np.zeros((n_classes, n_docs))
+    perm = np.random.default_rng(rng_seed).permutation(n_docs).tolist()
+    return _mask_matrix(n_classes, perm[:n_train], perm[n_train:])
+
+
+def _mask_matrix(n_classes: int, train_ids, test_ids) -> MaskMatrix:
+    """The mask of a split; the train and test ids partition its columns."""
+    train_ids, test_ids = sorted(train_ids), sorted(test_ids)
+    l = np.zeros((n_classes, len(train_ids) + len(test_ids)))
     l[:, train_ids] = 1.0
     return MaskMatrix(as_matrix(l), train_ids, test_ids)
 
@@ -181,21 +185,27 @@ def save_mask(mask: MaskMatrix, path) -> None:
         fh.write("\n")
 
 
-def load_mask(path) -> MaskMatrix:
+def load_mask(path, n_classes: int, n_docs: int) -> MaskMatrix:
+    """Read a mask file for ``n_classes`` x ``n_docs`` labels.
+
+    Its shape and its ids are checked before the mask is allocated.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{exc.lineno}: invalid mask file: {exc.msg}") from None
     try:
-        n_classes = int(obj["n_classes"])
-        n_docs = int(obj["n_docs"])
+        shape = (int(obj["n_classes"]), int(obj["n_docs"]))
         train_ids = [int(i) for i in obj["train_ids"]]
         test_ids = [int(i) for i in obj["test_ids"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed mask file: {exc}") from None
+    if shape != (n_classes, n_docs):
+        raise ValueError(
+            f"{path}: mask is {shape[0]}x{shape[1]} but the labels are "
+            f"{n_classes}x{n_docs}"
+        )
     if sorted(train_ids + test_ids) != list(range(n_docs)):
         raise ValueError(f"{path}: train and test ids do not partition 0..{n_docs - 1}")
-    l = np.zeros((n_classes, n_docs))
-    l[:, train_ids] = 1.0
-    return MaskMatrix(as_matrix(l), sorted(train_ids), sorted(test_ids))
+    return _mask_matrix(n_classes, train_ids, test_ids)

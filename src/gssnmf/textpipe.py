@@ -18,7 +18,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -252,12 +252,7 @@ _FORMAT_NAME = "gssnmf-corpus"
 def _params_to_json(params: PipelineParams | None):
     if params is None:
         return None
-    return {
-        "max_df": params.max_df,
-        "min_df": params.min_df,
-        "max_features": params.max_features,
-        "stopwords": sorted(params.stopwords),
-    }
+    return {**asdict(params), "stopwords": sorted(params.stopwords)}
 
 
 def _params_from_json(obj) -> PipelineParams | None:

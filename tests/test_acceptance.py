@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _gradients import objective_gradients
 from _planted import (
     CLASS_NAMES,
     majority_baseline_predictions,
@@ -29,7 +30,6 @@ from gssnmf import (
     initial_factors,
     macro_f1,
     objective,
-    objective_gradients,
     split_mask,
     threshold_predictions,
 )

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -145,6 +146,17 @@ def test_factorize_lambda_without_seeds_exits_2(workspace, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--eps=nan", "--tol=nan", "--lambda=inf", "--mu=-inf"])
+def test_factorize_rejects_non_finite_settings(workspace, capsys, flag):
+    out = workspace["root"] / "non_finite"
+    code = main(["factorize", str(workspace["corpus_file"]), "--out", str(out),
+                 "--rank", "2", "--max-iters", "5", flag])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert not out.exists()
+
+
 def test_factorize_missing_rank_exits_2(workspace, capsys):
     code = main(["factorize", str(workspace["corpus_file"]),
                  "--out", str(workspace["root"] / "x")])
@@ -265,6 +277,25 @@ def test_bad_manifest_exits_2_naming_it(workspace, capsys, mangle):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_classes", 10**15), ("n_classes", 0), ("n_docs", 10**15),
+])
+def test_classify_mask_of_other_shape_exits_2_naming_it(workspace, capsys, key, value):
+    out = workspace["root"] / "model_bad_mask"
+    assert main([
+        "factorize", str(workspace["corpus_file"]), "--out", str(out),
+        "--rank", "2", "--mu", "0.1", "--max-iters", "5",
+        "--labels", str(workspace["labels"]),
+    ]) == 0
+    path = out / "mask.json"
+    path.write_text(json.dumps({**json.loads(path.read_text("utf-8")), key: value}),
+                    "utf-8")
+    capsys.readouterr()
+    assert main(["classify", str(out), str(workspace["labels"]), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_bad_trace_number_exits_2_naming_file_and_line(workspace, capsys):
@@ -639,6 +670,18 @@ def test_sweep_rejects_jobs_below_one(workspace, tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("extra", [
+    ("--lambda-grid", "0,nan"), ("--mu-grid", "inf"), ("--eps", "nan"),
+    ("--tol", "inf"),
+], ids=["lambda-grid", "mu-grid", "eps", "tol"])
+def test_sweep_rejects_non_finite_settings(workspace, tmp_path, capsys, extra):
+    assert main(_sweep_args(workspace, tmp_path, extra=extra)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert "sweep cell" not in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_coherence_metric_and_best_by_lambda(workspace, tmp_path):
     out_dir = tmp_path / "coh"
     out_dir.mkdir()
@@ -746,6 +789,16 @@ def test_sweep_spec_validation():
     assert spec.cells() == [
         (2, 0.1, 0.3, 0), (2, 0.1, 0.3, 1), (2, 0.2, 0.3, 0), (2, 0.2, 0.3, 1),
     ]
+
+
+def test_sweep_spec_rejects_non_finite_grid_values():
+    from gssnmf.cli import SweepSpec
+
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec([0.1, bad], [0.1], [2], 1, 0, 0.7, "macro_f1")
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec([0.1], [bad], [2], 1, 0, 0.7, "macro_f1")
 
 
 def test_module_entry_point_help():

@@ -258,6 +258,18 @@ def test_eval_report_round_trip(tmp_path):
     assert load_report(path) == report
 
 
+@pytest.mark.parametrize("body", [
+    '{"macro_f1": null, "bogus": 1}',
+    '{"macro_f1": 0.9, "per_class_f1": [1.0, 1.0]}',
+    '[1, 2]',
+], ids=["unknown-key", "inconsistent", "not-an-object"])
+def test_load_report_rejects_bad_reports_naming_the_file(tmp_path, body):
+    path = tmp_path / "report.json"
+    path.write_text(body + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="report.json: invalid report"):
+        load_report(path)
+
+
 def test_topics_table_layout():
     report = EvalReport(
         per_topic_coherence=[1.0, 2.0],

@@ -1,8 +1,11 @@
+import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from _gradients import objective_gradients
 from gssnmf import factorization, linalg
 from gssnmf.factorization import (
     FactorizationError,
@@ -14,13 +17,12 @@ from gssnmf.factorization import (
     initial_factors,
     load_result,
     objective,
-    objective_gradients,
     save_result,
     top_keywords,
     update_step,
 )
-from gssnmf.supervision import split_mask
-from gssnmf.textpipe import Vocabulary
+from gssnmf.supervision import LabelMatrix, SeedMatrix, split_mask
+from gssnmf.textpipe import CorpusMatrix, Vocabulary
 
 
 def _random_instance(seed, d=8, n=6, k=3, s=2, p=2):
@@ -47,7 +49,40 @@ def test_model_config_validation():
     with pytest.raises(ValueError, match="eps"):
         ModelConfig(rank=1, eps=0.0)
     cfg = ModelConfig(rank=2, lam=0.5, mu=0.1)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig(**asdict(cfg)) == cfg
+
+
+@pytest.mark.parametrize("name", ["lam", "mu", "eps", "tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ModelConfig(rank=1, **{name: value})
+
+
+_DATA = np.ones((4, 3))
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"x": np.array([[1.0, np.nan]])}, "NaN"),
+    ({"x": _DATA, "y": np.ones((5, 2))}, "guiding term: Y is 5x2 but X is 4x3"),
+    ({"x": _DATA, "z": np.ones((2, 3))}, "label term: .* together"),
+    # L would broadcast against Z; its shape must equal Z's all the same.
+    ({"x": _DATA, "z": np.ones((2, 3)), "l": np.ones((1, 3))}, "label term: Z is 2x3"),
+    ({"x": _DATA, "z": np.ones((2, 4)), "l": np.ones((2, 4))}, "label term: Z is 2x4"),
+], ids=["nan-x", "y-rows", "z-without-l", "l-shape", "z-columns"])
+def test_problem_rejects_bad_data(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        Problem(**kwargs)
+
+
+def test_problem_takes_wrapped_arrays_as_they_are():
+    x, y, z, mask = _labelled_problem(5, 12, 10)
+    terms = [f"t{c}" for c in "abcdefghijkl"]
+    p = Problem(CorpusMatrix(x, Vocabulary(terms), [f"d{j}" for j in range(10)], None),
+                SeedMatrix(y, terms[:2]), LabelMatrix(z, ["a", "b", "c"]), mask)
+    assert p.x is x and p.y is y and p.z is z and p.l is mask.l
+    assert p.xx == np.vdot(x, x)
+    assert np.array_equal(p.llz, mask.l * mask.l * z)
 
 
 def test_objective_perfect_reconstruction_is_zero():
@@ -115,12 +150,12 @@ def test_update_step_scalar_fixed_point():
     w = np.array([[1.0]])
     h = np.array([[1.0]])
     x = np.array([[4.0]])
-    p = Problem(x)
-    w, h, _, _, _ = update_step(p, w, h, None, None)
+    p, cfg = Problem(x), ModelConfig(rank=1)
+    w, h, _, _, _ = update_step(p, cfg, w, h, None, None)
     assert w[0, 0] == pytest.approx(4.0, rel=1e-9)
-    w, h, _, _, _ = update_step(p, w, h, None, None)
+    w, h, _, _, _ = update_step(p, cfg, w, h, None, None)
     for _ in range(5):
-        w, h, _, _, _ = update_step(p, w, h, None, None)
+        w, h, _, _, _ = update_step(p, cfg, w, h, None, None)
     assert (w @ h)[0, 0] == pytest.approx(4.0, rel=1e-9)
 
 
@@ -131,9 +166,10 @@ def test_update_step_preserves_zeros():
     h[0, 3] = 0.0
     b[1, 0] = 0.0
     c[0, 2] = 0.0
-    p = Problem(inst["x"], inst["y"], inst["z"], inst["l"], lam=0.4, mu=0.2)
+    p = Problem(inst["x"], inst["y"], inst["z"], inst["l"])
+    cfg = ModelConfig(rank=3, lam=0.4, mu=0.2)
     for i in range(50):
-        w, h, b, c, _ = update_step(p, w, h, b, c, iteration=i + 1)
+        w, h, b, c, _ = update_step(p, cfg, w, h, b, c, iteration=i + 1)
         assert w[2, 1] == 0.0 and h[0, 3] == 0.0
         assert b[1, 0] == 0.0 and c[0, 2] == 0.0
         assert np.all(w >= 0) and np.all(h >= 0)
@@ -144,7 +180,8 @@ def test_update_step_lambda_zero_matches_plain_rule():
     inst = _random_instance(1)
     x, w0, h0 = inst["x"], inst["w"], inst["h"]
     eps = 1e-12
-    w1, h1, _, _, _ = update_step(Problem(x, eps=eps), w0.copy(), h0.copy(), None, None)
+    w1, h1, _, _, _ = update_step(Problem(x), ModelConfig(rank=3, eps=eps),
+                                  w0.copy(), h0.copy(), None, None)
     w_plain = w0 * ((x @ h0.T) / (w0 @ (h0 @ h0.T) + eps))
     assert np.array_equal(w1, w_plain)
     h_plain = h0 * ((w1.T @ x) / ((w1.T @ w1) @ h0 + eps))
@@ -157,7 +194,8 @@ def test_update_step_flags_divergence():
     h = np.array([[np.inf]])
     with np.errstate(all="ignore"):
         with pytest.raises(FactorizationError, match="iteration 7"):
-            update_step(Problem(np.array([[1.0]])), w, h, None, None, iteration=7)
+            update_step(Problem(np.array([[1.0]])), ModelConfig(rank=1),
+                        w, h, None, None, iteration=7)
 
 
 @pytest.mark.parametrize("lam,mu", [(0.7, 0.3), (0.0, 0.3), (0.7, 0.0)])
@@ -209,7 +247,8 @@ def test_stationary_point_barely_moves():
     gw, gh, gb, gc = objective_gradients(x, w, h, y, b, z, l, c, 0.6, 0.4)
     for g in (gw, gh, gb, gc):
         assert np.max(np.abs(g)) < 1e-10
-    w2, h2, b2, c2, _ = update_step(Problem(x, y, z, l, lam=0.6, mu=0.4), w, h, b, c)
+    w2, h2, b2, c2, _ = update_step(Problem(x, y, z, l),
+                                    ModelConfig(rank=k, lam=0.6, mu=0.4), w, h, b, c)
     for before, after in ((w, w2), (h, h2), (b, b2), (c, c2)):
         assert np.max(np.abs(after - before) / before) < 1e-8
 
@@ -420,6 +459,24 @@ def test_fit_cells_diverging_cell_leaves_the_batch():
     assert "iteration" in str(alone.value)
     for i in (0, 2):
         _assert_same_fit(results[i], fit(x, configs[i], y=y, z=z, l=mask))
+
+
+def test_fit_cells_builds_one_problem(monkeypatch):
+    x, y, z, mask = _labelled_problem(6, 30, 20)
+    built = []
+
+    class Counting(factorization.Problem):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(factorization, "Problem", Counting)
+    configs = [ModelConfig(rank=3, lam=lam, mu=mu, max_iters=5, rng_seed=1, tol=1e-9)
+               for lam, mu in _GRID]
+    fit_cells(x, configs, y=y, z=z, l=mask)
+    assert len(built) == 1
 
 
 def test_fit_cells_requires_a_shared_start():

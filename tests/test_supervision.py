@@ -172,7 +172,7 @@ def test_mask_round_trip(tmp_path):
     mask = split_mask(9, 0.7, rng_seed=3, n_classes=2)
     path = tmp_path / "mask.json"
     save_mask(mask, path)
-    loaded = load_mask(path)
+    loaded = load_mask(path, 2, 9)
     assert loaded.train_ids == mask.train_ids
     assert loaded.test_ids == mask.test_ids
     assert np.array_equal(loaded.l, mask.l)
@@ -181,4 +181,4 @@ def test_mask_round_trip(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(ValueError, match="partition"):
-        load_mask(path)
+        load_mask(path, 2, 3)

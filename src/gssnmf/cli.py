@@ -13,7 +13,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -39,7 +38,7 @@ from .factorization import (
     save_result,
     top_keywords,
 )
-from .linalg import singular_values
+from .linalg import read_json, read_rows, singular_values, write_batch, write_file
 from .supervision import (
     build_label_matrix,
     build_seed_matrix,
@@ -84,6 +83,13 @@ _float_list = _list_parser(float, "numbers")
 _int_list = _list_parser(int, "integers")
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """Write a CSV of ``header`` and ``rows``, each value in ``repr`` form."""
+    with write_file(path) as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
@@ -112,31 +118,18 @@ def run_ingest(args) -> int:
 def run_rank_scan(args) -> int:
     corpus = load_corpus(args.corpus_file)
     spectrum = singular_values(corpus.x, args.top)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("index,singular_value\n")
-        for i, s in enumerate(spectrum, start=1):
-            fh.write(f"{i},{s!r}\n")
+    _write_csv(args.out, "index,singular_value", enumerate(spectrum, start=1))
     print(f"wrote {args.out} ({args.top} singular values, "
           f"largest={spectrum[0]:.6g})")
     return EXIT_OK
 
 
-def _model_config(args) -> ModelConfig:
+def run_factorize(args) -> int:
     if args.rank is None:
         raise ValueError("--rank is required")
-    return ModelConfig(
-        rank=args.rank,
-        lam=args.lam,
-        mu=args.mu,
-        max_iters=args.max_iters,
-        rng_seed=args.rng_seed,
-        eps=args.eps,
-        tol=args.tol,
-    )
-
-
-def run_factorize(args) -> int:
-    config = _model_config(args)
+    config = ModelConfig(rank=args.rank, lam=args.lam, mu=args.mu,
+                         max_iters=args.max_iters, rng_seed=args.rng_seed,
+                         eps=args.eps, tol=args.tol)
     corpus = load_corpus(args.corpus_file)
     if config.lam > 0 and not args.seeds:
         raise ValueError("--lambda > 0 requires --seeds FILE")
@@ -161,9 +154,10 @@ def run_factorize(args) -> int:
         )
 
     result = fit(corpus, config, y=seed_matrix, z=labels, l=mask)
-    save_result(result, args.out, doc_ids=corpus.doc_ids, label_names=label_names)
-    if mask is not None:
-        save_mask(mask, Path(args.out) / "mask.json")
+    with write_batch():
+        save_result(result, args.out, doc_ids=corpus.doc_ids, label_names=label_names)
+        if mask is not None:
+            save_mask(mask, Path(args.out) / "mask.json")
 
     losses = result.final_losses
     print(
@@ -193,10 +187,6 @@ def run_classify(args) -> int:
     labels = build_label_matrix(assignments, doc_ids)
     p, n = labels.z.shape
     mask = load_mask(args.mask_file, p, n)
-    if result.h.shape[1] != n:
-        raise ValueError(
-            f"model has {result.h.shape[1]} document columns but labels have {n}"
-        )
 
     macro, per_class = _test_macro_f1(result, labels, mask)
     report = EvalReport(
@@ -242,7 +232,7 @@ def run_coherence(args) -> int:
         save_report(report, args.out)
         print(f"wrote {args.out}")
     if args.table:
-        with open(args.table, "w", encoding="utf-8") as fh:
+        with write_file(args.table) as fh:
             fh.write(topics_table(report))
         print(f"wrote {args.table}")
     for i, c in enumerate(per_topic, start=1):
@@ -414,34 +404,26 @@ def run_sweep(args) -> int:
         if isinstance(row[4], Exception):
             raise row[4]
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("rank,lambda,mu,trial,metric_value\n")
-        for rank, lam, mu, trial, value in rows:
-            fh.write(f"{rank},{lam!r},{mu!r},{trial},{value!r}\n")
-    print(f"wrote {args.out} ({len(rows)} rows)")
-
     values: dict[tuple, list[float]] = {}
     for rank, lam, mu, _, value in rows:
         values.setdefault((rank, lam, mu), []).append(value)
     means = {cell: sum(v) / len(v) for cell, v in sorted(values.items())}
+    best: dict[tuple, tuple] = {}
+    for (rank, lam, mu), mean in means.items():
+        # Strict > keeps the smallest mu on ties.
+        if (rank, lam) not in best or mean > best[rank, lam][1]:
+            best[rank, lam] = (mu, mean)
     out_mean = args.out_mean or str(Path(args.out).with_suffix(".mean.csv"))
-    with open(out_mean, "w", encoding="utf-8") as fh:
-        fh.write("rank,lambda,mu,mean_metric_value\n")
-        for (rank, lam, mu), mean in means.items():
-            fh.write(f"{rank},{lam!r},{mu!r},{mean!r}\n")
+    with write_batch():
+        _write_csv(args.out, "rank,lambda,mu,trial,metric_value", rows)
+        _write_csv(out_mean, "rank,lambda,mu,mean_metric_value",
+                   (cell + (mean,) for cell, mean in means.items()))
+        if args.best_by_lambda:
+            _write_csv(args.best_by_lambda, "rank,lambda,best_mu,mean_metric_value",
+                       (key + best[key] for key in sorted(best)))
+    print(f"wrote {args.out} ({len(rows)} rows)")
     print(f"wrote {out_mean} ({len(means)} cells)")
-
     if args.best_by_lambda:
-        best: dict[tuple, tuple] = {}
-        for (rank, lam, mu), mean in means.items():
-            key = (rank, lam)
-            # Strict > keeps the smallest mu on ties.
-            if key not in best or mean > best[key][1]:
-                best[key] = (mu, mean)
-        with open(args.best_by_lambda, "w", encoding="utf-8") as fh:
-            fh.write("rank,lambda,best_mu,mean_metric_value\n")
-            for (rank, lam), (mu, mean) in sorted(best.items()):
-                fh.write(f"{rank},{lam!r},{mu!r},{mean!r}\n")
         print(f"wrote {args.best_by_lambda}")
     return EXIT_OK
 
@@ -456,23 +438,11 @@ def _heat_color(t: float) -> str:
 
 
 def run_plot_heatmap(args) -> int:
-    rows = []
     with open(args.mean_csv, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "rank,lambda,mu,mean_metric_value":
+        if fh.readline().strip() != "rank,lambda,mu,mean_metric_value":
             raise ValueError(f"{args.mean_csv}: not a sweep mean CSV")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise ValueError(f"{args.mean_csv}:{lineno}: expected 4 fields")
-            rows.append((int(fields[0]), float(fields[1]), float(fields[2]),
-                         float(fields[3])))
-    if not rows:
-        raise ValueError(f"{args.mean_csv}: no data rows")
-    ranks = sorted({r[0] for r in rows})
+        rows = read_rows(fh, args.mean_csv, 4, first=2, ints=(0,)).tolist()
+    ranks = sorted({int(r[0]) for r in rows})
     rank = args.rank if args.rank is not None else ranks[0]
     cells = {(lam, mu): v for rk, lam, mu, v in rows if rk == rank}
     if not cells:
@@ -523,7 +493,7 @@ def run_plot_heatmap(args) -> int:
                 f'fill="{text_fill}">{v:.4g}</text>'
             )
     parts.append("</svg>")
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with write_file(args.out) as fh:
         fh.write("\n".join(parts))
         fh.write("\n")
     print(f"wrote {args.out} ({len(lams)}x{len(mus)} cells)")
@@ -664,13 +634,7 @@ def _apply_config(argv, commands) -> None:
     known, _ = pre.parse_known_args(argv)
     if not known.config:
         return
-    with open(known.config, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{known.config}:{exc.lineno}: invalid config: {exc.msg}"
-            ) from None
+    cfg = read_json(known.config, "config")
     if not isinstance(cfg, dict):
         raise ValueError(f"{known.config}: config must be a JSON object")
     sp = commands[cmd]

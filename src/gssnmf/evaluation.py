@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linalg import Matrix, as_matrix
+from .linalg import Matrix, as_matrix, read_json, write_file
 
 
 def threshold_predictions(scores: Matrix, true_counts) -> Matrix:
@@ -174,17 +174,13 @@ class EvalReport:
 
 
 def save_report(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_file(path) as fh:
         json.dump(asdict(report), fh, indent=2)
         fh.write("\n")
 
 
 def load_report(path) -> EvalReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}: invalid report: {exc.msg}") from None
+    obj = read_json(path, "report")
     try:
         return EvalReport(**obj)
     except (TypeError, ValueError) as exc:

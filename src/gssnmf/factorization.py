@@ -60,11 +60,15 @@ from .linalg import (
     DEFAULT_EPS,
     Matrix,
     as_matrix,
-    format_float,
     frobenius_sq,
     load_matrix_csv,
+    read_json,
+    read_rows,
     safe_divide,
     save_matrix_csv,
+    write_batch,
+    write_file,
+    write_rows,
 )
 from .supervision import LabelMatrix, MaskMatrix, SeedMatrix
 from .textpipe import CorpusMatrix, Vocabulary
@@ -542,21 +546,6 @@ def save_result(
 ) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_matrix_csv(result.w, out / "w.csv")
-    save_matrix_csv(result.h, out / "h.csv")
-    if result.b is not None:
-        save_matrix_csv(result.b, out / "b.csv")
-    if result.c is not None:
-        save_matrix_csv(result.c, out / "c.csv")
-    with open(out / "trace.csv", "w", encoding="utf-8") as fh:
-        fh.write("iteration,total,reconstruction,guiding,label\n")
-        for i, (total, (recon, guide, label)) in enumerate(
-            zip(result.objective_trace, result.term_trace), start=1
-        ):
-            fh.write(
-                f"{i},{format_float(total)},{format_float(recon)},"
-                f"{format_float(guide)},{format_float(label)}\n"
-            )
     manifest = {
         "config": asdict(result.config),
         "iterations_run": result.iterations,
@@ -564,9 +553,20 @@ def save_result(
         "doc_ids": doc_ids,
         "label_names": label_names,
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    with write_batch():
+        for name, a in (("w", result.w), ("h", result.h), ("b", result.b),
+                        ("c", result.c)):
+            if a is not None:
+                save_matrix_csv(a, out / f"{name}.csv")
+        with write_file(out / "trace.csv") as fh:
+            fh.write("iteration,total,reconstruction,guiding,label\n")
+            write_rows(fh, np.column_stack([
+                np.arange(1, result.iterations + 1), result.objective_trace,
+                result.term_trace,
+            ]))
+        with write_file(out / "manifest.json") as fh:
+            json.dump(manifest, fh, indent=2)
+            fh.write("\n")
 
 
 def load_result(result_dir) -> tuple[FactorizationResult, dict]:
@@ -575,13 +575,7 @@ def load_result(result_dir) -> tuple[FactorizationResult, dict]:
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise ValueError(f"{result_dir}: not a result directory (no manifest.json)")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{manifest_path}:{exc.lineno}: invalid manifest: {exc.msg}"
-            ) from None
+    manifest = read_json(manifest_path, "manifest")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
         raise ValueError(
             f"{manifest_path}: invalid manifest: expected an object with a "
@@ -600,25 +594,22 @@ def load_result(result_dir) -> tuple[FactorizationResult, dict]:
     h = load_matrix_csv(root / "h.csv")
     b = load_matrix_csv(root / "b.csv") if (root / "b.csv").is_file() else None
     c = load_matrix_csv(root / "c.csv") if (root / "c.csv").is_file() else None
-    trace: list[float] = []
-    terms: list[tuple[float, float, float]] = []
     trace_path = root / "trace.csv"
     with open(trace_path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("iteration,"):
+        if not fh.readline().startswith("iteration,"):
             raise ValueError(f"{trace_path}:1: unexpected header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 5:
-                raise ValueError(f"{trace_path}:{lineno}: expected 5 fields")
-            try:
-                total, recon, guide, label = map(float, fields[1:])
-            except ValueError as exc:
-                raise ValueError(f"{trace_path}:{lineno}: bad number: {exc}") from None
-            trace.append(total)
-            terms.append((recon, guide, label))
-    result = FactorizationResult(w, h, b, c, trace, terms, config)
+        rows = read_rows(fh, trace_path, 5, first=2, ints=(0,))
+    if len(rows) != manifest.get("iterations_run"):
+        raise ValueError(f"{trace_path}: {len(rows)} rows, but the manifest has "
+                         f"iterations_run {manifest.get('iterations_run')}")
+    # W is d x k, H k x n, B k x s and C p x k.
+    for name, a, axis in (("w", w, 1), ("h", h, 0), ("b", b, 0), ("c", c, 1)):
+        if a is not None and a.shape[axis] != config.rank:
+            raise ValueError(f"{root / name}.csv: a {a.shape[0]}x{a.shape[1]} "
+                             f"factor, but the manifest has rank {config.rank}")
+    if doc_ids is not None and len(doc_ids) != h.shape[1]:
+        raise ValueError(f"{manifest_path}: {len(doc_ids)} doc_ids, but h.csv "
+                         f"has {h.shape[1]} columns")
+    terms = [tuple(r) for r in rows[:, 2:].tolist()]
+    result = FactorizationResult(w, h, b, c, rows[:, 1].tolist(), terms, config)
     return result, manifest

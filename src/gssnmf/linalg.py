@@ -4,11 +4,17 @@ Matrices are plain 2-D float64 numpy arrays in C (row-major) order; at the
 corpus sizes this package targets (hundreds by hundreds) dense storage is
 all that is needed. Products and entry-wise operations are numpy's own
 ``@`` and ``*``. The helpers here validate input matrices, floor
-denominators, take a leading singular spectrum, and read and write the
-dense CSV form (one row per line) used by every matrix file.
+denominators, take a leading singular spectrum, write every file whole or
+not at all, and hold the one reader of each text form every file uses.
 """
 
 from __future__ import annotations
+
+import json
+import os
+from contextlib import contextmanager
+from contextvars import ContextVar
+from pathlib import Path
 
 import numpy as np
 
@@ -70,21 +76,52 @@ def singular_values(a: Matrix, top: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: dense CSV, one row per line. Values are written with 17
-# significant digits so round trips are value-exact for float64.
+# Files: whole-or-absent writes and the one reader of each text form.
 # ---------------------------------------------------------------------------
 
-def format_float(v: float) -> str:
-    """17-significant-digit decimal form, enough to round-trip float64."""
-    return format(float(v), ".17g")
+# The (temporary, final) paths of the write batch open in this context.
+_batch: ContextVar[list | None] = ContextVar("write_batch", default=None)
+
+
+@contextmanager
+def write_batch():
+    """Make the files written inside the block whole or absent, together.
+
+    Each ``write_file`` inside writes a temporary sibling of its path. The
+    outermost batch renames them all into place if it exits normally, and
+    removes them if anything raised first.
+    """
+    if _batch.get() is not None:  # nested: the outermost batch commits
+        yield
+        return
+    pending = []
+    token = _batch.set(pending)
+    try:
+        yield
+        for tmp, path in pending:
+            os.replace(tmp, path)
+    finally:
+        _batch.reset(token)
+        for tmp, _ in pending:
+            Path(tmp).unlink(missing_ok=True)
+
+
+@contextmanager
+def write_file(path):
+    """A text handle whose content replaces ``path`` when its batch commits."""
+    with write_batch():
+        tmp = f"{path}.{os.getpid()}.tmp"
+        _batch.get().append((tmp, path))
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 def write_rows(fh, a) -> None:
-    """Write ``a`` to ``fh`` as CSV, one row per line, in ``format_float`` form.
+    """Write ``a`` to ``fh`` as CSV rows of 17-significant-digit values.
 
-    Most entries of a corpus matrix are zero. A zero without the sign bit
-    is written as ``0``, which is what ``format_float`` gives it, and only
-    the other entries are formatted.
+    17 digits round-trip float64. Most entries of a corpus matrix are zero;
+    a zero without the sign bit is written as ``0``, its 17-digit form, and
+    only the other entries are formatted.
     """
     for row in np.asarray(a, dtype=np.float64):
         values, fields = row.tolist(), ["0"] * len(row)
@@ -94,31 +131,71 @@ def write_rows(fh, a) -> None:
         fh.write("\n")
 
 
+def read_rows(lines, path, width=None, rows=None, first=1, ints=()) -> Matrix:
+    """Parse CSV rows of numbers, the lines of ``path`` from line ``first`` on.
+
+    Each row has ``width`` fields, or as many as the first row, and the
+    ``ints`` columns hold integers. With ``rows`` and ``width`` given, exactly
+    ``rows`` rows fill a matrix allocated once; else at least one must come.
+    Blank lines may only end the file. Every fault, a non-finite value too,
+    raises ``ValueError`` naming ``path:line``; the result is a finite matrix.
+    """
+    out = [] if rows is None else np.empty((rows, width))
+    n, blank = 0, None
+    for lineno, line in enumerate(lines, start=first):
+        line = line.strip()
+        if not line:
+            blank = blank or lineno
+            continue
+        if blank:
+            raise ValueError(f"{path}:{blank}: blank line before a row")
+        if n == rows:
+            raise ValueError(f"{path}:{lineno}: expected {rows} rows, found more")
+        fields = line.split(",")
+        width = width or len(fields)
+        if len(fields) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, "
+                             f"found {len(fields)}")
+        try:
+            values = [float(f) for f in fields]
+            for j in ints:
+                int(fields[j])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad number: {exc}") from None
+        if rows is None:
+            out.append(values)
+        else:
+            out[n] = values
+        n += 1
+    if n < (rows or 1):
+        raise ValueError(f"{path}:{first + n}: truncated after {n} rows, "
+                         f"expected {rows or 'at least 1'}")
+    out = np.array(out, dtype=np.float64) if rows is None else out
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{first + bad[0]}: non-finite value")
+    return out
+
+
+def read_json(path, what: str):
+    """The JSON value in ``path``; a syntax error names ``path:line``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}: invalid {what}: {exc.msg}") from None
+
+
+def read_entries(lines) -> list[str]:
+    """The stripped ``lines`` that are neither blank nor ``#`` comments."""
+    return [e for e in map(str.strip, lines) if e and not e.startswith("#")]
+
+
 def save_matrix_csv(a: Matrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_file(path) as fh:
         write_rows(fh, a)
 
 
 def load_matrix_csv(path) -> Matrix:
-    rows: list[list[float]] = []
-    width = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {width} fields, found {len(fields)}"
-                )
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad number: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: no matrix rows found")
-    return as_matrix(rows)
-
+        return read_rows(fh, path)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Matrix, as_matrix
+from .linalg import Matrix, as_matrix, read_entries, read_json, write_file
 from .stemmer import porter_stem
 from .textpipe import Vocabulary, tokenize
 
@@ -162,12 +162,8 @@ def load_label_assignments(path) -> dict:
 
 def load_seed_words(path) -> list[str]:
     """Read a seed word file: one word or phrase per line, '#' comments."""
-    words = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            entry = line.strip()
-            if entry and not entry.startswith("#"):
-                words.append(entry)
+        words = read_entries(fh)
     if not words:
         raise ValueError(f"{path}: no seed words found")
     return words
@@ -180,7 +176,7 @@ def save_mask(mask: MaskMatrix, path) -> None:
         "train_ids": mask.train_ids,
         "test_ids": mask.test_ids,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_file(path) as fh:
         json.dump(obj, fh, separators=(",", ":"))
         fh.write("\n")
 
@@ -190,11 +186,7 @@ def load_mask(path, n_classes: int, n_docs: int) -> MaskMatrix:
 
     Its shape and its ids are checked before the mask is allocated.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}: invalid mask file: {exc.msg}") from None
+    obj = read_json(path, "mask file")
     try:
         shape = (int(obj["n_classes"]), int(obj["n_docs"]))
         train_ids = [int(i) for i in obj["train_ids"]]

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import Matrix, as_matrix, write_rows
+from .linalg import Matrix, as_matrix, read_entries, read_rows, write_file, write_rows
 from .stemmer import porter_stem
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -47,22 +47,13 @@ def tokenize(raw: str) -> list[str]:
 def default_stopwords() -> frozenset[str]:
     """The stopword list shipped with the package."""
     text = resources.files("gssnmf").joinpath("data/stopwords_en.txt").read_text("utf-8")
-    return _parse_stopwords(text.splitlines())
+    return frozenset(read_entries(text.splitlines()))
 
 
 def load_stopwords(path) -> frozenset[str]:
     """Read a stopword file: one token per line, '#' lines are comments."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_stopwords(fh)
-
-
-def _parse_stopwords(lines) -> frozenset[str]:
-    out = set()
-    for line in lines:
-        token = line.strip()
-        if token and not token.startswith("#"):
-            out.add(token)
-    return frozenset(out)
+        return frozenset(read_entries(fh))
 
 
 @dataclass
@@ -276,7 +267,7 @@ def save_corpus(corpus: CorpusMatrix, path) -> None:
         "vocab": corpus.vocab.terms,
         "params": _params_to_json(corpus.params),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_file(path) as fh:
         json.dump(header, fh, separators=(",", ":"))
         fh.write("\n")
         write_rows(fh, corpus.x)
@@ -308,25 +299,11 @@ def load_corpus(path) -> CorpusMatrix:
                 f"{len(vocab_terms)} terms and {len(doc_ids)} documents"
             )
 
-        data = np.zeros((rows, cols))
-        for r in range(rows):
-            lineno = r + 2
-            line = fh.readline()
-            if not line:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: truncated matrix block, expected {rows} rows"
-                )
-            fields = line.strip().split(",")
-            if len(fields) != cols:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected {cols} fields, found {len(fields)}"
-                )
-            try:
-                data[r, :] = [float(f) for f in fields]
-            except ValueError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: bad number: {exc}") from None
-
+        try:
+            data = read_rows(fh, path, cols, rows, first=2)
+        except ValueError as exc:
+            raise CorpusFormatError(exc) from None
     try:
-        return CorpusMatrix(as_matrix(data), Vocabulary(vocab_terms), doc_ids, params)
+        return CorpusMatrix(data, Vocabulary(vocab_terms), doc_ids, params)
     except ValueError as exc:
         raise CorpusFormatError(f"{path}: inconsistent corpus: {exc}") from None

@@ -1,21 +1,27 @@
 import json
 import math
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from gssnmf import cli
 from gssnmf.cli import main
 from gssnmf.evaluation import load_report
 from gssnmf.factorization import load_result
-from gssnmf.linalg import save_matrix_csv
+from gssnmf.linalg import save_matrix_csv, write_file
 from gssnmf.textpipe import load_corpus
 
 
 @pytest.fixture()
 def workspace(tmp_path):
     """Small two-class corpus with labels and seed words on disk."""
+    return _make_workspace(tmp_path)
+
+
+def _make_workspace(tmp_path):
     corpus_dir = tmp_path / "docs"
     corpus_dir.mkdir()
     rng = np.random.default_rng(42)
@@ -808,3 +814,179 @@ def test_module_entry_point_help():
     )
     assert proc.returncode == 0
     assert "factorize" in proc.stdout and "sweep" in proc.stdout
+
+
+# --- loaders and whole-or-absent writes ---------------------------------------
+
+_MEAN_CSV = "rank,lambda,mu,mean_metric_value\n2,0.0,0.0,0.5\n2,0.0,0.1,0.6\n"
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A workspace with a seeded and labelled model, a mean CSV and a config."""
+    root = tmp_path_factory.mktemp("pristine")
+    ws = _make_workspace(root)
+    assert main([
+        "factorize", str(ws["corpus_file"]), "--out", str(root / "model"),
+        "--rank", "2", "--lambda", "0.1", "--mu", "0.1", "--max-iters", "5",
+        "--seeds", str(ws["seeds"]), "--labels", str(ws["labels"]),
+    ]) == 0
+    (root / "mean.csv").write_text(_MEAN_CSV, "utf-8")
+    (root / "config.json").write_text('{\n  "rank": 2,\n  "max-iters": 5\n}\n', "utf-8")
+    return root
+
+
+def _field(lineno, col, value):
+    """An edit setting field ``col`` of line ``lineno`` (1-based) to ``value``."""
+    def edit(text):
+        lines = text.splitlines()
+        fields = lines[lineno - 1].split(",")
+        fields[col] = value
+        lines[lineno - 1] = ",".join(fields)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def _line(lineno, value):
+    """An edit replacing line ``lineno`` (1-based) by ``value``; None deletes it."""
+    def edit(text):
+        lines = text.splitlines()
+        lines[lineno - 1:lineno] = [] if value is None else value.split("\n")
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def _first_column(text):
+    return "".join(line.split(",")[0] + "\n" for line in text.splitlines())
+
+
+_COMMANDS = {
+    "classify": lambda r: ["classify", r / "model", r / "labels.csv",
+                           r / "model" / "mask.json"],
+    "coherence": lambda r: ["coherence", r / "model", r / "corpus.txt"],
+    "rank-scan": lambda r: ["rank-scan", r / "corpus.txt", "--out", r / "s.csv",
+                            "--top", "2"],
+    "plot-heatmap": lambda r: ["plot-heatmap", r / "mean.csv", "--out", r / "h.svg"],
+    "config": lambda r: ["factorize", r / "corpus.txt", "--out", r / "m2",
+                         "--config", r / "config.json"],
+    "seeds": lambda r: ["factorize", r / "corpus.txt", "--out", r / "m2", "--rank",
+                        "2", "--lambda", "0.1", "--seeds", r / "seeds.txt"],
+}
+
+# (file, edit, command, line named in the error or None). The corpus has 18
+# terms, so its header is line 1 and its rows lines 2-19; trace.csv has a
+# header and 5 rows; W is 18 x 2, H 2 x 20, B 2 x 2 and C 2 x 2.
+_MALFORMED = {
+    "w-fields": ("model/w.csv", _line(2, "1"), "classify", 2),
+    "w-number": ("model/w.csv", _field(1, 0, "abc"), "coherence", 1),
+    "w-nan": ("model/w.csv", _field(1, 0, "nan"), "classify", 1),
+    "w-blank": ("model/w.csv", _line(3, ""), "coherence", 3),
+    "w-rank": ("model/w.csv", _first_column, "coherence", None),
+    "h-rows": ("model/h.csv", _line(2, None), "classify", None),
+    "h-inf": ("model/h.csv", _field(2, 3, "inf"), "coherence", 2),
+    "b-rank": ("model/b.csv", _line(2, None), "coherence", None),
+    "c-number": ("model/c.csv", _field(1, 1, "1.0.0"), "classify", 1),
+    "c-rank": ("model/c.csv", _first_column, "classify", None),
+    "trace-fields": ("model/trace.csv", _line(3, "2,1,1"), "classify", 3),
+    "trace-number": ("model/trace.csv", _field(4, 2, "x"), "coherence", 4),
+    "trace-nan": ("model/trace.csv", _field(2, 1, "nan"), "classify", 2),
+    "trace-iteration": ("model/trace.csv", _field(2, 0, "1.5"), "classify", 2),
+    "trace-blank": ("model/trace.csv", _line(3, "\n" + "3,1,1,0,0"), "coherence", 3),
+    "trace-rows": ("model/trace.csv", _line(6, None), "coherence", None),
+    "manifest-json": ("model/manifest.json", lambda t: t.replace('"config": {',
+                                                                '"config": {,'),
+                      "classify", 2),
+    "manifest-doc-ids": ("model/manifest.json", lambda t: t.replace('"doc00.txt",', ""),
+                         "coherence", None),
+    "mask-json": ("model/mask.json", lambda t: t[:-3], "classify", 1),
+    "mask-shape": ("model/mask.json", lambda t: t.replace('"n_docs":20', '"n_docs":21'),
+                   "classify", None),
+    "corpus-fields": ("corpus.txt", lambda t: _line(2, t.splitlines()[1].rsplit(",", 1)[0])(t),
+                      "rank-scan", 2),
+    "corpus-number": ("corpus.txt", _field(3, 0, "zz"), "coherence", 3),
+    "corpus-nan": ("corpus.txt", _field(2, 0, "nan"), "rank-scan", 2),
+    "corpus-rows": ("corpus.txt", lambda t: t + t.splitlines()[1] + "\n", "rank-scan", 20),
+    "corpus-json": ("corpus.txt", lambda t: t.replace("{", "{{", 1), "rank-scan", 1),
+    "mean-fields": ("mean.csv", _line(3, "2,0.0,0.1"), "plot-heatmap", 3),
+    "mean-number": ("mean.csv", _field(2, 1, "abc"), "plot-heatmap", 2),
+    "mean-nan": ("mean.csv", _field(3, 3, "nan"), "plot-heatmap", 3),
+    "mean-rank": ("mean.csv", _field(2, 0, "x"), "plot-heatmap", 2),
+    "mean-rank-float": ("mean.csv", _field(3, 0, "2.5"), "plot-heatmap", 3),
+    "config-json": ("config.json", lambda t: t.replace("5\n", "5,\n"), "config", 4),
+    "seeds-empty": ("seeds.txt", lambda t: "# none\n\n", "seeds", None),
+    "labels-row": ("labels.csv", _line(1, "doc00.txt"), "classify", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_file_exits_2_naming_file_and_line(pristine, tmp_path, capsys, case):
+    name, edit, command, line = _MALFORMED[case]
+    root = tmp_path / "ws"
+    shutil.copytree(pristine, root)
+    path = root / name
+    path.write_text(edit(path.read_text("utf-8")), "utf-8")
+    capsys.readouterr()
+    assert main([str(a) for a in _COMMANDS[command](root)]) == 2
+    err = capsys.readouterr().err
+    where = f"{path}:{line}:" if line else f"{path}:"
+    assert err.startswith(f"error: {where}"), err
+
+
+def test_load_report_names_the_line_of_a_syntax_error(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text('{\n  "macro_f1": 0.5,\n}\n', "utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:3: invalid report: "):
+        load_report(path)
+
+
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_failed_factorize_leaves_the_old_model(pristine, tmp_path, monkeypatch, capsys):
+    root = tmp_path / "ws"
+    shutil.copytree(pristine, root)
+    model = root / "model"
+    before = _snapshot(model)
+
+    def failing_save_mask(mask, path):
+        with write_file(path) as fh:
+            fh.write("{")
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "save_mask", failing_save_mask)
+    # Another seed, so every file of the new model would differ.
+    assert main([
+        "factorize", str(root / "corpus.txt"), "--out", str(model),
+        "--rank", "2", "--lambda", "0.1", "--mu", "0.1", "--max-iters", "5",
+        "--rng-seed", "1", "--seeds", str(root / "seeds.txt"),
+        "--labels", str(root / "labels.csv"),
+    ]) == 2
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert _snapshot(model) == before
+
+
+def test_failed_sweep_leaves_no_new_file(workspace, tmp_path, monkeypatch):
+    out_dir = tmp_path / "sweep"
+    out_dir.mkdir()
+    (out_dir / "sweep.csv").write_text("old\n", "utf-8")
+    args = _sweep_args(workspace, out_dir, extra=("--best-by-lambda",
+                                                   str(out_dir / "best.csv")))
+    # The mean CSV's directory does not exist.
+    args[args.index("--out-mean") + 1] = str(out_dir / "nodir" / "m.csv")
+    assert main(args) == 2
+    assert _snapshot(out_dir) == {"sweep.csv": b"old\n"}
+
+    real, calls = cli._write_csv, []
+
+    def failing_write_csv(path, header, rows):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        real(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", failing_write_csv)
+    assert main(_sweep_args(workspace, out_dir, extra=(
+        "--best-by-lambda", str(out_dir / "best.csv")))) == 2
+    assert len(calls) == 3
+    assert _snapshot(out_dir) == {"sweep.csv": b"old\n"}

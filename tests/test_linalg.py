@@ -1,16 +1,33 @@
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
+from gssnmf import linalg
 from gssnmf.linalg import (
     as_matrix,
-    format_float,
     frobenius_sq,
     load_matrix_csv,
+    read_entries,
+    read_json,
+    read_rows,
     safe_divide,
     save_matrix_csv,
     singular_values,
+    write_batch,
+    write_file,
     write_rows,
 )
+
+# Hypothesis caches the constants it finds in the source under its home
+# directory, ./.hypothesis by default, even without an example database;
+# the tests below set none.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "gssnmf-hypothesis")
 
 
 def test_as_matrix_rejects_bad_input():
@@ -122,7 +139,7 @@ def test_write_rows_matches_per_entry_format(tmp_path):
     ])
     path = tmp_path / "m.csv"
     save_matrix_csv(a, path)
-    want = "".join(",".join(format_float(v) for v in row) + "\n" for row in a)
+    want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in a)
     assert path.read_text("utf-8") == want
     assert want.startswith("0,-0,")
     back = load_matrix_csv(path)
@@ -131,3 +148,163 @@ def test_write_rows_matches_per_entry_format(tmp_path):
     with open(tmp_path / "again.csv", "w", encoding="utf-8") as fh:
         write_rows(fh, a.tolist())
     assert (tmp_path / "again.csv").read_text("utf-8") == want
+
+
+# --- readers ----------------------------------------------------------------
+
+def _rows(text, **kw):
+    return read_rows(io.StringIO(text), "m.csv", **kw)
+
+
+def test_read_rows_blank_lines_may_only_end_the_file():
+    assert np.array_equal(_rows("1,2\n3,4\n\n  \n"), [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="m.csv:2: blank line before a row"):
+        _rows("1,2\n\n3,4\n")
+    with pytest.raises(ValueError, match="m.csv:1: blank line before a row"):
+        _rows(" \n1,2\n")
+
+
+def test_read_rows_names_the_line_of_each_fault():
+    cases = {
+        "1,2\n3\n": "m.csv:2: expected 2 fields, found 1",
+        "1,2\n3,x\n": "m.csv:2: bad number: could not convert string to float: 'x'",
+        "1,2\n3,4\nnan,0\n": "m.csv:3: non-finite value",
+        "1,2\n-inf,0\n": "m.csv:2: non-finite value",
+        "1,2\n3,1e999\n": "m.csv:2: non-finite value",
+        "": "m.csv:1: truncated after 0 rows, expected at least 1",
+        "\n\n": "m.csv:1: truncated after 0 rows, expected at least 1",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ValueError) as info:
+            _rows(text)
+        assert str(info.value) == message
+
+
+def test_read_rows_fills_a_declared_shape():
+    m = _rows("1,2\n3,4\n", width=2, rows=2, first=5)
+    assert m.dtype == np.float64 and m.flags.c_contiguous
+    assert np.array_equal(m, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="m.csv:6: truncated after 1 rows, expected 2"):
+        _rows("1,2\n", width=2, rows=2, first=5)
+    with pytest.raises(ValueError, match="m.csv:7: expected 2 rows, found more"):
+        _rows("1,2\n3,4\n5,6\n", width=2, rows=2, first=5)
+    with pytest.raises(ValueError, match="m.csv:5: expected 2 fields, found 3"):
+        _rows("1,2,3\n", width=2, rows=2, first=5)
+
+
+def test_read_rows_integer_columns():
+    assert np.array_equal(_rows("7,0.5\n-2,1\n", ints=(0,)), [[7, 0.5], [-2, 1]])
+    for bad in ("7.0", "x", "1e1", "nan"):
+        with pytest.raises(ValueError, match="m.csv:2: bad number"):
+            _rows(f"1,0\n{bad},0.5\n", ints=(0,))
+
+
+def test_read_json_names_the_line_of_a_syntax_error(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{\n  "a": 1,\n  oops\n}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{path}:3: invalid config: "):
+        read_json(path, "config")
+    path.write_text('[1, {"a": null}]', encoding="utf-8")
+    assert read_json(path, "config") == [1, {"a": None}]
+
+
+def test_read_entries_drops_blanks_and_comments():
+    lines = ["# header\n", "  alpha \n", "\n", "   # indented comment\n",
+             "beta gamma\n", "delta # not a comment"]
+    assert read_entries(lines) == ["alpha", "beta gamma", "delta # not a comment"]
+
+
+_NUMBERISH = st.text(alphabet="0123456789.,-+eE naif#\t\n")
+_FLOAT_ROWS = st.lists(
+    st.lists(st.floats(), min_size=1, max_size=4).map(lambda r: ",".join(map(repr, r))),
+    max_size=4,
+).map("\n".join)
+_ANY_TEXT = st.one_of(st.text(), _NUMBERISH, _FLOAT_ROWS)
+
+
+def _finite_or_named(load, path):
+    try:
+        m = load()
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:")
+        return
+    assert m.ndim == 2 and m.shape[0] >= 1 and m.shape[1] >= 1
+    assert m.dtype == np.float64 and np.isfinite(m).all()
+
+
+@settings(database=None, deadline=None, max_examples=100)
+@given(text=_ANY_TEXT)
+@example(text="1,2\nnan,0\n")
+@example(text="1\n\n2\n")
+@example(text="1e999")
+def test_load_matrix_csv_fuzz(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _finite_or_named(lambda: load_matrix_csv(path), path)
+
+
+@settings(database=None, deadline=None, max_examples=100)
+@given(text=_ANY_TEXT, rows=st.sampled_from([None, 1, 3]),
+       ints=st.sampled_from([(), (0,)]))
+@example(text="0,inf\n", rows=1, ints=())
+@example(text="1.5,0\n", rows=None, ints=(0,))
+def test_read_rows_fuzz(text, rows, ints):
+    width = None if rows is None else 2
+    _finite_or_named(
+        lambda: read_rows(io.StringIO(text), "fuzz.csv", width, rows, 1, ints), "fuzz.csv"
+    )
+
+
+# --- whole-or-absent writes --------------------------------------------------
+
+def test_write_file_replaces_only_on_success(tmp_path):
+    path = tmp_path / "a.txt"
+    with write_file(path) as fh:
+        fh.write("new\n")
+        assert not path.exists()
+    assert path.read_text("utf-8") == "new\n"
+    with pytest.raises(RuntimeError):
+        with write_file(path) as fh:
+            fh.write("partial")
+            raise RuntimeError("stop")
+    assert path.read_text("utf-8") == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+
+
+def test_write_batch_commits_all_or_nothing(tmp_path, monkeypatch):
+    old = {"a.csv": "old a\n", "c.csv": "old c\n"}
+    for name, text in old.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    real, calls = linalg.write_rows, []
+
+    def failing(fh, a):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        real(fh, a)
+
+    monkeypatch.setattr(linalg, "write_rows", failing)
+    with pytest.raises(OSError, match="disk full"):
+        with write_batch():
+            for name in ("a.csv", "b.csv", "c.csv"):
+                save_matrix_csv(np.ones((2, 2)), tmp_path / name)
+    assert len(calls) == 3
+    assert {p.name: p.read_text("utf-8") for p in tmp_path.iterdir()} == old
+    monkeypatch.setattr(linalg, "write_rows", real)
+    with write_batch():
+        save_matrix_csv(np.ones((1, 1)), tmp_path / "a.csv")
+        with write_batch():  # nested: joins the outer batch
+            save_matrix_csv(np.ones((1, 1)), tmp_path / "b.csv")
+        assert not (tmp_path / "b.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv", "c.csv"]
+    assert (tmp_path / "b.csv").read_text("utf-8") == "1\n"
+
+
+def test_write_batch_removes_temporaries_when_a_rename_fails(tmp_path):
+    (tmp_path / "dir.csv").mkdir()
+    with pytest.raises(OSError):
+        with write_batch():
+            save_matrix_csv(np.ones((1, 1)), tmp_path / "dir.csv")
+            save_matrix_csv(np.ones((1, 1)), tmp_path / "b.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.csv"]
+    assert not any((tmp_path / "dir.csv").iterdir())

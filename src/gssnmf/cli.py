@@ -38,7 +38,15 @@ from .factorization import (
     save_result,
     top_keywords,
 )
-from .linalg import read_json, read_rows, singular_values, write_batch, write_file
+from .linalg import (
+    open_text,
+    read_json,
+    read_rows,
+    remove_file,
+    singular_values,
+    write_batch,
+    write_file,
+)
 from .supervision import (
     build_label_matrix,
     build_seed_matrix,
@@ -156,7 +164,9 @@ def run_factorize(args) -> int:
     result = fit(corpus, config, y=seed_matrix, z=labels, l=mask)
     with write_batch():
         save_result(result, args.out, doc_ids=corpus.doc_ids, label_names=label_names)
-        if mask is not None:
+        if mask is None:  # an earlier fit's split would score this fit
+            remove_file(Path(args.out) / "mask.json")
+        else:
             save_mask(mask, Path(args.out) / "mask.json")
 
     losses = result.final_losses
@@ -438,7 +448,7 @@ def _heat_color(t: float) -> str:
 
 
 def run_plot_heatmap(args) -> int:
-    with open(args.mean_csv, "r", encoding="utf-8") as fh:
+    with open_text(args.mean_csv) as fh:
         if fh.readline().strip() != "rank,lambda,mu,mean_metric_value":
             raise ValueError(f"{args.mean_csv}: not a sweep mean CSV")
         rows = read_rows(fh, args.mean_csv, 4, first=2, ints=(0,)).tolist()

@@ -7,6 +7,13 @@ through ``(mu/2) * ||L o (Z - C H)||_F^2`` (``o`` is the entry-wise
 product). Setting ``lam`` or ``mu`` to zero recovers the label-only,
 seed-only, or plain variants with bitwise-identical trajectories.
 
+A zero weight skips its terms in the W and H updates below and in the
+loss, which saves their products. While a term is finite, adding it
+would change nothing: ``0.0 * t`` is ``+0.0``, and ``v + 0.0 == v`` for
+these non-negative sums. (An infinite term would make ``0.0 * t`` nan;
+skipped, it is no divergence.) B and C are still updated, because they
+are results.
+
 One iteration updates W, H, B, C in that order, each rule consuming the
 factors already updated earlier in the same iteration:
 
@@ -62,8 +69,10 @@ from .linalg import (
     as_matrix,
     frobenius_sq,
     load_matrix_csv,
+    open_text,
     read_json,
     read_rows,
+    remove_file,
     safe_divide,
     save_matrix_csv,
     write_batch,
@@ -255,10 +264,10 @@ def _losses(p: Problem, lam, mu, w, h, b, c, wtx, wtw):
     gram = float(np.vdot(wtw, h @ h.T))
     recon = 0.5 * max(0.0, p.xx - 2.0 * cross + gram)
     guide = 0.0
-    if p.y is not None:
+    if lam > 0:
         guide = 0.5 * lam * frobenius_sq(p.y - w @ b)
     label = 0.0
-    if p.z is not None:
+    if mu > 0:
         label = 0.5 * mu * frobenius_sq(p.l * (p.z - c @ h))
     return recon + guide + label, recon, guide, label
 
@@ -286,7 +295,7 @@ def initial_factors(
 
 
 def _check_finite(name: str, a: Matrix, iteration: int | None):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         where = f" at iteration {iteration}" if iteration is not None else ""
         raise FactorizationError(
             f"update diverged{where}: non-finite entries in {name}"
@@ -303,7 +312,9 @@ def update_step(
 
     Each rule multiplies the factor by a ratio of non-negative gradient
     parts, so non-negativity is preserved without projection and exact
-    zeros stay zero. Pass ``iteration`` to tag divergence errors.
+    zeros stay zero. A zero ``lam`` or ``mu`` skips its terms in the W and
+    H updates and in the losses; B and C are updated whenever they are
+    given. Pass ``iteration`` to tag divergence errors.
 
     Returns ``(w, h, b, c, losses)``. ``losses`` is the
     ``(total, reconstruction, guiding, label)`` tuple at the new factors,
@@ -311,10 +322,11 @@ def update_step(
     reuses the ``W^T X`` and ``W^T W`` that the H update forms for the
     final W, so it makes no further pass over X.
 
-    This is the step kernel: ``p`` checked the data, and the kernel does
-    not check the factors against them (``fit_cells`` and ``objective`` do).
-    It checks only that the updated factors stay finite.
+    ``p`` checked the data; the factors and weights are checked against
+    it, as ``fit_cells`` checks them once per batch, so a weight without
+    its data raises ``ValueError``. The updated factors must stay finite.
     """
+    _check_factors(p, w, h, b, c, config.lam, config.mu)
     return _step(p, config, p.x @ h.T, w, h, b, c, iteration)
 
 
@@ -323,7 +335,7 @@ def _step(p: Problem, config: ModelConfig, xht, w, h, b, c, iteration):
     lam, mu, eps = config.lam, config.mu, config.eps
     numer = xht
     denom = w @ (h @ h.T)
-    if p.y is not None:
+    if lam > 0:
         numer = numer + lam * (p.y @ b.T)
         denom = denom + lam * (w @ (b @ b.T))
     w = w * safe_divide(numer, denom, eps)
@@ -333,7 +345,7 @@ def _step(p: Problem, config: ModelConfig, xht, w, h, b, c, iteration):
     wtw = w.T @ w
     numer = wtx
     denom = wtw @ h
-    if p.z is not None:
+    if mu > 0:
         numer = numer + mu * (c.T @ p.llz)
         denom = denom + mu * (c.T @ (p.ll * (c @ h)))
     h = h * safe_divide(numer, denom, eps)
@@ -556,7 +568,9 @@ def save_result(
     with write_batch():
         for name, a in (("w", result.w), ("h", result.h), ("b", result.b),
                         ("c", result.c)):
-            if a is not None:
+            if a is None:  # an earlier fit's factor would load as this one's
+                remove_file(out / f"{name}.csv")
+            else:
                 save_matrix_csv(a, out / f"{name}.csv")
         with write_file(out / "trace.csv") as fh:
             fh.write("iteration,total,reconstruction,guiding,label\n")
@@ -595,7 +609,7 @@ def load_result(result_dir) -> tuple[FactorizationResult, dict]:
     b = load_matrix_csv(root / "b.csv") if (root / "b.csv").is_file() else None
     c = load_matrix_csv(root / "c.csv") if (root / "c.csv").is_file() else None
     trace_path = root / "trace.csv"
-    with open(trace_path, "r", encoding="utf-8") as fh:
+    with open_text(trace_path) as fh:
         if not fh.readline().startswith("iteration,"):
             raise ValueError(f"{trace_path}:1: unexpected header")
         rows = read_rows(fh, trace_path, 5, first=2, ints=(0,))

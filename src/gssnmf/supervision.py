@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Matrix, as_matrix, read_entries, read_json, write_file
+from .linalg import Matrix, as_matrix, open_text, read_entries, read_json, write_file
 from .stemmer import porter_stem
 from .textpipe import Vocabulary, tokenize
 
@@ -140,7 +140,7 @@ def _mask_matrix(n_classes: int, train_ids, test_ids) -> MaskMatrix:
 def load_label_assignments(path) -> dict:
     """Parse a ``doc_id,class1;class2;...`` CSV into an assignments dict."""
     assignments: dict[str, set[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -162,7 +162,7 @@ def load_label_assignments(path) -> dict:
 
 def load_seed_words(path) -> list[str]:
     """Read a seed word file: one word or phrase per line, '#' comments."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         words = read_entries(fh)
     if not words:
         raise ValueError(f"{path}: no seed words found")

@@ -24,7 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import Matrix, as_matrix, read_entries, read_rows, write_file, write_rows
+from .linalg import (
+    Matrix,
+    as_matrix,
+    open_text,
+    read_entries,
+    read_rows,
+    write_file,
+    write_rows,
+)
 from .stemmer import porter_stem
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -52,7 +60,7 @@ def default_stopwords() -> frozenset[str]:
 
 def load_stopwords(path) -> frozenset[str]:
     """Read a stopword file: one token per line, '#' lines are comments."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return frozenset(read_entries(fh))
 
 
@@ -230,7 +238,12 @@ def read_corpus_dir(root) -> list[tuple[str, str]]:
     if not rootp.is_dir():
         raise ValueError(f"corpus directory not found: {root}")
     paths = sorted(rootp.rglob("*.txt"), key=lambda p: p.relative_to(rootp).as_posix())
-    return [(p.relative_to(rootp).as_posix(), p.read_text("utf-8")) for p in paths]
+    return [(p.relative_to(rootp).as_posix(), _read_text(p)) for p in paths]
+
+
+def _read_text(path) -> str:
+    with open_text(path) as fh:
+        return fh.read()
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +287,7 @@ def save_corpus(corpus: CorpusMatrix, path) -> None:
 
 
 def load_corpus(path) -> CorpusMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         first = fh.readline()
         if not first.strip():
             raise CorpusFormatError(f"{path}:1: empty corpus file")
@@ -301,6 +314,8 @@ def load_corpus(path) -> CorpusMatrix:
 
         try:
             data = read_rows(fh, path, cols, rows, first=2)
+        except UnicodeDecodeError:  # open_text names the file
+            raise
         except ValueError as exc:
             raise CorpusFormatError(exc) from None
     try:

@@ -232,6 +232,41 @@ def test_criterion_3_reduction_equivalence(capsys):
                   "reduction equivalence (bitwise, 100 iterations each)", ok)
 
 
+def test_zero_weights_skip_their_terms_bitwise():
+    # Y, Z and L are all given, so B and C exist and update, but a zero
+    # weight leaves its terms out of the W and H rules: the factors are
+    # bitwise those of the loop without that term.
+    rng = np.random.default_rng(3001)
+    d, n, k, s, p = 30, 24, 4, 3, 5
+    iters = 60
+    x = rng.random((d, n))
+    y = np.zeros((d, s))
+    y[rng.choice(d, s, replace=False), np.arange(s)] = 1.0
+    z = np.zeros((p, n))
+    z[rng.integers(0, p, n), np.arange(n)] = 1.0
+    mask = split_mask(n, 0.7, rng_seed=2, n_classes=p)
+
+    def run(lam, mu):
+        config = ModelConfig(rank=k, lam=lam, mu=mu, max_iters=iters, rng_seed=15)
+        start = initial_factors(d, n, config, n_seeds=s, n_classes=p)
+        return fit(x, config, y=y, z=z, l=mask), start
+
+    res, (w0, h0, _, _) = run(0.0, 0.0)
+    w_ref, h_ref = _classical_loop(x, w0, h0, res.config.eps, iters)
+    assert np.array_equal(res.w, w_ref) and np.array_equal(res.h, h_ref)
+
+    res, (w0, h0, b0, _) = run(0.05, 0.0)
+    w_ref, h_ref, b_ref = _guided_loop(x, y, w0, h0, b0, 0.05, res.config.eps, iters)
+    assert np.array_equal(res.w, w_ref) and np.array_equal(res.h, h_ref)
+    assert np.array_equal(res.b, b_ref)
+
+    res, (w0, h0, _, c0) = run(0.0, 0.05)
+    w_ref, h_ref, c_ref = _ssnmf_loop(x, z, mask.l, w0, h0, c0, 0.05,
+                                      res.config.eps, iters)
+    assert np.array_equal(res.w, w_ref) and np.array_equal(res.h, h_ref)
+    assert np.array_equal(res.c, c_ref)
+
+
 # ---------------------------------------------------------------------------
 # 4. Coherence oracle
 # ---------------------------------------------------------------------------

@@ -860,6 +860,15 @@ def _first_column(text):
     return "".join(line.split(",")[0] + "\n" for line in text.splitlines())
 
 
+def _not_utf8(lineno):
+    """An edit putting the byte 0xff, never UTF-8, at the start of line ``lineno``."""
+    def edit(text):
+        lines = text.encode("utf-8").split(b"\n")
+        lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+        return b"\n".join(lines)
+    return edit
+
+
 _COMMANDS = {
     "classify": lambda r: ["classify", r / "model", r / "labels.csv",
                            r / "model" / "mask.json"],
@@ -871,6 +880,9 @@ _COMMANDS = {
                          "--config", r / "config.json"],
     "seeds": lambda r: ["factorize", r / "corpus.txt", "--out", r / "m2", "--rank",
                         "2", "--lambda", "0.1", "--seeds", r / "seeds.txt"],
+    "ingest": lambda r: ["ingest", r / "docs", "--out", r / "c2.txt"],
+    "stopwords": lambda r: ["ingest", r / "docs", "--out", r / "c2.txt",
+                            "--stopwords", r / "seeds.txt"],
 }
 
 # (file, edit, command, line named in the error or None). The corpus has 18
@@ -915,6 +927,18 @@ _MALFORMED = {
     "config-json": ("config.json", lambda t: t.replace("5\n", "5,\n"), "config", 4),
     "seeds-empty": ("seeds.txt", lambda t: "# none\n\n", "seeds", None),
     "labels-row": ("labels.csv", _line(1, "doc00.txt"), "classify", 1),
+    # Bytes that are not UTF-8, one file of each kind.
+    "w-utf8": ("model/w.csv", _not_utf8(3), "coherence", None),
+    "trace-utf8": ("model/trace.csv", _not_utf8(4), "classify", None),
+    "manifest-utf8": ("model/manifest.json", _not_utf8(2), "coherence", None),
+    "mask-utf8": ("model/mask.json", _not_utf8(1), "classify", None),
+    "corpus-utf8": ("corpus.txt", _not_utf8(5), "rank-scan", None),
+    "mean-utf8": ("mean.csv", _not_utf8(2), "plot-heatmap", None),
+    "config-utf8": ("config.json", _not_utf8(1), "config", None),
+    "seeds-utf8": ("seeds.txt", _not_utf8(2), "seeds", None),
+    "stopwords-utf8": ("seeds.txt", _not_utf8(1), "stopwords", None),
+    "labels-utf8": ("labels.csv", _not_utf8(7), "classify", None),
+    "doc-utf8": ("docs/doc03.txt", _not_utf8(1), "ingest", None),
 }
 
 
@@ -924,12 +948,29 @@ def test_malformed_file_exits_2_naming_file_and_line(pristine, tmp_path, capsys,
     root = tmp_path / "ws"
     shutil.copytree(pristine, root)
     path = root / name
-    path.write_text(edit(path.read_text("utf-8")), "utf-8")
+    data = edit(path.read_text("utf-8"))
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
     capsys.readouterr()
     assert main([str(a) for a in _COMMANDS[command](root)]) == 2
     err = capsys.readouterr().err
     where = f"{path}:{line}:" if line else f"{path}:"
     assert err.startswith(f"error: {where}"), err
+
+
+def test_refit_into_a_model_directory_leaves_no_stale_factor(workspace, capsys):
+    corpus, out = str(workspace["corpus_file"]), workspace["root"] / "reused"
+    assert main(["factorize", corpus, "--out", str(out), "--rank", "3",
+                 "--mu", "0.1", "--max-iters", "10", "--seeds", str(workspace["seeds"]),
+                 "--labels", str(workspace["labels"])]) == 0
+    assert {"b.csv", "c.csv", "mask.json"} <= {p.name for p in out.iterdir()}
+    assert main(["factorize", corpus, "--out", str(out), "--rank", "3",
+                 "--max-iters", "10"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "h.csv", "manifest.json", "trace.csv", "w.csv"]
+    capsys.readouterr()
+    assert main(["classify", str(out), str(workspace["labels"]),
+                 str(out / "mask.json")]) == 2
+    assert capsys.readouterr().err == "error: model was not label-supervised\n"
 
 
 def test_load_report_names_the_line_of_a_syntax_error(tmp_path):

@@ -188,6 +188,16 @@ def test_update_step_lambda_zero_matches_plain_rule():
     assert np.array_equal(h1, h_plain)
 
 
+@pytest.mark.parametrize("config, match", [
+    (ModelConfig(rank=2, lam=0.5), "lam > 0 requires a seed matrix Y"),
+    (ModelConfig(rank=2, mu=0.5), "mu > 0 requires a label matrix Z"),
+])
+def test_update_step_rejects_a_weight_without_its_data(config, match):
+    x = np.random.default_rng(0).random((5, 4))
+    with pytest.raises(ValueError, match=match):
+        update_step(Problem(x), config, np.ones((5, 2)), np.ones((2, 4)), None, None)
+
+
 def test_update_step_flags_divergence():
     # a denominator poisoned with an inf input turns the ratio into nan
     w = np.array([[1.0]])

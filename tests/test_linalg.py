@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _rows_oracle import read_rows as read_rows_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -253,6 +254,54 @@ def test_read_rows_fuzz(text, rows, ints):
     _finite_or_named(
         lambda: read_rows(io.StringIO(text), "fuzz.csv", width, rows, 1, ints), "fuzz.csv"
     )
+
+
+def _parsed(parse, text, width, rows, ints):
+    """The dtype, shape and bytes of what ``parse`` reads from ``text``, or
+    its error message."""
+    try:
+        m = parse(io.StringIO(text), "f.csv", width, rows, 1, ints)
+    except ValueError as exc:
+        return str(exc)
+    return m.dtype, m.shape, m.tobytes()
+
+
+# Field text that numpy and float() read alike, read differently, or refuse.
+_FIELDISH = st.text(alphabet="0123456789.,-+eE_ naifxy#\t\r\x0c\x1c\x1f\xa0\u0661\n",
+                    max_size=60)
+_FULL_DIGITS = st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+             min_size=2, max_size=2).map(",".join),
+    min_size=1, max_size=5,
+).map(lambda rows: "\n".join(rows) + "\n")
+# Past one conversion chunk: good rows, then anything.
+_LONG = st.builds(lambda k, tail: "1.25,-0\n" * k + tail,
+                  st.integers(250, 520), st.one_of(_FIELDISH, _FULL_DIGITS))
+
+
+# (width, rows, ints) as the readers declare them, and more.
+_LAYOUTS = [(None, None, ()), (None, None, (0,)), (2, None, ()), (2, None, (1,)),
+            (5, None, (0,)), (2, 1, ()), (2, 3, (0,)), (2, 300, ())]
+
+
+@settings(database=None, deadline=None, max_examples=100)
+@given(text=st.one_of(st.text(), _FIELDISH, _FULL_DIGITS, _LONG),
+       layout=st.sampled_from(_LAYOUTS))
+@example(text="1_0,2\n", layout=(None, None, ()))
+@example(text="\u0661,2\n", layout=(2, 1, ()))
+@example(text="\u0661,2\n", layout=(None, None, (0,)))
+@example(text=" 1, 2\n3 ,4 \n", layout=(2, None, (1,)))
+@example(text="4.9e-324,-4.9e-324\n", layout=(2, 1, ()))
+@example(text="0.12345678901234568,1.7976931348623157e+308\n"
+              "2.2250738585072014e-308,123456789.01234567\n", layout=(None, None, ()))
+@example(text="1,2\n" * 299 + "1,zz\n" + "1,2\n" * 20, layout=(2, None, ()))
+@example(text="1,2\n" * 299 + "1,zz\n" + "1\n", layout=(2, 300, ()))
+@example(text="1,2\n" * 260 + "1.5,zz\n", layout=(None, None, (0,)))
+@example(text="1,\x1c2\n", layout=(None, None, ()))
+@example(text="1,2\r3\n", layout=(None, None, ()))
+def test_read_rows_matches_the_per_field_oracle(text, layout):
+    want = _parsed(read_rows_oracle, text, *layout)
+    assert _parsed(read_rows, text, *layout) == want
 
 
 # --- whole-or-absent writes --------------------------------------------------

@@ -1,10 +1,14 @@
+import itertools
 import math
+import string
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gssnmf.textpipe import (
     CorpusFormatError,
+    CorpusMatrix,
     PipelineParams,
     Vocabulary,
     build_corpus,
@@ -193,6 +197,39 @@ def test_load_corpus_rejects_truncation_and_junk(tmp_path):
     junk.write_text("not a corpus\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="junk.txt:1"):
         load_corpus(junk)
+
+
+def _long_corpus(tmp_path, d=1500, n=40):
+    """A d x n corpus file with many conversion chunks of rows."""
+    terms = ["".join(t) for t in itertools.islice(
+        itertools.product(string.ascii_lowercase, repeat=3), d)]
+    x = np.random.default_rng(0).random((d, n)) + 0.01
+    path = tmp_path / "long.txt"
+    save_corpus(CorpusMatrix(x, Vocabulary(terms), [f"d{j}" for j in range(n)]), path)
+    return path, x
+
+
+def test_load_corpus_holds_one_chunk_of_text_at_a_time(tmp_path):
+    path, x = _long_corpus(tmp_path)
+    tracemalloc.start()
+    try:
+        loaded = load_corpus(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.x, x)
+    # Beyond the matrix, one chunk of rows of text at a time, not the file.
+    assert peak - x.nbytes < 0.5 * path.stat().st_size
+
+
+def test_load_corpus_names_the_file_of_bytes_not_utf8(tmp_path):
+    path, _ = _long_corpus(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[-100] = 0xFF  # past the header, read while the rows are parsed
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte)"
 
 
 def test_load_stopwords_file(tmp_path):

@@ -34,11 +34,9 @@ from .factorization import (
     update_step,
 )
 from .linalg import (
-    DEFAULT_EPS,
     Matrix,
     as_matrix,
     frobenius_sq,
-    safe_divide,
     singular_values,
 )
 from .stemmer import porter_stem
@@ -72,7 +70,6 @@ from .textpipe import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_EPS",
     "CorpusFormatError",
     "CorpusMatrix",
     "EvalReport",
@@ -115,7 +112,6 @@ __all__ = [
     "save_mask",
     "save_report",
     "save_result",
-    "safe_divide",
     "singular_values",
     "split_mask",
     "threshold_predictions",

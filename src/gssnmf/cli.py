@@ -4,7 +4,8 @@ sweep, and plot-heatmap.
 Every command is deterministic given its flags; random choices always
 come from explicit seeds with documented defaults, and output files are
 byte-identical across reruns. A JSON config file (``--config``) may supply
-any flag of its subcommand, with command-line flags taking precedence.
+any flag of its subcommand, with command-line flags taking precedence; its
+values are parsed as the same text given to the flag.
 
 Exit codes: 0 success, 1 runtime or numeric failure, 2 usage or input
 error.
@@ -72,14 +73,12 @@ EXIT_USAGE = 2
 
 
 def _list_parser(kind, what: str):
-    """An argparse type for a comma-separated list, or a config-file list."""
+    """An argparse type for a comma-separated list."""
 
-    def parse(text) -> list:
+    def parse(text: str) -> list:
         try:
-            if isinstance(text, (list, tuple)):
-                return [kind(v) for v in text]
-            return [kind(v) for v in str(text).split(",") if v.strip() != ""]
-        except (TypeError, ValueError):
+            return [kind(v) for v in text.split(",") if v.strip() != ""]
+        except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated {what}, got {text!r}"
             ) from None
@@ -220,7 +219,14 @@ def _test_macro_f1(result, labels, mask):
     return macro_f1(threshold_predictions(ch[:, test], counts), truth)
 
 
+def _check_n_top(n_top: int) -> None:
+    """Coherence scores keyword pairs, so a topic needs two keywords."""
+    if n_top < 2:
+        raise ValueError(f"--n-top must be >= 2, got {n_top}")
+
+
 def run_coherence(args) -> int:
+    _check_n_top(args.n_top)
     result, _ = load_result(args.result_dir)
     corpus = load_corpus(args.corpus_file)
     if result.w.shape[0] != corpus.n_terms:
@@ -228,8 +234,6 @@ def run_coherence(args) -> int:
             f"model has {result.w.shape[0]} term rows but corpus has "
             f"{corpus.n_terms}; corpora mismatch"
         )
-    if args.n_top < 2:
-        raise ValueError(f"--n-top must be >= 2, got {args.n_top}")
     topics, per_topic = _topic_coherences(
         result.w, corpus.vocab, corpus.x != 0, args.n_top
     )
@@ -366,6 +370,7 @@ def _sweep_eval(payload, group):
 def run_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    _check_n_top(args.n_top)
     spec = SweepSpec(
         lambda_grid=args.lambda_grid or [],
         mu_grid=args.mu_grid or [],
@@ -514,14 +519,32 @@ def run_plot_heatmap(args) -> int:
 # Parser and config handling
 # ---------------------------------------------------------------------------
 
-def _add_config_flag(sp):
-    sp.add_argument(
-        "--config",
-        help="JSON file supplying any flag of this command; flags override it",
-    )
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser; ``flags`` maps each argument's dest to its action."""
+
+    def __init__(self, **kwargs):
+        self.flags = {}
+        super().__init__(**kwargs)
+        self.add_argument("--config", help="JSON file supplying any flag of "
+                          "this command; flags override it")
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
+
+def _add_fit_flags(sp):
+    """The fit and split flags ``factorize`` and ``sweep`` share."""
+    sp.add_argument("--max-iters", type=int, default=ModelConfig.max_iters)
+    sp.add_argument("--eps", type=float, default=ModelConfig.eps)
+    sp.add_argument("--tol", type=float, default=ModelConfig.tol,
+                    help="relative objective-change early stop; 0 disables")
+    sp.add_argument("--train-fraction", type=float, default=0.7)
 
 
 def build_parser():
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="gssnmf",
         description=(
@@ -529,8 +552,8 @@ def build_parser():
             "guidance and document-label supervision."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
 
     sp = sub.add_parser("ingest", help="build a tf-idf corpus file from .txt files")
     sp.add_argument("corpus_dir")
@@ -539,17 +562,13 @@ def build_parser():
     sp.add_argument("--min-df", type=float, default=0.0)
     sp.add_argument("--max-features", type=int, default=None)
     sp.add_argument("--stopwords", help="stopword file (one token per line)")
-    _add_config_flag(sp)
     sp.set_defaults(func=run_ingest)
-    commands["ingest"] = sp
 
     sp = sub.add_parser("rank-scan", help="leading singular values of a corpus")
     sp.add_argument("corpus_file")
     sp.add_argument("--out", required=True, help="CSV of (index, singular value)")
     sp.add_argument("--top", type=int, default=20)
-    _add_config_flag(sp)
     sp.set_defaults(func=run_rank_scan)
-    commands["rank-scan"] = sp
 
     sp = sub.add_parser("factorize", help="run the multiplicative-update solver")
     sp.add_argument("corpus_file")
@@ -558,27 +577,19 @@ def build_parser():
     sp.add_argument("--lambda", dest="lam", type=float, default=0.0,
                     help="seed-guidance weight")
     sp.add_argument("--mu", type=float, default=0.0, help="label-supervision weight")
-    sp.add_argument("--max-iters", type=int, default=200)
     sp.add_argument("--rng-seed", type=int, default=0)
-    sp.add_argument("--eps", type=float, default=1e-12)
-    sp.add_argument("--tol", type=float, default=0.0,
-                    help="relative objective-change early stop; 0 disables")
     sp.add_argument("--seeds", help="seed word file")
     sp.add_argument("--labels", help="label assignments CSV")
-    sp.add_argument("--train-fraction", type=float, default=0.7)
     sp.add_argument("--split-seed", type=int, default=0)
-    _add_config_flag(sp)
+    _add_fit_flags(sp)
     sp.set_defaults(func=run_factorize)
-    commands["factorize"] = sp
 
     sp = sub.add_parser("classify", help="score label reconstruction on test columns")
     sp.add_argument("result_dir")
     sp.add_argument("labels_file")
     sp.add_argument("mask_file")
     sp.add_argument("--out", help="report JSON to write")
-    _add_config_flag(sp)
     sp.set_defaults(func=run_classify)
-    commands["classify"] = sp
 
     sp = sub.add_parser("coherence", help="score topic keyword coherence")
     sp.add_argument("result_dir")
@@ -587,9 +598,7 @@ def build_parser():
                     help="keywords per topic entering the score")
     sp.add_argument("--out", help="report JSON to write")
     sp.add_argument("--table", help="plain-text topic table to write")
-    _add_config_flag(sp)
     sp.set_defaults(func=run_coherence)
-    commands["coherence"] = sp
 
     sp = sub.add_parser("sweep", help="grid of (rank, lambda, mu) runs over trials")
     sp.add_argument("corpus_file")
@@ -607,31 +616,24 @@ def build_parser():
     sp.add_argument("--trials", type=int, default=10)
     sp.add_argument("--base-seed", type=int, default=0,
                     help="trial t uses seed base+t for its split and init")
-    sp.add_argument("--train-fraction", type=float, default=0.7)
     sp.add_argument("--metric", choices=("macro_f1", "avg_coherence"),
                     default="macro_f1")
     sp.add_argument("--n-top", type=int, default=30)
-    sp.add_argument("--max-iters", type=int, default=200)
-    sp.add_argument("--eps", type=float, default=1e-12)
-    sp.add_argument("--tol", type=float, default=0.0)
+    _add_fit_flags(sp)
     sp.add_argument("--jobs", type=int, default=1,
                     help="worker processes (>= 1; capped at the number of "
                          "(rank, trial) groups and the CPU count); output is "
                          "identical for any value")
-    _add_config_flag(sp)
     sp.set_defaults(func=run_sweep)
-    commands["sweep"] = sp
 
     sp = sub.add_parser("plot-heatmap", help="SVG heatmap from a sweep mean CSV")
     sp.add_argument("mean_csv")
     sp.add_argument("--out", required=True, help="SVG file to write")
     sp.add_argument("--rank", type=int, default=None,
                     help="rank slice to plot (default: smallest present)")
-    _add_config_flag(sp)
     sp.set_defaults(func=run_plot_heatmap)
-    commands["plot-heatmap"] = sp
 
-    return parser, commands
+    return parser, sub.choices
 
 
 def _apply_config(argv, commands) -> None:
@@ -648,22 +650,21 @@ def _apply_config(argv, commands) -> None:
     if not isinstance(cfg, dict):
         raise ValueError(f"{known.config}: config must be a JSON object")
     sp = commands[cmd]
-    actions = {a.dest: a for a in sp._actions}
     defaults = {}
     for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest == "lambda":
-            dest = "lam"
-        if dest not in actions or dest in ("help", "config"):
+        dest = "lam" if key == "lambda" else key.replace("-", "_")
+        if dest not in sp.flags or dest in ("help", "config"):
             raise ValueError(f"unknown config key '{key}' for command '{cmd}'")
-        action = actions[dest]
-        try:
-            if action.type is not None and value is not None:
-                if isinstance(value, list) and action.type not in (_int_list,
-                                                                   _float_list):
-                    raise ValueError("expected a scalar value")
-                value = action.type(value)
-        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        action = sp.flags[dest]
+        try:  # the value as its flag reads the same text on the command line
+            if isinstance(value, list) and action.type in (_int_list, _float_list):
+                value = ",".join(map(str, value))
+            elif not isinstance(value, (str, int, float)):
+                raise ValueError("expected a scalar value")
+            value = str(value) if action.type is None else action.type(str(value))
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"invalid choice: {value!r}")
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"config key '{key}': {exc}") from None
         defaults[dest] = value
     sp.set_defaults(**defaults)

@@ -39,9 +39,14 @@ Inside ``fit`` the loss costs no pass over X. The H update already forms
 ``W^T X`` and ``W^T W`` for the final W of the iteration; ``update_step``
 reuses both for the loss at the new factors (and ``W^T W`` for the B
 update). What does not change between iterations lives in a ``Problem``,
-the solver's one checked entry for its data, built once per batch: the
-checked X, Y, Z, L and the cached ``||X||_F^2``, ``L o L`` and
-``L o L o Z``. The weights and eps come from each cell's ``ModelConfig``.
+built once per batch: X, Y, Z, L and the cached ``||X||_F^2``, ``L o L``
+and ``L o L o Z``. The weights and eps come from each cell's
+``ModelConfig``.
+
+Each input is checked once, where it enters: a wrapper type checks its
+array when it is constructed, ``Problem`` checks bare arrays and the
+shapes, and ``ModelConfig`` checks the weights and ``eps > 0``. The update
+loop re-checks none of them; it checks only that the new factors are finite.
 
 ``fit_cells`` runs configs that share a start (rank and rng seed) as one
 batch, and ``fit`` is its one-config case. The batch splits the step where
@@ -64,7 +69,6 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import (
-    DEFAULT_EPS,
     Matrix,
     as_matrix,
     frobenius_sq,
@@ -73,7 +77,6 @@ from .linalg import (
     read_json,
     read_rows,
     remove_file,
-    safe_divide,
     save_matrix_csv,
     write_batch,
     write_file,
@@ -91,8 +94,9 @@ class FactorizationError(RuntimeError):
 class ModelConfig:
     """Solver settings: rank, supervision weights, and iteration control.
 
-    ``tol`` is a relative objective-change early stop; zero (the default)
-    runs the full ``max_iters`` budget.
+    ``eps`` is the floor added to every update's denominator. ``tol`` is a
+    relative objective-change early stop; zero (the default) runs the full
+    ``max_iters`` budget.
     """
 
     rank: int
@@ -100,7 +104,7 @@ class ModelConfig:
     mu: float = 0.0
     max_iters: int = 200
     rng_seed: int = 0
-    eps: float = DEFAULT_EPS
+    eps: float = 1e-12
     tol: float = 0.0
 
     def __post_init__(self):
@@ -152,15 +156,12 @@ class FactorizationResult:
         }
 
 
-# The wrapper types hold arrays their builders already validated.
+# The wrapper types check their arrays when they are constructed.
 _WRAPPED = {CorpusMatrix: "x", SeedMatrix: "y", LabelMatrix: "z", MaskMatrix: "l"}
 
 
 def _as_input(a) -> Matrix | None:
-    """The array inside a corpus/seed/label/mask wrapper, else ``as_matrix(a)``.
-
-    None stays None.
-    """
+    """A wrapper's array as it is, else ``as_matrix(a)``; None stays None."""
     if a is None:
         return None
     name = _WRAPPED.get(type(a))
@@ -171,11 +172,12 @@ class Problem:
     """The checked solver data and the terms every iteration reuses.
 
     X (d x n) and the optional Y (d x s), Z and L (p x n, together) may be
-    their wrapper types, whose arrays were checked when built, or anything
-    ``as_matrix`` accepts. This is the one place they are checked, for
-    finite entries and agreeing shapes. ``xx`` (``||X||_F^2``), ``ll``
-    (``L o L``) and ``llz`` (``L o L o Z``) are computed once, here. The
-    weights are not part of it, so one ``Problem`` serves a whole batch.
+    their wrapper types, whose constructors checked their arrays, or
+    anything ``as_matrix`` accepts, which is checked here. This is the one
+    place their shapes are checked against one another. ``xx``
+    (``||X||_F^2``), ``ll`` (``L o L``) and ``llz`` (``L o L o Z``) are
+    computed once, here. The weights are not part of it, so one ``Problem``
+    serves a whole batch.
     """
 
     __slots__ = ("x", "y", "z", "l", "xx", "ll", "llz")
@@ -338,7 +340,7 @@ def _step(p: Problem, config: ModelConfig, xht, w, h, b, c, iteration):
     if lam > 0:
         numer = numer + lam * (p.y @ b.T)
         denom = denom + lam * (w @ (b @ b.T))
-    w = w * safe_divide(numer, denom, eps)
+    w = w * (numer / (denom + eps))
     _check_finite("W", w, iteration)
 
     wtx = w.T @ p.x
@@ -348,15 +350,15 @@ def _step(p: Problem, config: ModelConfig, xht, w, h, b, c, iteration):
     if mu > 0:
         numer = numer + mu * (c.T @ p.llz)
         denom = denom + mu * (c.T @ (p.ll * (c @ h)))
-    h = h * safe_divide(numer, denom, eps)
+    h = h * (numer / (denom + eps))
     _check_finite("H", h, iteration)
 
     if p.y is not None:
-        b = b * safe_divide(w.T @ p.y, wtw @ b, eps)
+        b = b * ((w.T @ p.y) / (wtw @ b + eps))
         _check_finite("B", b, iteration)
 
     if p.z is not None:
-        c = c * safe_divide(p.llz @ h.T, (p.ll * (c @ h)) @ h.T, eps)
+        c = c * ((p.llz @ h.T) / ((p.ll * (c @ h)) @ h.T + eps))
         _check_finite("C", c, iteration)
 
     return w, h, b, c, _losses(p, lam, mu, w, h, b, c, wtx, wtw)

@@ -3,9 +3,9 @@
 Matrices are plain 2-D float64 numpy arrays in C (row-major) order; at the
 corpus sizes this package targets (hundreds by hundreds) dense storage is
 all that is needed. Products and entry-wise operations are numpy's own
-``@`` and ``*``. The helpers here validate input matrices, floor
-denominators, take a leading singular spectrum, write every file whole or
-not at all, and hold the one reader of each text form every file uses.
+``@`` and ``*``. The helpers here check a matrix where it enters
+(``as_matrix``), take a leading singular spectrum, write every file whole
+or not at all, and hold the one reader of each text form every file uses.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from contextvars import ContextVar
 from pathlib import Path
 
 import numpy as np
-
-# Floor added to denominators before division, configurable per call.
-DEFAULT_EPS = 1e-12
 
 # Matrices are bare arrays; the alias documents intent in signatures.
 Matrix = np.ndarray
@@ -35,20 +32,6 @@ def as_matrix(data) -> Matrix:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains NaN or Inf entries")
     return a
-
-
-def safe_divide(numer: Matrix, denom: Matrix, eps: float = DEFAULT_EPS) -> Matrix:
-    """Entry-wise ``numer / (denom + eps)``.
-
-    Finite for any finite non-negative inputs; a zero numerator over a zero
-    denominator yields zero.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if numer.shape != denom.shape:
-        (r1, c1), (r2, c2) = numer.shape, denom.shape
-        raise ValueError(f"safe_divide: shapes differ, {r1}x{c1} vs {r2}x{c2}")
-    return numer / (denom + eps)
 
 
 def frobenius_sq(a: Matrix) -> float:

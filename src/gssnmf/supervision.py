@@ -4,6 +4,9 @@ The seed matrix pins user-chosen words to vocabulary rows, the label
 matrix binary-encodes per-document class sets, and the mask matrix zeroes
 the label term on held-out columns so supervision only acts on training
 documents.
+
+Each wrapper type's constructor converts its array with ``as_matrix``
+(finite, 2-D, C-order float64), so the solver takes it as it is.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ class SeedMatrix:
     seed_words: list[str]
     dropped: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        self.y = as_matrix(self.y)
+
 
 @dataclass
 class LabelMatrix:
@@ -39,6 +45,9 @@ class LabelMatrix:
 
     z: Matrix
     label_names: list[str]
+
+    def __post_init__(self):
+        self.z = as_matrix(self.z)
 
 
 @dataclass
@@ -48,6 +57,9 @@ class MaskMatrix:
     l: Matrix
     train_ids: list[int]
     test_ids: list[int]
+
+    def __post_init__(self):
+        self.l = as_matrix(self.l)
 
 
 def build_seed_matrix(seed_words: list[str], vocab: Vocabulary) -> SeedMatrix:
@@ -74,7 +86,7 @@ def build_seed_matrix(seed_words: list[str], vocab: Vocabulary) -> SeedMatrix:
     y = np.zeros((len(vocab), len(matched)))
     for col, row in enumerate(columns):
         y[row, col] = 1.0
-    return SeedMatrix(as_matrix(y), matched, dropped)
+    return SeedMatrix(y, matched, dropped)
 
 
 def build_label_matrix(assignments: dict, doc_ids: list[str]) -> LabelMatrix:
@@ -100,7 +112,7 @@ def build_label_matrix(assignments: dict, doc_ids: list[str]) -> LabelMatrix:
     for j, doc_id in enumerate(doc_ids):
         for name in assignments[doc_id]:
             z[row[name], j] = 1.0
-    return LabelMatrix(as_matrix(z), label_names)
+    return LabelMatrix(z, label_names)
 
 
 def split_mask(
@@ -130,7 +142,7 @@ def _mask_matrix(n_classes: int, train_ids, test_ids) -> MaskMatrix:
     train_ids, test_ids = sorted(train_ids), sorted(test_ids)
     l = np.zeros((n_classes, len(train_ids) + len(test_ids)))
     l[:, train_ids] = 1.0
-    return MaskMatrix(as_matrix(l), train_ids, test_ids)
+    return MaskMatrix(l, train_ids, test_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Pipeline stages, in order: tokenize, stopword filter (on raw tokens),
 stem, document-frequency filter, vocabulary cap, tf-idf weighting with
 smoothed idf, unit-norm columns. The resulting matrix is terms by
 documents with column order fixed by the caller's document order.
+``CorpusMatrix`` checks its own matrix (finite, non-negative, no empty
+term row), whether it was built, loaded or wrapped by a caller.
 
 Corpus file layout (UTF-8 text): line 1 is a JSON header
 ``{"format": "gssnmf-corpus", "version": 1, "rows": d, "cols": n,
@@ -134,6 +136,7 @@ class CorpusMatrix:
     params: PipelineParams | None = None
 
     def __post_init__(self):
+        self.x = as_matrix(self.x)
         if self.x.shape[0] != len(self.vocab):
             raise ValueError(
                 f"matrix has {self.x.shape[0]} rows but vocabulary has "
@@ -217,7 +220,7 @@ def build_corpus(docs: list[tuple[str, str]], params: PipelineParams) -> CorpusM
             )
         x[:, j] /= norm
 
-    return CorpusMatrix(as_matrix(x), vocab, list(doc_ids), params)
+    return CorpusMatrix(x, vocab, list(doc_ids), params)
 
 
 def doc_token_sets(corpus: CorpusMatrix) -> list[set[str]]:

@@ -1,11 +1,16 @@
+import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+from contextlib import ExitStack, redirect_stderr
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gssnmf import cli
 from gssnmf.cli import main
@@ -1031,3 +1036,189 @@ def test_failed_sweep_leaves_no_new_file(workspace, tmp_path, monkeypatch):
         "--best-by-lambda", str(out_dir / "best.csv")))) == 2
     assert len(calls) == 3
     assert _snapshot(out_dir) == {"sweep.csv": b"old\n"}
+
+
+@pytest.mark.parametrize("command", ["sweep", "coherence"])
+def test_n_top_below_two_exits_2_before_any_input_is_read(
+        pristine, tmp_path, monkeypatch, capsys, command):
+    read = []
+    monkeypatch.setattr(cli, "load_corpus", lambda path: read.append(path))
+    monkeypatch.setattr(cli, "load_result", lambda path: read.append(path))
+    monkeypatch.setattr(cli, "fit_cells", lambda *a, **k: read.append("fit"))
+    out = tmp_path / "sweep.csv"
+    argv = {
+        "sweep": ["sweep", pristine / "corpus.txt", pristine / "labels.csv",
+                  pristine / "seeds.txt", "--out", out, "--ranks", "2",
+                  "--lambda-grid", "0", "--mu-grid", "0", "--trials", "1",
+                  "--metric", "avg_coherence"],
+        "coherence": ["coherence", pristine / "model", pristine / "corpus.txt"],
+    }[command]
+    capsys.readouterr()
+    assert main([str(a) for a in argv] + ["--n-top", "1"]) == 2
+    assert capsys.readouterr().err == "error: --n-top must be >= 2, got 1\n"
+    assert read == [] and not out.exists()
+
+
+# --- config files ----------------------------------------------------------
+
+# Two JSON values for every optional flag of factorize and sweep: a valid
+# one, and one of another JSON type whose text the flag refuses (or, for a
+# file name, takes as text).
+_FLAG_VALUES = {
+    "factorize": {
+        "rank": (3, 2.9), "lambda": (0.25, True), "mu": ("0.5", False),
+        "rng-seed": (4, True), "seeds": ("s.txt", 7), "labels": ("l.csv", 1.5),
+        "split-seed": ("2", 2.0), "max-iters": (7, True), "eps": (1e-9, True),
+        "tol": (0.001, False), "train-fraction": (0.6, True),
+    },
+    "sweep": {
+        "out-mean": ("m.csv", 0), "best-by-lambda": ("b.csv", False),
+        "ranks": ([2, 3], [2.0]), "lambda-grid": ([0, 0.5], [True]),
+        "mu-grid": ("0.1,0.2", [0.1, False]), "trials": (3, 3.0),
+        "base-seed": (5, True), "metric": ("avg_coherence", "f1"), "n-top": (4, 4.5),
+        "max-iters": (7, 7.0), "eps": (1e-9, True), "tol": (0.001, True),
+        "train-fraction": (0.6, True), "jobs": (2, True),
+    },
+}
+# Positionals and the required --out; none reads a file while parsing.
+_BASE_ARGV = {
+    "factorize": ["factorize", "corpus.txt", "--out", "model"],
+    "sweep": ["sweep", "corpus.txt", "labels.csv", "seeds.txt", "--out", "s.csv"],
+}
+_LIST_FLAGS = ("ranks", "lambda-grid", "mu-grid")
+
+
+def _parse(argv):
+    """``main(argv)`` stopped where its command would run.
+
+    Returns the exit code, the parsed arguments but ``config`` and ``func``,
+    and stderr.
+    """
+    got = {}
+
+    def record(args):
+        got.update(vars(args))
+        del got["config"], got["func"]
+        return 0
+
+    err = io.StringIO()
+    with ExitStack() as stack:
+        for name in ("run_factorize", "run_sweep"):
+            stack.enter_context(patch.object(cli, name, record))
+        stack.enter_context(redirect_stderr(err))
+        code = main([str(a) for a in argv])
+    return code, got, err.getvalue()
+
+
+def _cli_text(key, value):
+    """The command-line text a config value stands for, or None if none."""
+    if isinstance(value, list) and key in _LIST_FLAGS:
+        return ",".join(map(str, value))
+    if isinstance(value, (str, int, float)):
+        return str(value)
+    return None
+
+
+def _with_config(tmp_path, command, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), "utf-8")
+    return _parse([*_BASE_ARGV[command], "--config", path])
+
+
+def test_flag_values_cover_every_optional_flag():
+    _, commands = cli.build_parser()
+    for command, values in _FLAG_VALUES.items():
+        flags = {a.option_strings[-1][2:] for a in commands[command].flags.values()
+                 if a.option_strings and not a.required}
+        assert flags - {"help", "config"} == set(values)
+
+
+@pytest.mark.parametrize("command, key, which", [
+    (command, key, which) for command, values in _FLAG_VALUES.items()
+    for key in values for which in ("valid", "other-type")
+])
+def test_config_value_parses_like_the_same_text_as_a_flag(tmp_path, command, key, which):
+    value = _FLAG_VALUES[command][key][which == "other-type"]
+    code, got, err = _with_config(tmp_path, command, {key: value})
+    want_code, want, _ = _parse([*_BASE_ARGV[command],
+                                 f"--{key}={_cli_text(key, value)}"])
+    assert (code, got) == (want_code, want)
+    if code == 0:
+        assert got != _parse(_BASE_ARGV[command])[1]  # the value arrived
+    else:
+        assert err.startswith(f"error: config key '{key}': ")
+    assert code == 0 if which == "valid" else code in (0, 2)
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("factorize", {"rank": 2.9}, "rank"),
+    ("factorize", {"max-iters": True}, "max-iters"),
+    ("sweep", {"ranks": [2.9], "lambda-grid": [0], "mu-grid": [0]}, "ranks"),
+    ("ingest", {"stopwords": ["a"]}, "stopwords"),
+], ids=["rank-float", "max-iters-bool", "ranks-float", "stopwords-list"])
+def test_config_value_the_flag_refuses_exits_2(workspace, capsys, command, cfg, key):
+    path = workspace["root"] / "config.json"
+    path.write_text(json.dumps(cfg), "utf-8")
+    argv = {
+        "factorize": ["factorize", workspace["corpus_file"]],
+        "sweep": ["sweep", workspace["corpus_file"], workspace["labels"],
+                  workspace["seeds"]],
+        "ingest": ["ingest", workspace["corpus_dir"]],
+    }[command]
+    out = workspace["root"] / "out"
+    capsys.readouterr()
+    assert main([str(a) for a in argv] + ["--out", str(out), "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config key '{key}': ")
+    assert not out.exists()
+
+
+def test_config_seeds_value_is_a_file_name(workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seeds": 7}), "utf-8")
+    capsys.readouterr()
+    assert main(["factorize", str(workspace["corpus_file"]), "--out", "m",
+                 "--rank", "2", "--lambda", "0.1", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'7'" in err and "descriptor" not in err
+
+    (tmp_path / "7").write_text("gangx\n", "utf-8")
+    assert main(["factorize", str(workspace["corpus_file"]), "--out", "m",
+                 "--rank", "2", "--lambda", "0.1", "--max-iters", "3",
+                 "--config", str(path)]) == 0
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+# (command, config object of its known keys)
+_CONFIGS = st.sampled_from(sorted(_FLAG_VALUES)).flatmap(lambda command: st.tuples(
+    st.just(command),
+    st.dictionaries(st.sampled_from(sorted(_FLAG_VALUES[command])), _JSON, max_size=3),
+))
+
+
+@given(case=_CONFIGS)
+@example(case=("factorize", {"rank": "3", "lambda": float("nan"), "seeds": True}))
+@example(case=("sweep", {"ranks": "2,3", "metric": "f1", "lambda-grid": [[0]]}))
+def test_config_fuzz_parses_like_flags(tmp_path_factory, case):
+    """A config object of known keys with any JSON values parses, or exits 2
+    naming its key; each value parses as its text does on the command line."""
+    command, cfg = case
+    code, got, err = _with_config(tmp_path_factory.getbasetemp(), command, cfg)
+    texts = {key: _cli_text(key, value) for key, value in cfg.items()}
+    if None in texts.values():
+        assert code == 2 and err.startswith("error: config key '"), err
+        return
+    want_code, want, _ = _parse([*_BASE_ARGV[command],
+                                 *(f"--{key}={text}" for key, text in texts.items())])
+    assert code == want_code
+    if code == 0:
+        assert repr(sorted(got.items())) == repr(sorted(want.items()))
+    else:
+        assert code == 2 and err.startswith("error: config key '"), err

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import asdict
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gssnmf.factorization import (
     top_keywords,
     update_step,
 )
-from gssnmf.supervision import LabelMatrix, SeedMatrix, split_mask
+from gssnmf.supervision import LabelMatrix, MaskMatrix, SeedMatrix, split_mask
 from gssnmf.textpipe import CorpusMatrix, Vocabulary
 
 
@@ -83,6 +84,37 @@ def test_problem_takes_wrapped_arrays_as_they_are():
     assert p.x is x and p.y is y and p.z is z and p.l is mask.l
     assert p.xx == np.vdot(x, x)
     assert np.array_equal(p.llz, mask.l * mask.l * z)
+
+
+_WRAPPERS = {
+    "corpus": lambda a: CorpusMatrix(a, Vocabulary(["aa", "bb"]), ["d0", "d1", "d2"]),
+    "seed": lambda a: SeedMatrix(a, ["aa", "bb", "cc"]),
+    "label": lambda a: LabelMatrix(a, ["a", "b"]),
+    "mask": lambda a: MaskMatrix(a, [0, 1], [2]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", sorted(_WRAPPERS))
+def test_wrapper_types_reject_non_finite_arrays(kind, bad):
+    a = np.ones((2, 3))
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        _WRAPPERS[kind](a)
+
+
+@pytest.mark.parametrize("copy", [np.asfortranarray, lambda a: a.astype(np.float32)],
+                         ids=["fortran", "float32"])
+def test_fit_on_a_wrapped_copy_of_x_equals_fit_on_x(copy):
+    # float32 values, so the float32 copy holds X exactly
+    x = np.random.default_rng(8).random((60, 50)).astype(np.float32).astype(np.float64)
+    terms = ["".join(t) for t in product("abcdefgh", repeat=2)][:60]
+    corpus = CorpusMatrix(copy(x), Vocabulary(terms), [f"d{j}" for j in range(50)])
+    cfg = ModelConfig(rank=4, max_iters=30, rng_seed=1)
+    got, want = fit(corpus, cfg), fit(x, cfg)
+    assert np.array_equal(got.w, want.w) and np.array_equal(got.h, want.h)
+    assert got.objective_trace == want.objective_trace
+    assert got.term_trace == want.term_trace
 
 
 def test_objective_perfect_reconstruction_is_zero():
@@ -186,6 +218,16 @@ def test_update_step_lambda_zero_matches_plain_rule():
     assert np.array_equal(w1, w_plain)
     h_plain = h0 * ((w1.T @ x) / ((w1.T @ w1) @ h0 + eps))
     assert np.array_equal(h1, h_plain)
+
+
+def test_update_step_floors_a_zero_denominator():
+    # The W update divides 1 by a zero denominator, the H update 0 by 0.
+    p = Problem(np.ones((1, 1)))
+    w, h, _, _, losses = update_step(p, ModelConfig(rank=1, eps=1e-12),
+                                     np.zeros((1, 1)), np.ones((1, 1)), None, None)
+    # Without the floor, 0 * (1 / 0) and 1 * (0 / 0) would be nan.
+    assert w[0, 0] == 0.0 and h[0, 0] == 0.0
+    assert losses == (0.5, 0.5, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("config, match", [

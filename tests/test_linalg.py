@@ -1,13 +1,10 @@
 import io
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
 from _rows_oracle import read_rows as read_rows_oracle
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from gssnmf import linalg
 from gssnmf.linalg import (
@@ -17,7 +14,6 @@ from gssnmf.linalg import (
     read_entries,
     read_json,
     read_rows,
-    safe_divide,
     save_matrix_csv,
     singular_values,
     write_batch,
@@ -25,41 +21,11 @@ from gssnmf.linalg import (
     write_rows,
 )
 
-# Hypothesis caches the constants it finds in the source under its home
-# directory, ./.hypothesis by default, even without an example database;
-# the tests below set none.
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "gssnmf-hypothesis")
-
-
 def test_as_matrix_rejects_bad_input():
     with pytest.raises(ValueError, match="2-D"):
         as_matrix([1.0, 2.0])
     with pytest.raises(ValueError, match="NaN or Inf"):
         as_matrix([[1.0, float("nan")]])
-
-
-def test_safe_divide_examples():
-    out = safe_divide(as_matrix([[4.0]]), as_matrix([[2.0]]))
-    assert abs(out[0, 0] - 2.0) < 1e-9 * 2.0
-    assert safe_divide(as_matrix([[0.0]]), as_matrix([[0.0]]), 1e-9)[0, 0] == 0.0
-    out = safe_divide(as_matrix([[1.0]]), as_matrix([[0.0]]), 1e-12)
-    assert np.isfinite(out[0, 0])
-    assert out[0, 0] == pytest.approx(1e12)
-    with pytest.raises(ValueError, match="eps"):
-        safe_divide(as_matrix([[1.0]]), as_matrix([[1.0]]), 0.0)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_safe_divide_always_finite(seed):
-    rng = np.random.default_rng(seed)
-    numer = rng.random((6, 4))
-    denom = rng.random((6, 4))
-    # plant exact zeros in both operands
-    numer[rng.random((6, 4)) < 0.3] = 0.0
-    denom[rng.random((6, 4)) < 0.3] = 0.0
-    out = safe_divide(numer, denom)
-    assert np.all(np.isfinite(out))
-    assert np.all(out >= 0)
 
 
 def test_frobenius_sq():
@@ -233,7 +199,6 @@ def _finite_or_named(load, path):
     assert m.dtype == np.float64 and np.isfinite(m).all()
 
 
-@settings(database=None, deadline=None, max_examples=100)
 @given(text=_ANY_TEXT)
 @example(text="1,2\nnan,0\n")
 @example(text="1\n\n2\n")
@@ -244,7 +209,6 @@ def test_load_matrix_csv_fuzz(tmp_path_factory, text):
     _finite_or_named(lambda: load_matrix_csv(path), path)
 
 
-@settings(database=None, deadline=None, max_examples=100)
 @given(text=_ANY_TEXT, rows=st.sampled_from([None, 1, 3]),
        ints=st.sampled_from([(), (0,)]))
 @example(text="0,inf\n", rows=1, ints=())
@@ -284,7 +248,6 @@ _LAYOUTS = [(None, None, ()), (None, None, (0,)), (2, None, ()), (2, None, (1,))
             (5, None, (0,)), (2, 1, ()), (2, 3, (0,)), (2, 300, ())]
 
 
-@settings(database=None, deadline=None, max_examples=100)
 @given(text=st.one_of(st.text(), _FIELDISH, _FULL_DIGITS, _LONG),
        layout=st.sampled_from(_LAYOUTS))
 @example(text="1_0,2\n", layout=(None, None, ()))

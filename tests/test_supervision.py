@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gssnmf.supervision import (
     build_label_matrix,
@@ -156,6 +158,30 @@ def test_label_assignments_csv(tmp_path):
     bad.write_text("just-a-doc-id\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bad.csv:1"):
         load_label_assignments(bad)
+
+
+# Label rows, well formed or nearly: few characters, most of them separators.
+_LABEL_ROWS = st.lists(
+    st.tuples(st.text("ab #\t", max_size=3), st.text("ab ;,#\t", max_size=6))
+    .map(",".join), max_size=5,
+).map("\n".join)
+
+
+@given(text=st.one_of(st.text(), _LABEL_ROWS))
+@example(text="d1,a;;b\n#c,d\n\n d2 , a \n")
+@example(text="d1,a\rd1,b")
+def test_load_label_assignments_fuzz(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "labels-fuzz.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        got = load_label_assignments(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:")
+        return
+    assert isinstance(got, dict) and got
+    for doc_id, classes in got.items():
+        assert doc_id and doc_id == doc_id.strip() and "," not in doc_id
+        assert classes and all(c and c == c.strip() and ";" not in c for c in classes)
 
 
 def test_seed_words_file(tmp_path):

@@ -4,8 +4,9 @@ sweep, and plot-heatmap.
 Every command is deterministic given its flags; random choices always
 come from explicit seeds with documented defaults, and output files are
 byte-identical across reruns. A JSON config file (``--config``) may supply
-any flag of its subcommand, with command-line flags taking precedence; its
-values are parsed as the same text given to the flag.
+any optional flag of its subcommand, with command-line flags taking
+precedence; its values are parsed as the same text given to the flag. A
+key naming a positional argument or a required flag is an error.
 
 Exit codes: 0 success, 1 runtime or numeric failure, 2 usage or input
 error.
@@ -33,11 +34,11 @@ from .evaluation import (
 from .factorization import (
     FactorizationError,
     ModelConfig,
+    _keywords_by_topic,
     fit,
     fit_cells,
     load_result,
     save_result,
-    top_keywords,
 )
 from .linalg import (
     open_text,
@@ -260,7 +261,7 @@ def _topic_coherences(w, vocab: Vocabulary, present, n_top: int):
 
     ``present`` is the boolean term x document incidence ``X != 0``.
     """
-    topics = [top_keywords(w, vocab, t, n_top) for t in range(w.shape[1])]
+    topics = _keywords_by_topic(w, vocab, n_top)
     scores = [incidence_coherence(kw, present, vocab.term_index) for kw in topics]
     return topics, scores
 
@@ -525,8 +526,8 @@ class _CommandParser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         self.flags = {}
         super().__init__(**kwargs)
-        self.add_argument("--config", help="JSON file supplying any flag of "
-                          "this command; flags override it")
+        self.add_argument("--config", help="JSON file supplying any optional "
+                          "flag of this command; flags override it")
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
@@ -656,6 +657,14 @@ def _apply_config(argv, commands) -> None:
         if dest not in sp.flags or dest in ("help", "config"):
             raise ValueError(f"unknown config key '{key}' for command '{cmd}'")
         action = sp.flags[dest]
+        # A default can neither fill a positional nor satisfy a required flag.
+        if not action.option_strings:
+            raise ValueError(f"config key '{key}' names a positional argument "
+                             f"of '{cmd}'; give it on the command line")
+        if action.required:
+            raise ValueError(f"config key '{key}' names the required flag "
+                             f"{action.option_strings[0]} of '{cmd}'; give it "
+                             "on the command line")
         try:  # the value as its flag reads the same text on the command line
             if isinstance(value, list) and action.type in (_int_list, _float_list):
                 value = ",".join(map(str, value))

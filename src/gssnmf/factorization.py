@@ -38,10 +38,11 @@ are small and keep the direct formula.
 Inside ``fit`` the loss costs no pass over X. The H update already forms
 ``W^T X`` and ``W^T W`` for the final W of the iteration; ``update_step``
 reuses both for the loss at the new factors (and ``W^T W`` for the B
-update). What does not change between iterations lives in a ``Problem``,
-built once per batch: X, Y, Z, L and the cached ``||X||_F^2``, ``L o L``
-and ``L o L o Z``. The weights and eps come from each cell's
-``ModelConfig``.
+update). The loss forms ``H H^T`` for the new H, and the next iteration's
+W update takes it from there instead of forming it again. What does not
+change between iterations lives in a ``Problem``, built once per batch:
+X, Y, Z, L and the cached ``||X||_F^2``, ``L o L`` and ``L o L o Z``. The
+weights and eps come from each cell's ``ModelConfig``.
 
 Each input is checked once, where it enters: a wrapper type checks its
 array when it is constructed, ``Problem`` checks bare arrays and the
@@ -49,14 +50,23 @@ shapes, and ``ModelConfig`` checks the weights and ``eps > 0``. The update
 loop re-checks none of them; it checks only that the new factors are finite.
 
 ``fit_cells`` runs configs that share a start (rank and rng seed) as one
-batch, and ``fit`` is its one-config case. The batch splits the step where
-the W update consumes ``X H^T``: the running cells take theirs as column
-blocks of one stacked product ``X [H_1; ...; H_B]^T``, and the rest of the
-step, ``W^T X`` included, runs per cell. A stacked product is bitwise the
-per-cell products only for some shapes under some BLAS builds, so each
-width is compared ``==`` with the per-cell products before it is used, and
-one mismatch sends the batch back to per-cell products. Every cell's
-factors and traces are therefore bitwise those of its own ``fit``.
+batch, and ``fit`` is its one-config case. The step is split in two where
+its products of X are consumed: the W update takes ``X H^T``, and the H,
+B and C updates and the loss take ``W^T X`` of the new W. Between the
+halves the batch forms each product for all running cells at once
+(``_Products``):
+
+- ``X H^T`` for two or more cells comes as column blocks of one stacked
+  product ``X [H_1; ...; H_B]^T``, and for one cell as ``(H X^T)^T``;
+- ``W^T X`` for two or more cells comes as row blocks of
+  ``(X^T [W_1 ... W_B])^T``, with ``X^T`` a view; for one cell it is
+  ``W^T X``.
+
+These forms sum in another order than the per-cell products ``X H^T``
+and ``W^T X`` for some shapes under some BLAS builds. So each (product,
+width) pair is compared ``==`` with the per-cell products once, on its
+first use, and a pair that mismatches keeps the per-cell products. Every
+cell's factors and traces are therefore bitwise those of its own ``fit``.
 """
 
 from __future__ import annotations
@@ -257,13 +267,16 @@ def objective(
     p = Problem(x, y, z, l)
     w, h, b, c = map(_as_input, (w, h, b, c))
     _check_factors(p, w, h, b, c, lam, mu)
-    return _losses(p, lam, mu, w, h, b, c, w.T @ p.x, w.T @ w)
+    return _losses(p, lam, mu, w, h, b, c, w.T @ p.x, w.T @ w, h @ h.T)
 
 
-def _losses(p: Problem, lam, mu, w, h, b, c, wtx, wtw):
-    """``objective`` at (W, H, B, C), given ``wtx = W^T X`` and ``wtw = W^T W``."""
+def _losses(p: Problem, lam, mu, w, h, b, c, wtx, wtw, hht):
+    """``objective`` at (W, H, B, C), given its products of the factors.
+
+    ``wtx = W^T X``, ``wtw = W^T W`` and ``hht = H H^T``.
+    """
     cross = float(np.vdot(wtx, h))
-    gram = float(np.vdot(wtw, h @ h.T))
+    gram = float(np.vdot(wtw, hht))
     recon = 0.5 * max(0.0, p.xx - 2.0 * cross + gram)
     guide = 0.0
     if lam > 0:
@@ -327,23 +340,36 @@ def update_step(
     ``p`` checked the data; the factors and weights are checked against
     it, as ``fit_cells`` checks them once per batch, so a weight without
     its data raises ``ValueError``. The updated factors must stay finite.
+
+    This runs the two halves of the batch loop's step with the per-cell
+    products ``X H^T``, ``H H^T`` and ``W^T X``.
     """
     _check_factors(p, w, h, b, c, config.lam, config.mu)
-    return _step(p, config, p.x @ h.T, w, h, b, c, iteration)
+    w = _update_w(p, config, p.x @ h.T, h @ h.T, w, b, iteration)
+    h, b, c, losses, _ = _update_hbc(p, config, w.T @ p.x, w, h, b, c, iteration)
+    return w, h, b, c, losses
 
 
-def _step(p: Problem, config: ModelConfig, xht, w, h, b, c, iteration):
-    """``update_step`` with ``X H^T`` supplied by the caller as ``xht``."""
-    lam, mu, eps = config.lam, config.mu, config.eps
+def _update_w(p: Problem, config: ModelConfig, xht, hht, w, b, iteration):
+    """The W rule, given ``xht = X H^T`` and ``hht = H H^T``."""
+    lam = config.lam
     numer = xht
-    denom = w @ (h @ h.T)
+    denom = w @ hht
     if lam > 0:
         numer = numer + lam * (p.y @ b.T)
         denom = denom + lam * (w @ (b @ b.T))
-    w = w * (numer / (denom + eps))
+    w = w * (numer / (denom + config.eps))
     _check_finite("W", w, iteration)
+    return w
 
-    wtx = w.T @ p.x
+
+def _update_hbc(p: Problem, config: ModelConfig, wtx, w, h, b, c, iteration):
+    """The H, B and C rules and the loss, given ``wtx = W^T X`` of the new W.
+
+    Returns ``(h, b, c, losses, hht)``, where ``hht = H H^T`` of the new H
+    is the loss's, for the next W update.
+    """
+    lam, mu, eps = config.lam, config.mu, config.eps
     wtw = w.T @ w
     numer = wtx
     denom = wtw @ h
@@ -361,7 +387,8 @@ def _step(p: Problem, config: ModelConfig, xht, w, h, b, c, iteration):
         c = c * ((p.llz @ h.T) / ((p.ll * (c @ h)) @ h.T + eps))
         _check_finite("C", c, iteration)
 
-    return w, h, b, c, _losses(p, lam, mu, w, h, b, c, wtx, wtw)
+    hht = h @ h.T
+    return h, b, c, _losses(p, lam, mu, w, h, b, c, wtx, wtw, hht), hht
 
 
 def _blocks_equal(stacked, singles) -> bool:
@@ -369,35 +396,57 @@ def _blocks_equal(stacked, singles) -> bool:
     return all(np.array_equal(s, t) for s, t in zip(stacked, singles))
 
 
-class _XHt:
-    """``X H_i^T`` for the H of every running cell of a batch.
+def _xht_blocks(x, hs):
+    """``X H_i^T`` for each H: ``(H X^T)^T`` alone, else ``X [H_1; ...]^T`` split."""
+    if len(hs) == 1:
+        return [(hs[0] @ x.T).T]
+    k = len(hs[0])
+    stacked = x @ np.concatenate(hs).T
+    return [stacked[:, i:i + k] for i in range(0, stacked.shape[1], k)]
 
-    Two or more cells share one stacked product ``X [H_1; ...; H_B]^T``
-    and take its column blocks. BLAS may sum a wider product in another
-    order, so a width is used only after its blocks compared ``==`` with
-    the cells' own products ``X H_i^T``. Until then, and for good after
-    the first mismatch, every cell gets its own product. Cells only leave
-    a batch, so the one width checked last is all there is to remember.
+
+def _wtx_blocks(x, ws):
+    """``W_i^T X`` for each W as blocks of ``(X^T [W_1 ...])^T``; None for one W."""
+    if len(ws) < 2:
+        return None
+    k = ws[0].shape[1]
+    stacked = (x.T @ np.concatenate(ws, axis=1)).T
+    return [stacked[i:i + k] for i in range(0, len(stacked), k)]
+
+
+class _Products:
+    """``X H_i^T`` and ``W_i^T X`` for the factors of every running cell.
+
+    Each product has a reference form per cell (``X H^T``, ``W^T X``) and
+    a faster form for the whole batch (``_xht_blocks``, ``_wtx_blocks``).
+    BLAS may sum the faster form in another order, so a (product, width)
+    pair uses it only after its blocks compared ``==`` with the reference
+    products. That check runs on the pair's first use; until it passed,
+    and for good after a mismatch, every cell gets its reference product.
     """
 
     def __init__(self, x):
         self.x = x
-        self.width = 1
-        self.exact = True
+        self.exact = {}  # (form, width) -> whether the form matched
 
-    def __call__(self, hs):
-        x, width = self.x, len(hs)
-        if self.exact and width == self.width > 1:
-            return np.hsplit(x @ np.vstack(hs).T, width)
-        # Cells that still share an H (all of them, at the start) share its
-        # product.
-        distinct = {id(h): h for h in hs}
-        own = {key: x @ h.T for key, h in distinct.items()}
-        singles = [own[id(h)] for h in hs]
-        if self.exact and width > 1:
-            stacked = np.hsplit(x @ np.vstack(hs).T, width)
-            self.exact = _blocks_equal(stacked, singles)
-            self.width = width
+    def xht(self, hs):
+        return self._products(_xht_blocks, lambda h: self.x @ h.T, hs)
+
+    def wtx(self, ws):
+        return self._products(_wtx_blocks, lambda w: w.T @ self.x, ws)
+
+    def _products(self, form, reference, factors):
+        key = (form, len(factors))
+        if self.exact.get(key):
+            return form(self.x, factors)
+        # Cells that still share a factor (all of them share H at the
+        # start) share its product.
+        distinct = {id(f): f for f in factors}
+        own = {i: reference(f) for i, f in distinct.items()}
+        singles = [own[id(f)] for f in factors]
+        if key not in self.exact:
+            blocks = form(self.x, factors)
+            self.exact[key] = blocks is not None and _blocks_equal(blocks, singles)
         return singles
 
 
@@ -405,29 +454,43 @@ class _XHt:
 class _Cell:
     """One config's state inside a ``fit_cells`` batch.
 
-    ``outcome`` is None while the cell runs, then its result or the
-    ``FactorizationError`` that stopped it.
+    ``hht`` is ``H H^T`` of the current H. ``outcome`` is None while the
+    cell runs, then its result or the ``FactorizationError`` that stopped
+    it.
     """
 
     config: ModelConfig
-    factors: tuple
+    w: Matrix
+    h: Matrix
+    b: Matrix | None
+    c: Matrix | None
+    hht: Matrix
     prev: float = 0.0
     trace: list[float] = field(default_factory=list)
     terms: list[tuple[float, float, float]] = field(default_factory=list)
     outcome: FactorizationResult | FactorizationError | None = None
 
-    def step(self, p: Problem, xht, iteration: int) -> bool:
-        """Iterate once, given ``xht = X H^T``; whether the cell runs on."""
+    def update_w(self, p: Problem, xht, iteration: int) -> bool:
+        """The first half of a step, given ``xht = X H^T``; whether it ran."""
         try:
-            *factors, (total, recon, guide, label) = _step(
-                p, self.config, xht, *self.factors, iteration
+            self.w = _update_w(p, self.config, xht, self.hht, self.w, self.b,
+                               iteration)
+        except FactorizationError as exc:
+            self.outcome = exc
+            return False
+        return True
+
+    def update_hbc(self, p: Problem, wtx, iteration: int) -> bool:
+        """The second half, given ``wtx = W^T X``; whether the cell runs on."""
+        try:
+            self.h, self.b, self.c, (total, *terms), self.hht = _update_hbc(
+                p, self.config, wtx, self.w, self.h, self.b, self.c, iteration
             )
         except FactorizationError as exc:
             self.outcome = exc
             return False
-        self.factors = factors
         self.trace.append(total)
-        self.terms.append((recon, guide, label))
+        self.terms.append(tuple(terms))
         config = self.config
         stop = iteration == config.max_iters
         if config.tol > 0:
@@ -436,7 +499,7 @@ class _Cell:
             self.prev = total
         if stop:
             self.outcome = FactorizationResult(
-                *factors, self.trace, self.terms, config
+                self.w, self.h, self.b, self.c, self.trace, self.terms, config
             )
         return not stop
 
@@ -448,12 +511,13 @@ def fit_cells(
 
     ``configs`` must share ``rank`` and ``rng_seed``, so every cell starts
     from the same W, H, B, C; weights, ``max_iters``, ``eps`` and ``tol``
-    are per cell. Each iteration gives the running cells their ``X H^T``
-    from one stacked product where that is bitwise exact (see ``_XHt``);
-    everything else, ``W^T X`` included, is per cell through the step
-    kernel of ``update_step``. So every cell's factors and traces are
-    bitwise what ``fit`` returns for its config alone. A cell leaves the
-    batch when it meets its ``tol`` or ``max_iters``, or when it diverges.
+    are per cell. Each iteration runs the two halves of the step kernel of
+    ``update_step`` for every running cell, and between them forms the
+    cells' ``X H^T`` and ``W^T X`` together, in the faster forms where they
+    are bitwise exact (see ``_Products``). So every cell's factors and
+    traces are bitwise what ``fit`` returns for its config alone. A cell
+    leaves the batch when it meets its ``tol`` or ``max_iters``, or when it
+    diverges.
 
     Returns one entry per config, in order: its ``FactorizationResult``,
     or the ``FactorizationError`` that stopped it. One ``Problem`` checks
@@ -475,21 +539,25 @@ def fit_cells(
     )
     _check_factors(p, w, h, b, c, max(cfg.lam for cfg in configs),
                    max(cfg.mu for cfg in configs))
-    cells = [_Cell(cfg, (w, h, b, c)) for cfg in configs]
+    hht = h @ h.T
+    cells = [_Cell(cfg, w, h, b, c, hht) for cfg in configs]
     if any(cfg.tol > 0 for cfg in configs):
         wtx, wtw = w.T @ p.x, w.T @ w
         for cell in cells:
             cfg = cell.config
             if cfg.tol > 0:
-                cell.prev = _losses(p, cfg.lam, cfg.mu, w, h, b, c, wtx, wtw)[0]
+                cell.prev = _losses(p, cfg.lam, cfg.mu, w, h, b, c, wtx, wtw, hht)[0]
 
-    xht = _XHt(p.x)
+    products = _Products(p.x)
     running, i = cells, 0
     while running:
         i += 1
-        blocks = xht([cell.factors[1] for cell in running])
-        running = [cell for cell, block in zip(running, blocks)
-                   if cell.step(p, block, i)]
+        xhts = products.xht([cell.h for cell in running])
+        running = [cell for cell, xht in zip(running, xhts)
+                   if cell.update_w(p, xht, i)]
+        wtxs = products.wtx([cell.w for cell in running])
+        running = [cell for cell, wtx in zip(running, wtxs)
+                   if cell.update_hbc(p, wtx, i)]
     return [cell.outcome for cell in cells]
 
 
@@ -510,10 +578,11 @@ def fit(x, config: ModelConfig, *, y=None, z=None, l=None) -> FactorizationResul
     ``config.tol > 0`` the loop stops early once the relative objective
     change drops below it. Deterministic given identical inputs and config.
 
-    ``fit`` is ``fit_cells`` with one config, so its iterations run the
-    products of ``update_step``: ``X H^T`` and ``W^T X``, one each. The
-    inputs are checked once, and one ``Problem`` caches ``||X||_F^2``,
-    ``L o L`` and ``L o L o Z`` for the whole run. Each step's returned
+    ``fit`` is ``fit_cells`` with one config, so each iteration reads X
+    twice, for ``X H^T`` (as ``(H X^T)^T`` once that proved bitwise equal)
+    and for ``W^T X``, and forms ``H H^T`` once. The inputs are checked
+    once, and one ``Problem`` caches ``||X||_F^2``, ``L o L`` and
+    ``L o L o Z`` for the whole run. Each step's returned
     loss becomes the trace entry. The loss at the initial factors is
     evaluated only when ``tol > 0`` needs it.
     """
@@ -528,7 +597,17 @@ def top_keywords(w, vocab: Vocabulary, topic: int, n_top: int) -> list[str]:
 
     Descending weight, ties broken lexicographically.
     """
+    return _top_keywords(as_matrix(w), vocab, topic, n_top)
+
+
+def _keywords_by_topic(w, vocab: Vocabulary, n_top: int) -> list[list[str]]:
+    """``top_keywords`` of every topic column of W, which is checked once."""
     w = as_matrix(w)
+    return [_top_keywords(w, vocab, t, n_top) for t in range(w.shape[1])]
+
+
+def _top_keywords(w: Matrix, vocab: Vocabulary, topic: int, n_top: int):
+    """``top_keywords`` of a W that ``as_matrix`` already checked."""
     d, k = w.shape
     if not 0 <= topic < k:
         raise ValueError(f"topic index {topic} out of range for {k} topics")

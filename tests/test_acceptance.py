@@ -267,6 +267,29 @@ def test_zero_weights_skip_their_terms_bitwise():
     assert np.array_equal(res.c, c_ref)
 
 
+def test_reference_products_alone_equal_the_reference_loop(monkeypatch):
+    # Every faster product form failing its check leaves fit on the
+    # per-cell products X H^T and W^T X, still bitwise the listed rules.
+    from gssnmf import factorization
+
+    monkeypatch.setattr(factorization, "_blocks_equal", lambda *blocks: False)
+    rng = np.random.default_rng(3002)
+    d, n, k, s, p = 30, 24, 4, 3, 5
+    x = rng.random((d, n))
+    y = np.zeros((d, s))
+    y[rng.choice(d, s, replace=False), np.arange(s)] = 1.0
+    z = np.zeros((p, n))
+    z[rng.integers(0, p, n), np.arange(n)] = 1.0
+    mask = split_mask(n, 0.7, rng_seed=3, n_classes=p)
+    config = ModelConfig(rank=k, lam=0.05, mu=0.05, max_iters=60, rng_seed=16)
+    res = fit(x, config, y=y, z=z, l=mask)
+    start = initial_factors(d, n, config, n_seeds=s, n_classes=p)
+    want = _gssnmf_loop(x, y, z, mask.l, *start, config.lam, config.mu,
+                        config.eps, config.max_iters)
+    for got, ref in zip((res.w, res.h, res.b, res.c), want):
+        assert np.array_equal(got, ref)
+
+
 # ---------------------------------------------------------------------------
 # 4. Coherence oracle
 # ---------------------------------------------------------------------------

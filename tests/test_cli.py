@@ -375,6 +375,28 @@ def test_coherence_rank_one_average_equals_single_topic(workspace):
     assert report.avg_coherence == report.per_topic_coherence[0]
 
 
+def test_coherence_checks_w_once(workspace, monkeypatch):
+    from gssnmf import linalg
+
+    out = workspace["root"] / "model6"
+    assert main(["factorize", str(workspace["corpus_file"]), "--out", str(out),
+                 "--rank", "3", "--max-iters", "10"]) == 0
+    w_shape = load_result(out)[0].w.shape
+    real, shapes = linalg.as_matrix, []
+
+    def counting(a):
+        got = real(a)
+        shapes.append(got.shape)
+        return got
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gssnmf.") and hasattr(module, "as_matrix"):
+            monkeypatch.setattr(module, "as_matrix", counting)
+    assert main(["coherence", str(out), str(workspace["corpus_file"]),
+                 "--n-top", "4"]) == 0
+    assert shapes.count(w_shape) == 1
+
+
 @pytest.mark.parametrize("rows", ["negative", "vocab+2"])
 def test_corpus_header_shape_mismatch_exits_2_naming_line_1(
     workspace, tmp_path, capsys, rows
@@ -436,6 +458,34 @@ def test_config_file_rejects_unknown_keys(workspace, capsys):
                  "--config", str(config_path)])
     assert code == 2
     assert "unknown config key 'wat'" in capsys.readouterr().err
+
+
+def test_config_file_rejects_a_positional_key(workspace, capsys):
+    # A default would never fill the positional: the command line's
+    # corpus file would be fitted and the key silently ignored.
+    config_path = workspace["root"] / "positional.json"
+    config_path.write_text(json.dumps({
+        "corpus-file": "nonexistent.txt", "rank": 2, "max-iters": 2,
+    }), "utf-8")
+    out = workspace["root"] / "positional"
+    code = main(["factorize", str(workspace["corpus_file"]), "--out", str(out),
+                 "--config", str(config_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'corpus-file' names a positional")
+    assert not out.exists()
+
+
+def test_config_file_rejects_a_required_flag_key(workspace, capsys):
+    # A default does not satisfy argparse's required check, so the key
+    # could never stand in for --out.
+    config_path = workspace["root"] / "required.json"
+    config_path.write_text(json.dumps({"out": "m", "rank": 2}), "utf-8")
+    code = main(["factorize", str(workspace["corpus_file"]),
+                 "--config", str(config_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'out' names the required flag --out")
 
 
 def test_config_file_rejects_bad_values(workspace, capsys):

@@ -452,20 +452,26 @@ def test_fit_cells_equal_standalone_fit(d, n, density, rank, iters):
         _assert_same_fit(got, fit(x, config, y=y, z=z, l=mask))
 
 
+def _product_name(blocks, x):
+    """Which product a list of blocks of a batch holds: X H^T is d x k."""
+    return "xht" if blocks[0].shape[0] == x.shape[0] else "wtx"
+
+
 def test_fit_cells_without_stacking_still_equal_fit(monkeypatch):
     x, y, z, mask = _labelled_problem(8, 60, 50)
     checked = []
 
     def mismatch(stacked, singles):
-        checked.append(len(stacked))
+        checked.append((_product_name(stacked, x), len(stacked)))
         return False
 
     monkeypatch.setattr(factorization, "_blocks_equal", mismatch)
     configs = [ModelConfig(rank=3, lam=lam, mu=mu, max_iters=12, rng_seed=2)
                for lam, mu in _GRID]
     results = fit_cells(x, configs, y=y, z=z, l=mask)
-    # one check, on the first iteration; every cell runs alone after it
-    assert checked == [4]
+    # One check per (product, width), on the first iteration; after them
+    # every cell runs on its own products.
+    assert checked == [("xht", 4), ("wtx", 4)]
     for got, config in zip(results, configs):
         _assert_same_fit(got, fit(x, config, y=y, z=z, l=mask))
 
@@ -476,8 +482,8 @@ def test_fit_cells_stop_each_cell_on_its_own(monkeypatch):
     real = factorization._blocks_equal
 
     def spy(stacked, singles):
-        checks.append((len(stacked), real(stacked, singles)))
-        return checks[-1][1]
+        checks.append((_product_name(stacked, x), len(stacked)))
+        return real(stacked, singles)
 
     monkeypatch.setattr(factorization, "_blocks_equal", spy)
     configs = [
@@ -489,13 +495,40 @@ def test_fit_cells_stop_each_cell_on_its_own(monkeypatch):
     results = fit_cells(x, configs, y=y, z=z, l=mask)
     stops = [r.iterations for r in results]
     assert len(set(stops)) == 4 and stops[0] == 60
-    # Each width the batch ran at was checked once before use, widest
-    # first, until a check failed and the cells went on alone.
-    widths, passed = zip(*checks)
-    assert widths == (4, 3, 2)[: len(checks)]
-    assert all(passed[:-1]) and (len(checks) == 3 or not passed[-1])
+    # Each (product, width) pair the batch ran at was checked once, on its
+    # first use, whatever the earlier checks found. One W^T X has no other
+    # form, so it has no check.
+    assert checks == [("xht", 4), ("wtx", 4), ("xht", 3), ("wtx", 3),
+                      ("xht", 2), ("wtx", 2), ("xht", 1)]
     for got, config in zip(results, configs):
         _assert_same_fit(got, fit(x, config, y=y, z=z, l=mask))
+
+
+def test_fit_cells_use_stacked_wtx_once_its_width_passed(monkeypatch):
+    x, y, z, mask = _labelled_problem(10, 40, 30)
+    real_blocks, real_update = factorization._wtx_blocks, factorization._update_hbc
+    formed, consumed = [], []
+
+    def form(x, ws):
+        formed.append(real_blocks(x, ws))
+        return formed[-1]
+
+    def update(p, config, wtx, *rest):
+        consumed.append(wtx)
+        return real_update(p, config, wtx, *rest)
+
+    monkeypatch.setattr(factorization, "_wtx_blocks", form)
+    monkeypatch.setattr(factorization, "_update_hbc", update)
+    monkeypatch.setattr(factorization, "_blocks_equal", lambda *blocks: True)
+    configs = [ModelConfig(rank=3, lam=lam, mu=mu, max_iters=6, rng_seed=1)
+               for lam, mu in _GRID]
+    fit_cells(x, configs, y=y, z=z, l=mask)
+    # Formed for the check on the first iteration, whose cells consume
+    # their own products, then consumed on each of the other five.
+    assert [len(blocks) for blocks in formed] == [4] * 6
+    assert not any(a is b for a in consumed[:4] for b in formed[0])
+    assert all(a is b for a, b in zip(consumed[4:], sum(formed[1:], [])))
+    assert len(consumed) == 4 * 6
 
 
 def test_fit_cells_diverging_cell_leaves_the_batch():

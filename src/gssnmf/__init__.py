@@ -7,13 +7,11 @@ co-occurrence coherence measure. The ``gssnmf`` command line wires the
 pieces together, including (lambda, mu) grid sweeps.
 """
 
-from .cli import SweepSpec
 from .evaluation import (
     EvalReport,
     avg_coherence,
     coherence,
     incidence_coherence,
-    load_report,
     macro_f1,
     save_report,
     threshold_predictions,
@@ -26,7 +24,6 @@ from .factorization import (
     Problem,
     fit,
     fit_cells,
-    initial_factors,
     load_result,
     objective,
     save_result,
@@ -58,7 +55,6 @@ from .textpipe import (
     PipelineParams,
     Vocabulary,
     build_corpus,
-    default_stopwords,
     doc_token_sets,
     load_corpus,
     load_stopwords,
@@ -82,7 +78,6 @@ __all__ = [
     "Problem",
     "PipelineParams",
     "SeedMatrix",
-    "SweepSpec",
     "Vocabulary",
     "as_matrix",
     "avg_coherence",
@@ -91,16 +86,13 @@ __all__ = [
     "build_seed_matrix",
     "coherence",
     "incidence_coherence",
-    "default_stopwords",
     "doc_token_sets",
     "fit",
     "fit_cells",
     "frobenius_sq",
-    "initial_factors",
     "load_corpus",
     "load_label_assignments",
     "load_mask",
-    "load_report",
     "load_result",
     "load_seed_words",
     "load_stopwords",

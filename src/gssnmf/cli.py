@@ -8,8 +8,8 @@ any optional flag of its subcommand, with command-line flags taking
 precedence; its values are parsed as the same text given to the flag. A
 key naming a positional argument or a required flag is an error.
 
-Exit codes: 0 success, 1 runtime or numeric failure, 2 usage or input
-error.
+Exit codes: 0 success, 1 runtime, numeric or out-of-memory failure, 2
+usage or input error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -268,57 +268,6 @@ def _topic_coherences(w, vocab: Vocabulary, present, n_top: int):
 
 # --- sweep ------------------------------------------------------------------
 
-@dataclass
-class SweepSpec:
-    """Grid axes and trial plan for a sweep run.
-
-    Trial ``t`` derives its split and initialization seed as
-    ``base_rng_seed + t``, so any cell can be reproduced in isolation.
-    """
-
-    lambda_grid: list[float]
-    mu_grid: list[float]
-    ranks: list[int]
-    trials: int
-    base_rng_seed: int
-    train_fraction: float
-    metric: str
-
-    def __post_init__(self):
-        if not self.ranks or not self.lambda_grid or not self.mu_grid:
-            raise ValueError(
-                "--ranks, --lambda-grid, and --mu-grid must be non-empty"
-            )
-        if not all(0 <= v < float("inf") for v in self.lambda_grid + self.mu_grid):
-            raise ValueError("grid values must be finite and >= 0")
-        if any(r < 1 for r in self.ranks):
-            raise ValueError("ranks must be >= 1")
-        if self.trials < 1:
-            raise ValueError(f"--trials must be >= 1, got {self.trials}")
-        if self.metric not in ("macro_f1", "avg_coherence"):
-            raise ValueError(f"unknown metric '{self.metric}'")
-
-    def cells(self):
-        return [
-            (rank, lam, mu, trial)
-            for rank in sorted(self.ranks)
-            for lam in sorted(self.lambda_grid)
-            for mu in sorted(self.mu_grid)
-            for trial in range(self.trials)
-        ]
-
-    def groups(self):
-        """The cells as ``(rank, trial, [(lam, mu), ...])`` groups.
-
-        The cells of one group share their split and their initial factors,
-        so they run as one ``fit_cells`` batch.
-        """
-        groups: dict[tuple, list] = {}
-        for rank, lam, mu, trial in self.cells():
-            groups.setdefault((rank, trial), []).append((lam, mu))
-        return [(rank, trial, weights) for (rank, trial), weights in groups.items()]
-
-
 _WORKER_PAYLOAD = {}
 
 
@@ -372,15 +321,15 @@ def run_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     _check_n_top(args.n_top)
-    spec = SweepSpec(
-        lambda_grid=args.lambda_grid or [],
-        mu_grid=args.mu_grid or [],
-        ranks=args.ranks or [],
-        trials=args.trials,
-        base_rng_seed=args.base_seed,
-        train_fraction=args.train_fraction,
-        metric=args.metric,
-    )
+    lams, mus, ranks = args.lambda_grid, args.mu_grid, args.ranks
+    if not ranks or not lams or not mus:
+        raise ValueError("--ranks, --lambda-grid, and --mu-grid must be non-empty")
+    if not all(0 <= v < float("inf") for v in lams + mus):
+        raise ValueError("grid values must be finite and >= 0")
+    if any(r < 1 for r in ranks):
+        raise ValueError("ranks must be >= 1")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     # The settings every cell shares, checked before anything is read; each
     # cell sets its own rank, weights and seed.
     shared = ModelConfig(rank=1, max_iters=args.max_iters, eps=args.eps, tol=args.tol)
@@ -395,13 +344,16 @@ def run_sweep(args) -> int:
         "labels": labels,
         # One byte per entry; every cell reads its keywords' rows.
         "present": corpus.x != 0,
-        "train_fraction": spec.train_fraction,
-        "base_seed": spec.base_rng_seed,
-        "metric": spec.metric,
+        "train_fraction": args.train_fraction,
+        "base_seed": args.base_seed,
+        "metric": args.metric,
         "n_top": args.n_top,
         "config": shared,
     }
-    groups = spec.groups()
+    # One fit_cells batch per (rank, trial): its cells share their split and
+    # their initial factors.
+    groups = [(rank, trial, [(lam, mu) for lam in sorted(lams) for mu in sorted(mus)])
+              for rank in sorted(ranks) for trial in range(args.trials)]
     workers = min(args.jobs, len(groups), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: the pool machinery would slow every command's start.
@@ -691,6 +643,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FactorizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -287,7 +287,7 @@ def _losses(p: Problem, lam, mu, w, h, b, c, wtx, wtw, hht):
     return recon + guide + label, recon, guide, label
 
 
-def initial_factors(
+def _initial_factors(
     d: int,
     n: int,
     config: ModelConfig,
@@ -531,7 +531,7 @@ def fit_cells(
     if any((c.rank, c.rng_seed) != (first.rank, first.rng_seed) for c in configs):
         raise ValueError("configs of one batch must share rank and rng_seed")
     p = Problem(x, y, z, l)
-    w, h, b, c = initial_factors(
+    w, h, b, c = _initial_factors(
         *p.x.shape,
         first,
         n_seeds=None if p.y is None else p.y.shape[1],

@@ -54,7 +54,7 @@ def tokenize(raw: str) -> list[str]:
     return [t for t in _TOKEN_RE.findall(raw.lower()) if t.isalpha()]
 
 
-def default_stopwords() -> frozenset[str]:
+def _default_stopwords() -> frozenset[str]:
     """The stopword list shipped with the package."""
     text = resources.files("gssnmf").joinpath("data/stopwords_en.txt").read_text("utf-8")
     return frozenset(read_entries(text.splitlines()))
@@ -71,7 +71,7 @@ class Vocabulary:
     """Ordered stemmed terms and their row positions."""
 
     terms: list[str]
-    term_index: dict[str, int] = field(default_factory=dict)
+    term_index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
         if not self.terms:
@@ -81,8 +81,7 @@ class Vocabulary:
                 raise ValueError(f"invalid vocabulary term {t!r}")
         if len(set(self.terms)) != len(self.terms):
             raise ValueError("vocabulary terms must be unique")
-        if not self.term_index:
-            self.term_index = {t: i for i, t in enumerate(self.terms)}
+        self.term_index = {t: i for i, t in enumerate(self.terms)}
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -121,7 +120,7 @@ class PipelineParams:
         if self.max_features is not None and self.max_features < 1:
             raise ValueError(f"max_features must be >= 1, got {self.max_features}")
         if self.stopwords is None:
-            self.stopwords = default_stopwords()
+            self.stopwords = _default_stopwords()
         else:
             self.stopwords = frozenset(self.stopwords)
 

@@ -27,13 +27,13 @@ from gssnmf import (
     build_seed_matrix,
     coherence,
     fit,
-    initial_factors,
     macro_f1,
     objective,
     split_mask,
     threshold_predictions,
 )
 from gssnmf.cli import main as cli_main
+from gssnmf.factorization import _initial_factors as initial_factors
 
 
 def _announce(capsys, num, name, ok, detail=""):

@@ -13,9 +13,9 @@ from gssnmf.factorization import (
     FactorizationResult,
     ModelConfig,
     Problem,
+    _initial_factors,
     fit,
     fit_cells,
-    initial_factors,
     load_result,
     objective,
     save_result,
@@ -640,8 +640,8 @@ def test_result_round_trip(tmp_path):
 
 def test_initial_factors_draw_order_is_stable():
     cfg = ModelConfig(rank=2, rng_seed=77)
-    w1, h1, b1, c1 = initial_factors(5, 4, cfg, n_seeds=3, n_classes=2)
-    w2, h2, _, _ = initial_factors(5, 4, cfg)
+    w1, h1, b1, c1 = _initial_factors(5, 4, cfg, n_seeds=3, n_classes=2)
+    w2, h2, _, _ = _initial_factors(5, 4, cfg)
     # W and H coincide whether or not B, C are drawn afterwards
     assert np.array_equal(w1, w2) and np.array_equal(h1, h2)
     assert b1.shape == (2, 3) and c1.shape == (2, 2)

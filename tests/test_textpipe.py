@@ -11,8 +11,8 @@ from gssnmf.textpipe import (
     CorpusMatrix,
     PipelineParams,
     Vocabulary,
+    _default_stopwords,
     build_corpus,
-    default_stopwords,
     doc_token_sets,
     load_corpus,
     load_stopwords,
@@ -34,13 +34,13 @@ def test_tokenize_examples():
 
 
 def test_default_stopwords_contains_standard_entries():
-    stop = default_stopwords()
+    stop = _default_stopwords()
     for w in ("the", "and", "was", "a", "t", "don"):
         assert w in stop
 
 
 def test_preprocess_filters_stopwords_before_stemming():
-    stop = default_stopwords()
+    stop = _default_stopwords()
     assert preprocess("was running the robbery", stop) == ["run", "robberi"]
 
 
@@ -51,6 +51,16 @@ def test_vocabulary_invariants():
         Vocabulary(["a", "a"])
     with pytest.raises(ValueError, match="invalid"):
         Vocabulary(["ok", "no1"])
+
+
+def test_vocabulary_term_index_is_derived_from_terms():
+    # A caller-supplied index could name the wrong rows; it is not accepted.
+    with pytest.raises(TypeError):
+        Vocabulary(["b", "a"], {"a": 0, "b": 1})
+    with pytest.raises(TypeError):
+        Vocabulary(["b", "a"], term_index={"a": 0, "b": 1})
+    v = Vocabulary(["b", "a"])
+    assert v.term_index == {"b": 0, "a": 1} and v.index("b") == 0
 
 
 def test_pipeline_params_validation():

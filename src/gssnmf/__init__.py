@@ -21,14 +21,11 @@ from .factorization import (
     FactorizationError,
     FactorizationResult,
     ModelConfig,
-    Problem,
     fit,
     fit_cells,
     load_result,
-    objective,
     save_result,
     top_keywords,
-    update_step,
 )
 from .linalg import (
     Matrix,
@@ -75,7 +72,6 @@ __all__ = [
     "MaskMatrix",
     "Matrix",
     "ModelConfig",
-    "Problem",
     "PipelineParams",
     "SeedMatrix",
     "Vocabulary",
@@ -97,7 +93,6 @@ __all__ = [
     "load_seed_words",
     "load_stopwords",
     "macro_f1",
-    "objective",
     "porter_stem",
     "read_corpus_dir",
     "save_corpus",
@@ -110,5 +105,4 @@ __all__ = [
     "tokenize",
     "top_keywords",
     "topics_table",
-    "update_step",
 ]

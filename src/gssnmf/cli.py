@@ -328,12 +328,28 @@ def run_sweep(args) -> int:
         raise ValueError("grid values must be finite and >= 0")
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be >= 1")
+    # A repeated value would run its cells again and write their rows twice.
+    for flag, values in (("--ranks", ranks), ("--lambda-grid", lams),
+                         ("--mu-grid", mus)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{flag} must not repeat a value, got {values}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if not 0 < args.train_fraction < 1:
+        raise ValueError("--train-fraction must be in (0, 1), "
+                         f"got {args.train_fraction}")
     # The settings every cell shares, checked before anything is read; each
     # cell sets its own rank, weights and seed.
     shared = ModelConfig(rank=1, max_iters=args.max_iters, eps=args.eps, tol=args.tol)
     corpus = load_corpus(args.corpus_file)
+    # What would fail every cell fails here, once, before any fit.
+    limit = min(corpus.x.shape)
+    if max(ranks) > limit:
+        raise ValueError(f"--ranks must be <= min(terms, documents) = {limit} of "
+                         f"{args.corpus_file}, got {max(ranks)}")
+    if args.metric == "avg_coherence" and args.n_top > corpus.n_terms:
+        raise ValueError(f"--n-top must be <= the {corpus.n_terms} terms of "
+                         f"{args.corpus_file}, got {args.n_top}")
     seeds = build_seed_matrix(load_seed_words(args.seeds_file), corpus.vocab)
     assignments = load_label_assignments(args.labels_file)
     labels = build_label_matrix(assignments, corpus.doc_ids)

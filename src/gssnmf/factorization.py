@@ -22,6 +22,8 @@ factors already updated earlier in the same iteration:
     B <- B o (W^T Y) / (W^T W B)
     C <- C o ((L o L o Z) H^T) / ((L o L o C H) H^T)
 
+Each rule multiplies its factor by a ratio of non-negative parts, so the
+factors stay non-negative without projection and exact zeros stay zero.
 Denominators get a small ``eps`` floor before dividing. Triple products
 are grouped Gram-first, e.g. ``W (H H^T)`` and ``(W^T W) H``; the
 reduction equivalences above hold bitwise only under this grouping.
@@ -35,19 +37,21 @@ Cancellation can leave the expansion a few ulps below zero on a near-exact
 fit, so it is clamped at zero. The guiding (d x s) and label (p x n) terms
 are small and keep the direct formula.
 
-Inside ``fit`` the loss costs no pass over X. The H update already forms
-``W^T X`` and ``W^T W`` for the final W of the iteration; ``update_step``
-reuses both for the loss at the new factors (and ``W^T W`` for the B
-update). The loss forms ``H H^T`` for the new H, and the next iteration's
-W update takes it from there instead of forming it again. What does not
-change between iterations lives in a ``Problem``, built once per batch:
-X, Y, Z, L and the cached ``||X||_F^2``, ``L o L`` and ``L o L o Z``. The
-weights and eps come from each cell's ``ModelConfig``.
+The loss costs no pass over X. The H update already forms ``W^T X`` and
+``W^T W`` for the final W of the iteration; the loss at the new factors
+reuses both (and the B update ``W^T W``). The loss forms ``H H^T`` for
+the new H, and the next iteration's W update takes it from there instead
+of forming it again. What does not change between iterations lives in a
+``_Problem``, built once per batch: X, Y, Z, L and the cached
+``||X||_F^2``, ``L o L`` and ``L o L o Z``. The weights and eps come from
+each cell's ``ModelConfig``.
 
 Each input is checked once, where it enters: a wrapper type checks its
-array when it is constructed, ``Problem`` checks bare arrays and the
-shapes, and ``ModelConfig`` checks the weights and ``eps > 0``. The update
-loop re-checks none of them; it checks only that the new factors are finite.
+array when it is constructed, ``_Problem`` checks bare arrays and the
+shapes, and ``ModelConfig`` checks the weights and ``eps > 0``.
+``fit_cells`` draws W, H, B and C itself from those shapes, so no factor
+enters from outside. The update loop re-checks nothing; it checks only
+that the new factors are finite.
 
 ``fit_cells`` runs configs that share a start (rank and rng seed) as one
 batch, and ``fit`` is its one-config case. The step is split in two where
@@ -178,7 +182,7 @@ def _as_input(a) -> Matrix | None:
     return as_matrix(a) if name is None else getattr(a, name)
 
 
-class Problem:
+class _Problem:
     """The checked solver data and the terms every iteration reuses.
 
     X (d x n) and the optional Y (d x s), Z and L (p x n, together) may be
@@ -186,7 +190,7 @@ class Problem:
     anything ``as_matrix`` accepts, which is checked here. This is the one
     place their shapes are checked against one another. ``xx``
     (``||X||_F^2``), ``ll`` (``L o L``) and ``llz`` (``L o L o Z``) are
-    computed once, here. The weights are not part of it, so one ``Problem``
+    computed once, here. The weights are not part of it, so one ``_Problem``
     serves a whole batch.
     """
 
@@ -212,67 +216,11 @@ class Problem:
         self.llz = None if z is None else self.ll * z
 
 
-def _check_factors(p: Problem, w, h, b, c, lam, mu):
-    """Check W, H, B, C and the weights lam, mu against the data of ``p``."""
-    d, n = p.x.shape
-    if w.shape[0] != d or h.shape[1] != n or w.shape[1] != h.shape[0]:
-        raise ValueError(
-            "reconstruction term: X is "
-            f"{d}x{n} but W is {w.shape[0]}x{w.shape[1]} and "
-            f"H is {h.shape[0]}x{h.shape[1]}"
-        )
-    k = w.shape[1]
-    if lam > 0 and p.y is None:
-        raise ValueError("guiding term: lam > 0 requires a seed matrix Y")
-    if (p.y is None) != (b is None):
-        raise ValueError("guiding term: Y and B must be supplied together")
-    if b is not None and b.shape != (k, p.y.shape[1]):
-        raise ValueError(
-            f"guiding term: B is {b.shape[0]}x{b.shape[1]}, "
-            f"expected {k}x{p.y.shape[1]}"
-        )
-    if mu > 0 and p.z is None:
-        raise ValueError("label term: mu > 0 requires a label matrix Z and a mask L")
-    if (p.z is None) != (c is None):
-        raise ValueError("label term: Z, L, and C must be supplied together")
-    if c is not None and c.shape != (p.z.shape[0], k):
-        raise ValueError(
-            f"label term: C is {c.shape[0]}x{c.shape[1]}, "
-            f"expected {p.z.shape[0]}x{k}"
-        )
-
-
-def objective(
-    x,
-    w,
-    h,
-    y=None,
-    b=None,
-    z=None,
-    l=None,
-    c=None,
-    lam: float = 0.0,
-    mu: float = 0.0,
-) -> tuple[float, float, float, float]:
+def _losses(p: _Problem, lam, mu, w, h, b, c, wtx, wtw, hht):
     """Total loss and its weighted (reconstruction, guiding, label) parts.
 
     reconstruction = 1/2 ||X - W H||_F^2, guiding = lam/2 ||Y - W B||_F^2,
-    label = mu/2 ||L o (Z - C H)||_F^2; the first return value is their sum.
-
-    The reconstruction term is evaluated in Gram form,
-    ``1/2 max(0, ||X||^2 - 2 <W^T X, H> + <W^T W, H H^T>)``, so the d x n
-    residual is never formed. The clamp at zero absorbs the rounding that
-    can push the expansion slightly negative on an exact fit.
-    """
-    p = Problem(x, y, z, l)
-    w, h, b, c = map(_as_input, (w, h, b, c))
-    _check_factors(p, w, h, b, c, lam, mu)
-    return _losses(p, lam, mu, w, h, b, c, w.T @ p.x, w.T @ w, h @ h.T)
-
-
-def _losses(p: Problem, lam, mu, w, h, b, c, wtx, wtw, hht):
-    """``objective`` at (W, H, B, C), given its products of the factors.
-
+    label = mu/2 ||L o (Z - C H)||_F^2, at (W, H, B, C), given the products
     ``wtx = W^T X``, ``wtw = W^T W`` and ``hht = H H^T``.
     """
     cross = float(np.vdot(wtx, h))
@@ -309,48 +257,14 @@ def _initial_factors(
     return w, h, b, c
 
 
-def _check_finite(name: str, a: Matrix, iteration: int | None):
+def _check_finite(name: str, a: Matrix, iteration: int):
     if not np.isfinite(a).all():
-        where = f" at iteration {iteration}" if iteration is not None else ""
         raise FactorizationError(
-            f"update diverged{where}: non-finite entries in {name}"
+            f"update diverged at iteration {iteration}: non-finite entries in {name}"
         )
 
 
-def update_step(
-    p: Problem, config: ModelConfig, w, h, b, c, *, iteration: int | None = None
-):
-    """One multiplicative update of W, H, B, C, in listing order.
-
-    The data and their cached terms come from ``p``; ``lam``, ``mu`` and
-    ``eps`` come from ``config``.
-
-    Each rule multiplies the factor by a ratio of non-negative gradient
-    parts, so non-negativity is preserved without projection and exact
-    zeros stay zero. A zero ``lam`` or ``mu`` skips its terms in the W and
-    H updates and in the losses; B and C are updated whenever they are
-    given. Pass ``iteration`` to tag divergence errors.
-
-    Returns ``(w, h, b, c, losses)``. ``losses`` is the
-    ``(total, reconstruction, guiding, label)`` tuple at the new factors,
-    bitwise what ``objective`` returns for them: its reconstruction term
-    reuses the ``W^T X`` and ``W^T W`` that the H update forms for the
-    final W, so it makes no further pass over X.
-
-    ``p`` checked the data; the factors and weights are checked against
-    it, as ``fit_cells`` checks them once per batch, so a weight without
-    its data raises ``ValueError``. The updated factors must stay finite.
-
-    This runs the two halves of the batch loop's step with the per-cell
-    products ``X H^T``, ``H H^T`` and ``W^T X``.
-    """
-    _check_factors(p, w, h, b, c, config.lam, config.mu)
-    w = _update_w(p, config, p.x @ h.T, h @ h.T, w, b, iteration)
-    h, b, c, losses, _ = _update_hbc(p, config, w.T @ p.x, w, h, b, c, iteration)
-    return w, h, b, c, losses
-
-
-def _update_w(p: Problem, config: ModelConfig, xht, hht, w, b, iteration):
+def _update_w(p: _Problem, config: ModelConfig, xht, hht, w, b, iteration):
     """The W rule, given ``xht = X H^T`` and ``hht = H H^T``."""
     lam = config.lam
     numer = xht
@@ -363,7 +277,7 @@ def _update_w(p: Problem, config: ModelConfig, xht, hht, w, b, iteration):
     return w
 
 
-def _update_hbc(p: Problem, config: ModelConfig, wtx, w, h, b, c, iteration):
+def _update_hbc(p: _Problem, config: ModelConfig, wtx, w, h, b, c, iteration):
     """The H, B and C rules and the loss, given ``wtx = W^T X`` of the new W.
 
     Returns ``(h, b, c, losses, hht)``, where ``hht = H H^T`` of the new H
@@ -470,7 +384,7 @@ class _Cell:
     terms: list[tuple[float, float, float]] = field(default_factory=list)
     outcome: FactorizationResult | FactorizationError | None = None
 
-    def update_w(self, p: Problem, xht, iteration: int) -> bool:
+    def update_w(self, p: _Problem, xht, iteration: int) -> bool:
         """The first half of a step, given ``xht = X H^T``; whether it ran."""
         try:
             self.w = _update_w(p, self.config, xht, self.hht, self.w, self.b,
@@ -480,7 +394,7 @@ class _Cell:
             return False
         return True
 
-    def update_hbc(self, p: Problem, wtx, iteration: int) -> bool:
+    def update_hbc(self, p: _Problem, wtx, iteration: int) -> bool:
         """The second half, given ``wtx = W^T X``; whether the cell runs on."""
         try:
             self.h, self.b, self.c, (total, *terms), self.hht = _update_hbc(
@@ -511,18 +425,19 @@ def fit_cells(
 
     ``configs`` must share ``rank`` and ``rng_seed``, so every cell starts
     from the same W, H, B, C; weights, ``max_iters``, ``eps`` and ``tol``
-    are per cell. Each iteration runs the two halves of the step kernel of
-    ``update_step`` for every running cell, and between them forms the
-    cells' ``X H^T`` and ``W^T X`` together, in the faster forms where they
-    are bitwise exact (see ``_Products``). So every cell's factors and
-    traces are bitwise what ``fit`` returns for its config alone. A cell
-    leaves the batch when it meets its ``tol`` or ``max_iters``, or when it
-    diverges.
+    are per cell. Each iteration runs the two halves of the step kernel,
+    ``_update_w`` and ``_update_hbc``, for every running cell, and between
+    them forms the cells' ``X H^T`` and ``W^T X`` together, in the faster
+    forms where they are bitwise exact (see ``_Products``). So every cell's
+    factors and traces are bitwise what ``fit`` returns for its config
+    alone. A cell leaves the batch when it meets its ``tol`` or
+    ``max_iters``, or when it diverges.
 
     Returns one entry per config, in order: its ``FactorizationResult``,
-    or the ``FactorizationError`` that stopped it. One ``Problem`` checks
-    the data and serves every cell; invalid inputs raise ``ValueError``
-    before any cell runs. Arguments are as for ``fit``.
+    or the ``FactorizationError`` that stopped it. One ``_Problem`` checks
+    the data and serves every cell. Invalid inputs, a weight without its
+    data and a rank above min(d, n) raise ``ValueError`` before any factor
+    is drawn. Arguments are as for ``fit``.
     """
     configs = list(configs)
     if not configs:
@@ -530,15 +445,20 @@ def fit_cells(
     first = configs[0]
     if any((c.rank, c.rng_seed) != (first.rank, first.rng_seed) for c in configs):
         raise ValueError("configs of one batch must share rank and rng_seed")
-    p = Problem(x, y, z, l)
+    p = _Problem(x, y, z, l)
+    if p.y is None and any(cfg.lam > 0 for cfg in configs):
+        raise ValueError("guiding term: lam > 0 requires a seed matrix Y")
+    if p.z is None and any(cfg.mu > 0 for cfg in configs):
+        raise ValueError("label term: mu > 0 requires a label matrix Z and a mask L")
+    d, n = p.x.shape
+    if first.rank > min(d, n):
+        raise ValueError(f"rank must be <= min(d, n) = {min(d, n)} for a {d}x{n} X, "
+                         f"got {first.rank}")
     w, h, b, c = _initial_factors(
-        *p.x.shape,
-        first,
+        d, n, first,
         n_seeds=None if p.y is None else p.y.shape[1],
         n_classes=None if p.z is None else p.z.shape[0],
     )
-    _check_factors(p, w, h, b, c, max(cfg.lam for cfg in configs),
-                   max(cfg.mu for cfg in configs))
     hht = h @ h.T
     cells = [_Cell(cfg, w, h, b, c, hht) for cfg in configs]
     if any(cfg.tol > 0 for cfg in configs):
@@ -581,7 +501,7 @@ def fit(x, config: ModelConfig, *, y=None, z=None, l=None) -> FactorizationResul
     ``fit`` is ``fit_cells`` with one config, so each iteration reads X
     twice, for ``X H^T`` (as ``(H X^T)^T`` once that proved bitwise equal)
     and for ``W^T X``, and forms ``H H^T`` once. The inputs are checked
-    once, and one ``Problem`` caches ``||X||_F^2``, ``L o L`` and
+    once, and one ``_Problem`` caches ``||X||_F^2``, ``L o L`` and
     ``L o L o Z`` for the whole run. Each step's returned
     loss becomes the trace entry. The loss at the initial factors is
     evaluated only when ``tol > 0`` needs it.

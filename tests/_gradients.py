@@ -2,8 +2,8 @@
 
 The multiplicative update rules of ``gssnmf.factorization`` divide the
 negative part of each partial derivative below by its positive part, so
-the tests compare these formulas with finite differences of ``objective``
-and with the fixed points of ``update_step``.
+the tests compare these formulas with finite differences of the loss and
+with the fixed points of the update step (both in ``tests/_kernel.py``).
 """
 
 import numpy as np

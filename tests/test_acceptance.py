@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from _gradients import objective_gradients
+from _kernel import objective
 from _planted import (
     CLASS_NAMES,
     majority_baseline_predictions,
@@ -28,7 +29,6 @@ from gssnmf import (
     coherence,
     fit,
     macro_f1,
-    objective,
     split_mask,
     threshold_predictions,
 )

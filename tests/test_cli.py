@@ -4,6 +4,7 @@ import math
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from contextlib import ExitStack, redirect_stderr
 from unittest.mock import patch
 
@@ -233,18 +234,20 @@ def test_classify_perfect_recovery_scores_one(workspace, tmp_path):
 
 
 def test_sweep_error_identifies_failing_cell(workspace, tmp_path, capsys):
-    # n_top larger than the vocabulary makes the coherence metric fail
+    # lambda near the float maximum makes its cell's W update overflow
     args = [
         "sweep", str(workspace["corpus_file"]), str(workspace["labels"]),
         str(workspace["seeds"]),
         "--out", str(tmp_path / "s.csv"),
-        "--ranks", "2", "--lambda-grid", "0.1", "--mu-grid", "0.05",
+        "--ranks", "2", "--lambda-grid", "0.1,1.7e308", "--mu-grid", "0.05",
         "--trials", "1", "--max-iters", "5",
-        "--metric", "avg_coherence", "--n-top", "9999",
+        "--metric", "avg_coherence", "--n-top", "5",
     ]
-    assert main(args) == 2
+    with np.errstate(all="ignore"):
+        assert main(args) == 1
     err = capsys.readouterr().err
-    assert "sweep cell (rank=2, lambda=0.1, mu=0.05, trial=0)" in err
+    assert err == ("error: sweep cell (rank=2, lambda=1.7e+308, mu=0.05, trial=0): "
+                   "update diverged at iteration 2: non-finite entries in W\n")
 
 
 def test_classify_without_label_supervision_exits_2(workspace, capsys):
@@ -955,12 +958,20 @@ _MALFORMED = {
     "corpus-nan": ("corpus.txt", _field(2, 0, "nan"), "rank-scan", 2),
     "corpus-rows": ("corpus.txt", lambda t: t + t.splitlines()[1] + "\n", "rank-scan", 20),
     "corpus-json": ("corpus.txt", lambda t: t.replace("{", "{{", 1), "rank-scan", 1),
+    "corpus-empty": ("corpus.txt", lambda t: "", "rank-scan", 1),
+    "corpus-format": ("corpus.txt", _line(1, '{"format":"other"}'), "rank-scan", 1),
+    "corpus-cols": ("corpus.txt", lambda t: t.replace('"cols":', '"columns":', 1),
+                    "rank-scan", 1),
+    "corpus-negative": ("corpus.txt", _field(2, 0, "-1.0"), "rank-scan", None),
+    "corpus-zero-row": ("corpus.txt", _line(2, ",".join(["0"] * 20)), "rank-scan", None),
     "mean-fields": ("mean.csv", _line(3, "2,0.0,0.1"), "plot-heatmap", 3),
     "mean-number": ("mean.csv", _field(2, 1, "abc"), "plot-heatmap", 2),
     "mean-nan": ("mean.csv", _field(3, 3, "nan"), "plot-heatmap", 3),
     "mean-rank": ("mean.csv", _field(2, 0, "x"), "plot-heatmap", 2),
     "mean-rank-float": ("mean.csv", _field(3, 0, "2.5"), "plot-heatmap", 3),
+    "mean-header": ("mean.csv", _line(1, "rank,lambda,mu,value"), "plot-heatmap", None),
     "config-json": ("config.json", lambda t: t.replace("5\n", "5,\n"), "config", 4),
+    "config-array": ("config.json", lambda t: '["rank", 2]\n', "config", None),
     "seeds-empty": ("seeds.txt", lambda t: "# none\n\n", "seeds", None),
     "labels-row": ("labels.csv", _line(1, "doc00.txt"), "classify", 1),
     # Bytes that are not UTF-8, one file of each kind.
@@ -1111,6 +1122,12 @@ def test_sweep_grid_checks_exit_2_before_any_input_is_read(
         ({"--mu-grid": "0.1,-0.1"}, "grid values must be finite and >= 0"),
         ({"--ranks": "2,0"}, "ranks must be >= 1"),
         ({"--trials": "0"}, "--trials must be >= 1, got 0"),
+        ({"--train-fraction": "1.5"}, "--train-fraction must be in (0, 1), got 1.5"),
+        ({"--train-fraction": "0"}, "--train-fraction must be in (0, 1), got 0.0"),
+        # A repeated grid value would run and write its cells again.
+        ({"--ranks": "2,3,2"}, "--ranks must not repeat a value, got [2, 3, 2]"),
+        ({"--lambda-grid": "0,0"}, "--lambda-grid must not repeat a value, got [0.0, 0.0]"),
+        ({"--mu-grid": "0,-0"}, "--mu-grid must not repeat a value, got [0.0, -0.0]"),
     ]
     for change, message in cases:
         flags = [f"{flag}={value}" for flag, value in {**grid, **change}.items()]
@@ -1122,6 +1139,57 @@ def test_sweep_grid_checks_exit_2_before_any_input_is_read(
         pristine, tmp_path, monkeypatch, capsys,
         [f"{flag}={value}" for flag, value in grid.items()] + ["--metric", "f2"])
     assert code == 2 and "invalid choice: 'f2'" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--ranks", "2,19"], "--ranks must be <= min(terms, documents) = 18 of {}, got 19"),
+    (["--ranks", "2", "--metric", "avg_coherence", "--n-top", "19"],
+     "--n-top must be <= the 18 terms of {}, got 19"),
+], ids=["rank", "n-top"])
+def test_sweep_corpus_bounds_exit_2_before_any_fit(pristine, tmp_path, monkeypatch,
+                                                   capsys, flags, message):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_cells called")
+
+    monkeypatch.setattr(cli, "fit_cells", no_fit)
+    corpus, out = pristine / "corpus.txt", tmp_path / "sweep.csv"
+    capsys.readouterr()
+    assert main([str(a) for a in ["sweep", corpus, pristine / "labels.csv",
+                                  pristine / "seeds.txt", "--out", out,
+                                  "--lambda-grid", "0", "--mu-grid", "0",
+                                  "--trials", "1", *flags]]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(corpus)}\n"
+    assert not out.exists()
+
+
+def test_factorize_rank_above_the_data_exits_2_before_allocating(pristine, tmp_path,
+                                                                  capsys):
+    rank = 100_000  # W alone would take 14 MB on the 18 x 20 corpus
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["factorize", str(pristine / "corpus.txt"), "--out",
+                     str(tmp_path / "model"), "--rank", str(rank)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: rank must be <= min(d, n) = 18 for a 18x20 X, got {rank}\n")
+    # Less than one rank-long vector: no factor was drawn.
+    assert peak < 8 * rank
+    assert not (tmp_path / "model").exists()
+
+
+def test_factorize_warns_of_a_seed_word_not_in_the_vocabulary(pristine, tmp_path,
+                                                              capsys):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("gangx\nnowherex\n", "utf-8")
+    capsys.readouterr()
+    assert main(["factorize", str(pristine / "corpus.txt"), "--out",
+                 str(tmp_path / "model"), "--rank", "2", "--lambda", "0.1",
+                 "--max-iters", "5", "--seeds", str(seeds)]) == 0
+    assert capsys.readouterr().err == "warning: seed word 'nowherex' not in vocabulary\n"
 
 
 def test_sweep_non_finite_grid_values_exit_2_before_any_input_is_read(

@@ -138,17 +138,14 @@ def run_factorize(args) -> int:
     config = ModelConfig(rank=args.rank, lam=args.lam, mu=args.mu,
                          max_iters=args.max_iters, rng_seed=args.rng_seed,
                          eps=args.eps, tol=args.tol)
+    _check_train_fraction(args.train_fraction)
     corpus = load_corpus(args.corpus_file)
     if config.lam > 0 and not args.seeds:
         raise ValueError("--lambda > 0 requires --seeds FILE")
     if config.mu > 0 and not args.labels:
         raise ValueError("--mu > 0 requires --labels FILE")
 
-    seed_matrix = None
-    if args.seeds:
-        seed_matrix = build_seed_matrix(load_seed_words(args.seeds), corpus.vocab)
-        for word in seed_matrix.dropped:
-            print(f"warning: seed word '{word}' not in vocabulary", file=sys.stderr)
+    seed_matrix = _seed_matrix(args.seeds, corpus.vocab) if args.seeds else None
 
     labels = mask = None
     label_names = None
@@ -218,6 +215,19 @@ def _test_macro_f1(result, labels, mask):
     truth = labels.z[:, test]
     counts = [int(v) for v in truth.sum(axis=0)]
     return macro_f1(threshold_predictions(ch[:, test], counts), truth)
+
+
+def _check_train_fraction(train_fraction: float) -> None:
+    if not 0 < train_fraction < 1:
+        raise ValueError(f"--train-fraction must be in (0, 1), got {train_fraction}")
+
+
+def _seed_matrix(path, vocab: Vocabulary):
+    """The seed matrix of the words in ``path``; warns of each one not in ``vocab``."""
+    seeds = build_seed_matrix(load_seed_words(path), vocab)
+    for word in seeds.dropped:
+        print(f"warning: seed word '{word}' not in vocabulary", file=sys.stderr)
+    return seeds
 
 
 def _check_n_top(n_top: int) -> None:
@@ -335,9 +345,7 @@ def run_sweep(args) -> int:
             raise ValueError(f"{flag} must not repeat a value, got {values}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if not 0 < args.train_fraction < 1:
-        raise ValueError("--train-fraction must be in (0, 1), "
-                         f"got {args.train_fraction}")
+    _check_train_fraction(args.train_fraction)
     # The settings every cell shares, checked before anything is read; each
     # cell sets its own rank, weights and seed.
     shared = ModelConfig(rank=1, max_iters=args.max_iters, eps=args.eps, tol=args.tol)
@@ -350,7 +358,7 @@ def run_sweep(args) -> int:
     if args.metric == "avg_coherence" and args.n_top > corpus.n_terms:
         raise ValueError(f"--n-top must be <= the {corpus.n_terms} terms of "
                          f"{args.corpus_file}, got {args.n_top}")
-    seeds = build_seed_matrix(load_seed_words(args.seeds_file), corpus.vocab)
+    seeds = _seed_matrix(args.seeds_file, corpus.vocab)
     assignments = load_label_assignments(args.labels_file)
     labels = build_label_matrix(assignments, corpus.doc_ids)
     payload = {

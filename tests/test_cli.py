@@ -292,6 +292,20 @@ def test_bad_manifest_exits_2_naming_it(workspace, capsys, mangle):
         assert err.startswith("error: ") and str(path) in err
 
 
+def test_classify_manifest_without_doc_ids_exits_2(pristine, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(pristine / "model", model)
+    path = model / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text("utf-8")), "doc_ids": None}),
+                    "utf-8")
+    capsys.readouterr()
+    assert main(["classify", str(model), str(pristine / "labels.csv"),
+                 str(model / "mask.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {model}: manifest carries no document ids; "
+        "re-run factorize on the corpus\n")
+
+
 @pytest.mark.parametrize("key,value", [
     ("n_classes", 10**15), ("n_classes", 0), ("n_docs", 10**15),
 ])
@@ -781,6 +795,20 @@ def test_plot_heatmap_svg(workspace, tmp_path):
     assert "linear color scale" in body
 
 
+def test_plot_heatmap_outlines_a_missing_cell(tmp_path):
+    mean = tmp_path / "mean.csv"
+    mean.write_text("rank,lambda,mu,mean_metric_value\n"
+                    "2,0.0,0.0,0.5\n2,0.0,0.1,0.6\n2,0.1,0.0,0.7\n", "utf-8")
+    svg = tmp_path / "heat.svg"
+    assert main(["plot-heatmap", str(mean), "--out", str(svg)]) == 0
+    rects = [line for line in svg.read_text("utf-8").splitlines() if "<rect" in line]
+    assert len(rects) == 4
+    # lambda 0.1 (row 1) and mu 0.1 (column 1) has no mean: an empty square
+    assert rects[3] == ('<rect x="142" y="102" width="56" height="56" '
+                        'fill="none" stroke="#999"/>')
+    assert all('stroke="#555"' in r for r in rects[:3])
+
+
 def test_plot_heatmap_rejects_missing_rank(workspace, tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     out_dir.mkdir()
@@ -1190,6 +1218,66 @@ def test_factorize_warns_of_a_seed_word_not_in_the_vocabulary(pristine, tmp_path
                  str(tmp_path / "model"), "--rank", "2", "--lambda", "0.1",
                  "--max-iters", "5", "--seeds", str(seeds)]) == 0
     assert capsys.readouterr().err == "warning: seed word 'nowherex' not in vocabulary\n"
+
+
+def test_sweep_warns_of_a_seed_word_not_in_the_vocabulary_once_before_any_fit(
+        pristine, tmp_path, monkeypatch, capsys):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("gangx\nnowherex\n", "utf-8")
+    err_at_fit = []
+    fit_cells = cli.fit_cells
+
+    def recording_fit_cells(*args, **kwargs):
+        err_at_fit.append(capsys.readouterr().err)
+        return fit_cells(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_cells", recording_fit_cells)
+    capsys.readouterr()
+    assert main([str(a) for a in [
+        "sweep", pristine / "corpus.txt", pristine / "labels.csv", seeds,
+        "--out", tmp_path / "sweep.csv", "--ranks", "2", "--lambda-grid", "0.1",
+        "--mu-grid", "0", "--trials", "2", "--max-iters", "5"]]) == 0
+    assert err_at_fit == ["warning: seed word 'nowherex' not in vocabulary\n", ""]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("labels", [True, False], ids=["labels", "no-labels"])
+@pytest.mark.parametrize("value", ["1.5", "0"])
+def test_factorize_train_fraction_exits_2_before_any_input_is_read(
+        pristine, tmp_path, monkeypatch, capsys, labels, value):
+    def no_read(path):
+        raise AssertionError(f"{path} read")
+
+    monkeypatch.setattr(cli, "load_corpus", no_read)
+    monkeypatch.setattr(cli, "load_label_assignments", no_read)
+    argv = ["factorize", pristine / "corpus.txt", "--out", tmp_path / "model",
+            "--rank", "2", "--train-fraction", value]
+    if labels:
+        argv += ["--labels", pristine / "labels.csv"]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --train-fraction must be in (0, 1), got {float(value)}\n")
+    assert not (tmp_path / "model").exists()
+
+
+def test_sweep_on_one_document_exits_2_naming_the_cell(tmp_path, capsys):
+    from gssnmf.textpipe import CorpusMatrix, Vocabulary, save_corpus
+
+    corpus = CorpusMatrix(np.ones((2, 1)), Vocabulary(["gangx", "theftx"]), ["d0"])
+    save_corpus(corpus, tmp_path / "corpus.txt")
+    (tmp_path / "labels.csv").write_text("d0,gang\n", "utf-8")
+    (tmp_path / "seeds.txt").write_text("gangx\n", "utf-8")
+    out = tmp_path / "sweep.csv"
+    capsys.readouterr()
+    assert main([str(a) for a in [
+        "sweep", tmp_path / "corpus.txt", tmp_path / "labels.csv",
+        tmp_path / "seeds.txt", "--out", out, "--ranks", "1",
+        "--lambda-grid", "0", "--mu-grid", "0", "--trials", "1"]]) == 2
+    assert capsys.readouterr().err == (
+        "error: sweep cell (rank=1, lambda=0.0, mu=0.0, trial=0): "
+        "need at least 2 documents to split, got 1\n")
+    assert not out.exists()
 
 
 def test_sweep_non_finite_grid_values_exit_2_before_any_input_is_read(

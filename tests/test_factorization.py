@@ -48,6 +48,8 @@ def test_model_config_validation():
         ModelConfig(rank=1, lam=-0.1)
     with pytest.raises(ValueError, match="eps"):
         ModelConfig(rank=1, eps=0.0)
+    with pytest.raises(ValueError, match="tol must be >= 0, got -1"):
+        ModelConfig(rank=1, tol=-1)
     cfg = ModelConfig(rank=2, lam=0.5, mu=0.1)
     assert ModelConfig(**asdict(cfg)) == cfg
 
@@ -69,7 +71,8 @@ _DATA = np.ones((4, 3))
     # L would broadcast against Z; its shape must equal Z's all the same.
     ({"x": _DATA, "z": np.ones((2, 3)), "l": np.ones((1, 3))}, "label term: Z is 2x3"),
     ({"x": _DATA, "z": np.ones((2, 4)), "l": np.ones((2, 4))}, "label term: Z is 2x4"),
-], ids=["nan-x", "y-rows", "z-without-l", "l-shape", "z-columns"])
+    ({"x": np.ones((0, 3))}, r"matrix must be at least 1x1, got shape \(0, 3\)"),
+], ids=["nan-x", "y-rows", "z-without-l", "l-shape", "z-columns", "empty-x"])
 def test_problem_rejects_bad_data(kwargs, match):
     with pytest.raises(ValueError, match=match):
         Problem(**kwargs)
@@ -572,6 +575,10 @@ def test_top_keywords_ordering_and_ties():
     assert sorted(top_keywords(w, vocab, 0, 3)) == ["alpha", "beta", "gamma"]
     with pytest.raises(ValueError, match="topic index"):
         top_keywords(w, vocab, 2, 1)
+    with pytest.raises(ValueError, match="topic index -1 out of range for 2 topics"):
+        top_keywords(w, vocab, -1, 1)
+    with pytest.raises(ValueError, match="vocabulary has 2 terms but W has 3 rows"):
+        top_keywords(w, Vocabulary(["alpha", "beta"]), 0, 1)
     with pytest.raises(ValueError, match="n_top"):
         top_keywords(w, vocab, 0, 4)
 
@@ -615,6 +622,10 @@ def test_result_round_trip(tmp_path):
     assert manifest["label_names"] == ["a", "b"]
     with pytest.raises(ValueError, match="manifest"):
         load_result(tmp_path / "nowhere")
+    trace = tmp_path / "run" / "trace.csv"
+    trace.write_text("step" + trace.read_text("utf-8"), "utf-8")
+    with pytest.raises(ValueError, match=f"^{trace}:1: unexpected header$"):
+        load_result(tmp_path / "run")
 
 
 def test_initial_factors_draw_order_is_stable():

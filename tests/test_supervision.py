@@ -119,6 +119,15 @@ def test_split_rejects_bad_fraction():
             split_mask(10, f, 0, 1)
 
 
+@pytest.mark.parametrize("n_docs,n_classes,match", [
+    (1, 1, "need at least 2 documents to split, got 1"),
+    (10, 0, "n_classes must be >= 1, got 0"),
+], ids=["one-document", "no-class"])
+def test_split_rejects_bad_sizes(n_docs, n_classes, match):
+    with pytest.raises(ValueError, match=match):
+        split_mask(n_docs, 0.7, 0, n_classes)
+
+
 def test_split_distribution_over_many_seeds():
     n, fraction = 10, 0.7
     expected = math.ceil(fraction * n)
@@ -207,4 +216,8 @@ def test_mask_round_trip(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(ValueError, match="partition"):
+        load_mask(path, 2, 3)
+    path.write_text('{"n_classes": 2, "n_docs": 3, "train_ids": [0, 1]}\n',
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="malformed mask file: 'test_ids'"):
         load_mask(path, 2, 3)

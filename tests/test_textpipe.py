@@ -47,6 +47,8 @@ def test_preprocess_filters_stopwords_before_stemming():
 def test_vocabulary_invariants():
     v = Vocabulary(["alpha", "beta"])
     assert len(v) == 2 and "alpha" in v and v.index("beta") == 1
+    with pytest.raises(ValueError, match="at least one term"):
+        Vocabulary([])
     with pytest.raises(ValueError, match="unique"):
         Vocabulary(["a", "a"])
     with pytest.raises(ValueError, match="invalid"):
@@ -66,6 +68,8 @@ def test_vocabulary_term_index_is_derived_from_terms():
 def test_pipeline_params_validation():
     with pytest.raises(ValueError, match="max_df"):
         PipelineParams(max_df=0.0)
+    with pytest.raises(ValueError, match=r"min_df must be in \[0, 1\], got 1.5"):
+        PipelineParams(min_df=1.5)
     with pytest.raises(ValueError, match="exceed"):
         PipelineParams(max_df=0.2, min_df=0.5)
     with pytest.raises(ValueError, match="max_features"):
@@ -100,6 +104,20 @@ def test_build_corpus_single_term_docs_are_unit_vectors():
 def test_build_corpus_requires_two_docs():
     with pytest.raises(ValueError, match="at least 2"):
         build_corpus([("d1", "a")], PipelineParams(**NO_FILTER))
+
+
+def test_build_corpus_requires_unique_doc_ids():
+    with pytest.raises(ValueError, match="document ids must be unique"):
+        build_corpus([("d1", "aa"), ("d1", "bb")], PipelineParams(**NO_FILTER))
+
+
+@pytest.mark.parametrize("x,match", [
+    (np.ones((3, 2)), "matrix has 3 rows but vocabulary has 2 terms"),
+    (np.ones((2, 3)), "matrix has 3 columns but 2 document ids were given"),
+], ids=["rows", "columns"])
+def test_corpus_matrix_shape_must_match_vocab_and_doc_ids(x, match):
+    with pytest.raises(ValueError, match=match):
+        CorpusMatrix(x, Vocabulary(["aa", "bb"]), ["d0", "d1"])
 
 
 def test_min_df_one_with_terms_missing_somewhere_errors():

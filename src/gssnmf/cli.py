@@ -103,9 +103,6 @@ def _write_csv(path, header: str, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def run_ingest(args) -> int:
-    docs = read_corpus_dir(args.corpus_dir)
-    if not docs:
-        raise ValueError("no documents")
     stop = load_stopwords(args.stopwords) if args.stopwords else None
     params = PipelineParams(
         max_df=args.max_df,
@@ -113,6 +110,9 @@ def run_ingest(args) -> int:
         max_features=args.max_features,
         stopwords=stop,
     )
+    docs = read_corpus_dir(args.corpus_dir)
+    if not docs:
+        raise ValueError("no documents")
     corpus = build_corpus(docs, params)
     save_corpus(corpus, args.out)
     density = float(np.count_nonzero(corpus.x)) / corpus.x.size
@@ -124,6 +124,8 @@ def run_ingest(args) -> int:
 
 
 def run_rank_scan(args) -> int:
+    if args.top < 1:  # the upper bound needs the corpus
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     corpus = load_corpus(args.corpus_file)
     spectrum = singular_values(corpus.x, args.top)
     _write_csv(args.out, "index,singular_value", enumerate(spectrum, start=1))
@@ -139,11 +141,11 @@ def run_factorize(args) -> int:
                          max_iters=args.max_iters, rng_seed=args.rng_seed,
                          eps=args.eps, tol=args.tol)
     _check_train_fraction(args.train_fraction)
-    corpus = load_corpus(args.corpus_file)
     if config.lam > 0 and not args.seeds:
         raise ValueError("--lambda > 0 requires --seeds FILE")
     if config.mu > 0 and not args.labels:
         raise ValueError("--mu > 0 requires --labels FILE")
+    corpus = load_corpus(args.corpus_file)
 
     seed_matrix = _seed_matrix(args.seeds, corpus.vocab) if args.seeds else None
 

@@ -51,14 +51,15 @@ array when it is constructed, ``_Problem`` checks bare arrays and the
 shapes, and ``ModelConfig`` checks the weights and ``eps > 0``.
 ``fit_cells`` draws W, H, B and C itself from those shapes, so no factor
 enters from outside. The update loop re-checks nothing; it checks only
-that the new factors are finite.
+that the new factors are finite, and a cell whose factor is not records
+the error and stops.
 
 ``fit_cells`` runs configs that share a start (rank and rng seed) as one
-batch, and ``fit`` is its one-config case. The step is split in two where
-its products of X are consumed: the W update takes ``X H^T``, and the H,
-B and C updates and the loss take ``W^T X`` of the new W. Between the
-halves the batch forms each product for all running cells at once
-(``_Products``):
+batch, and ``fit`` is its one-config case. Each cell (``_Cell``) holds
+the four rules, split in two where their products of X are consumed:
+``update_w`` takes ``X H^T``, and ``update_hbc`` (the H, B and C rules and
+the loss) takes ``W^T X`` of the new W. Between the halves the batch forms
+each product for all running cells at once (``_Products``):
 
 - ``X H^T`` for two or more cells comes as column blocks of one stacked
   product ``X [H_1; ...; H_B]^T``, and for one cell as ``(H X^T)^T``;
@@ -257,54 +258,6 @@ def _initial_factors(
     return w, h, b, c
 
 
-def _check_finite(name: str, a: Matrix, iteration: int):
-    if not np.isfinite(a).all():
-        raise FactorizationError(
-            f"update diverged at iteration {iteration}: non-finite entries in {name}"
-        )
-
-
-def _update_w(p: _Problem, config: ModelConfig, xht, hht, w, b, iteration):
-    """The W rule, given ``xht = X H^T`` and ``hht = H H^T``."""
-    lam = config.lam
-    numer = xht
-    denom = w @ hht
-    if lam > 0:
-        numer = numer + lam * (p.y @ b.T)
-        denom = denom + lam * (w @ (b @ b.T))
-    w = w * (numer / (denom + config.eps))
-    _check_finite("W", w, iteration)
-    return w
-
-
-def _update_hbc(p: _Problem, config: ModelConfig, wtx, w, h, b, c, iteration):
-    """The H, B and C rules and the loss, given ``wtx = W^T X`` of the new W.
-
-    Returns ``(h, b, c, losses, hht)``, where ``hht = H H^T`` of the new H
-    is the loss's, for the next W update.
-    """
-    lam, mu, eps = config.lam, config.mu, config.eps
-    wtw = w.T @ w
-    numer = wtx
-    denom = wtw @ h
-    if mu > 0:
-        numer = numer + mu * (c.T @ p.llz)
-        denom = denom + mu * (c.T @ (p.ll * (c @ h)))
-    h = h * (numer / (denom + eps))
-    _check_finite("H", h, iteration)
-
-    if p.y is not None:
-        b = b * ((w.T @ p.y) / (wtw @ b + eps))
-        _check_finite("B", b, iteration)
-
-    if p.z is not None:
-        c = c * ((p.llz @ h.T) / ((p.ll * (c @ h)) @ h.T + eps))
-        _check_finite("C", c, iteration)
-
-    hht = h @ h.T
-    return h, b, c, _losses(p, lam, mu, w, h, b, c, wtx, wtw, hht), hht
-
-
 def _blocks_equal(stacked, singles) -> bool:
     """Whether every block of a stacked product ``==`` its own product."""
     return all(np.array_equal(s, t) for s, t in zip(stacked, singles))
@@ -366,11 +319,12 @@ class _Products:
 
 @dataclass(eq=False)
 class _Cell:
-    """One config's state inside a ``fit_cells`` batch.
+    """One config's state inside a ``fit_cells`` batch, and its update step.
 
-    ``hht`` is ``H H^T`` of the current H. ``outcome`` is None while the
-    cell runs, then its result or the ``FactorizationError`` that stopped
-    it.
+    The step's two halves are ``update_w`` and ``update_hbc``; the batch
+    forms the X products between them. ``hht`` is ``H H^T`` of the current
+    H. ``outcome`` is None while the cell runs, then its result or the
+    ``FactorizationError`` that stopped it.
     """
 
     config: ModelConfig
@@ -385,37 +339,65 @@ class _Cell:
     outcome: FactorizationResult | FactorizationError | None = None
 
     def update_w(self, p: _Problem, xht, iteration: int) -> bool:
-        """The first half of a step, given ``xht = X H^T``; whether it ran."""
-        try:
-            self.w = _update_w(p, self.config, xht, self.hht, self.w, self.b,
-                               iteration)
-        except FactorizationError as exc:
-            self.outcome = exc
-            return False
-        return True
+        """The W rule, given ``xht = X H^T``; whether the cell runs on."""
+        config, w, b = self.config, self.w, self.b
+        numer = xht
+        denom = w @ self.hht
+        if config.lam > 0:
+            numer = numer + config.lam * (p.y @ b.T)
+            denom = denom + config.lam * (w @ (b @ b.T))
+        self.w = w * (numer / (denom + config.eps))
+        return self._finite("W", self.w, iteration)
 
     def update_hbc(self, p: _Problem, wtx, iteration: int) -> bool:
-        """The second half, given ``wtx = W^T X``; whether the cell runs on."""
-        try:
-            self.h, self.b, self.c, (total, *terms), self.hht = _update_hbc(
-                p, self.config, wtx, self.w, self.h, self.b, self.c, iteration
-            )
-        except FactorizationError as exc:
-            self.outcome = exc
+        """The H, B and C rules and the loss, given ``wtx = W^T X`` of the new W.
+
+        Appends the loss to the trace and applies the stop rule; returns
+        whether the cell runs on. The new ``hht`` is the loss's, for the
+        next W rule.
+        """
+        config, w, h, b, c = self.config, self.w, self.h, self.b, self.c
+        lam, mu, eps = config.lam, config.mu, config.eps
+        wtw = w.T @ w
+        numer = wtx
+        denom = wtw @ h
+        if mu > 0:
+            numer = numer + mu * (c.T @ p.llz)
+            denom = denom + mu * (c.T @ (p.ll * (c @ h)))
+        h = h * (numer / (denom + eps))
+        if not self._finite("H", h, iteration):
             return False
+        if p.y is not None:
+            b = b * ((w.T @ p.y) / (wtw @ b + eps))
+            if not self._finite("B", b, iteration):
+                return False
+        if p.z is not None:
+            c = c * ((p.llz @ h.T) / ((p.ll * (c @ h)) @ h.T + eps))
+            if not self._finite("C", c, iteration):
+                return False
+        self.h, self.b, self.c, self.hht = h, b, c, h @ h.T
+        total, *terms = _losses(p, lam, mu, w, h, b, c, wtx, wtw, self.hht)
         self.trace.append(total)
         self.terms.append(tuple(terms))
-        config = self.config
         stop = iteration == config.max_iters
         if config.tol > 0:
-            change = abs(total - self.prev) / max(self.prev, config.eps)
+            change = abs(total - self.prev) / max(self.prev, eps)
             stop = stop or change < config.tol
             self.prev = total
         if stop:
             self.outcome = FactorizationResult(
-                self.w, self.h, self.b, self.c, self.trace, self.terms, config
+                w, h, b, c, self.trace, self.terms, config
             )
         return not stop
+
+    def _finite(self, name: str, a: Matrix, iteration: int) -> bool:
+        """Whether ``a`` is finite; if not, the cell stops with that error."""
+        if np.isfinite(a).all():
+            return True
+        self.outcome = FactorizationError(
+            f"update diverged at iteration {iteration}: non-finite entries in {name}"
+        )
+        return False
 
 
 def fit_cells(
@@ -425,13 +407,12 @@ def fit_cells(
 
     ``configs`` must share ``rank`` and ``rng_seed``, so every cell starts
     from the same W, H, B, C; weights, ``max_iters``, ``eps`` and ``tol``
-    are per cell. Each iteration runs the two halves of the step kernel,
-    ``_update_w`` and ``_update_hbc``, for every running cell, and between
-    them forms the cells' ``X H^T`` and ``W^T X`` together, in the faster
-    forms where they are bitwise exact (see ``_Products``). So every cell's
-    factors and traces are bitwise what ``fit`` returns for its config
-    alone. A cell leaves the batch when it meets its ``tol`` or
-    ``max_iters``, or when it diverges.
+    are per cell. Each iteration runs the two halves of the step,
+    ``_Cell.update_w`` and ``_Cell.update_hbc``, for every running cell,
+    with the cells' ``X H^T`` and ``W^T X`` formed together between them
+    (``_Products``). Every cell's factors and traces are bitwise what
+    ``fit`` returns for its config alone. A cell leaves the batch when it
+    meets its ``tol`` or ``max_iters``, or when it diverges.
 
     Returns one entry per config, in order: its ``FactorizationResult``,
     or the ``FactorizationError`` that stopped it. One ``_Problem`` checks
@@ -498,13 +479,11 @@ def fit(x, config: ModelConfig, *, y=None, z=None, l=None) -> FactorizationResul
     ``config.tol > 0`` the loop stops early once the relative objective
     change drops below it. Deterministic given identical inputs and config.
 
-    ``fit`` is ``fit_cells`` with one config, so each iteration reads X
-    twice, for ``X H^T`` (as ``(H X^T)^T`` once that proved bitwise equal)
-    and for ``W^T X``, and forms ``H H^T`` once. The inputs are checked
-    once, and one ``_Problem`` caches ``||X||_F^2``, ``L o L`` and
-    ``L o L o Z`` for the whole run. Each step's returned
-    loss becomes the trace entry. The loss at the initial factors is
-    evaluated only when ``tol > 0`` needs it.
+    ``fit`` is ``fit_cells`` with one config. The inputs are checked once,
+    and one ``_Problem`` caches ``||X||_F^2``, ``L o L`` and ``L o L o Z``
+    for the whole run. The loss at the initial factors is evaluated only
+    when ``tol > 0`` needs it. A divergence raises its
+    ``FactorizationError``.
     """
     (result,) = fit_cells(x, [config], y=y, z=z, l=l)
     if isinstance(result, FactorizationError):

@@ -1,9 +1,9 @@
 """Dense matrix helpers shared by every other module.
 
 Matrices are plain 2-D float64 numpy arrays in C (row-major) order; at the
-corpus sizes this package targets (hundreds by hundreds) dense storage is
-all that is needed. Products and entry-wise operations are numpy's own
-``@`` and ``*``. The helpers here check a matrix where it enters
+corpus sizes this package targets (up to a few thousand terms by a few
+thousand documents) dense storage is all that is needed. Products and
+entry-wise operations are numpy's own ``@`` and ``*``. The helpers here check a matrix where it enters
 (``as_matrix``), take a leading singular spectrum, write every file whole
 or not at all, and hold the one reader of each text form every file uses.
 """

@@ -183,14 +183,15 @@ def build_corpus(docs: list[tuple[str, str]], params: PipelineParams) -> CorpusM
     if len(set(doc_ids)) != len(doc_ids):
         raise ValueError("document ids must be unique")
 
-    token_lists = [preprocess(text, params.stopwords) for _, text in docs]
+    # One count per document serves df, the totals and the fill.
+    counts = [Counter(preprocess(text, params.stopwords)) for _, text in docs]
     n = len(docs)
 
     df: Counter[str] = Counter()
     totals: Counter[str] = Counter()
-    for toks in token_lists:
-        df.update(set(toks))
-        totals.update(toks)
+    for doc_counts in counts:
+        df.update(doc_counts.keys())
+        totals.update(doc_counts)
 
     kept = [
         t for t in df
@@ -207,8 +208,8 @@ def build_corpus(docs: list[tuple[str, str]], params: PipelineParams) -> CorpusM
     idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in terms])
 
     x = np.zeros((len(terms), n))
-    for j, toks in enumerate(token_lists):
-        for t, count in Counter(toks).items():
+    for j, doc_counts in enumerate(counts):
+        for t, count in doc_counts.items():
             i = vocab.term_index.get(t)
             if i is not None:
                 x[i, j] = count * idf[i]

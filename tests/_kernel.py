@@ -1,16 +1,18 @@
-"""The loss and one update step of ``gssnmf.factorization``, kept as test oracles.
+"""Harnesses over the loss and the update step of ``gssnmf.factorization``.
 
 The solver runs its update rules only inside the ``fit_cells`` batch loop,
-which draws every factor itself. These functions run the same kernels on
-factors a test chooses: ``objective`` evaluates the loss on fresh products
-of the factors, and ``update_step`` runs both halves of one step with the
-per-cell products ``X H^T``, ``H H^T`` and ``W^T X``. Neither checks the
-factors against the data.
+which draws every factor itself. These functions run the production code
+on factors a test chooses: ``objective`` evaluates ``_losses`` on fresh
+products of the factors, and ``update_step`` runs both halves of one
+``_Cell`` step with the per-cell products ``X H^T``, ``H H^T`` and
+``W^T X``. Neither checks the factors against the data. They are not
+independent oracles: those are the reference loops of
+``test_acceptance.py`` and the gradients of ``_gradients.py``.
 """
 
 import numpy as np
 
-from gssnmf.factorization import _losses, _Problem, _update_hbc, _update_w
+from gssnmf.factorization import FactorizationError, _Cell, _losses, _Problem
 
 
 def objective(x, w, h, y=None, b=None, z=None, l=None, c=None, lam=0.0, mu=0.0):
@@ -32,7 +34,11 @@ def update_step(p, config, w, h, b, c, *, iteration=1):
 
     Returns ``(w, h, b, c, losses)``, with ``losses`` the
     ``(total, reconstruction, guiding, label)`` tuple at the new factors.
+    Raises the ``FactorizationError`` of a diverged rule.
     """
-    w = _update_w(p, config, p.x @ h.T, h @ h.T, w, b, iteration)
-    h, b, c, losses, _ = _update_hbc(p, config, w.T @ p.x, w, h, b, c, iteration)
-    return w, h, b, c, losses
+    cell = _Cell(config, w, h, b, c, h @ h.T)
+    if cell.update_w(p, p.x @ h.T, iteration):
+        cell.update_hbc(p, cell.w.T @ p.x, iteration)
+    if isinstance(cell.outcome, FactorizationError):
+        raise cell.outcome
+    return cell.w, cell.h, cell.b, cell.c, (cell.trace[-1], *cell.terms[-1])

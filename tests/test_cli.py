@@ -1261,6 +1261,31 @@ def test_factorize_train_fraction_exits_2_before_any_input_is_read(
     assert not (tmp_path / "model").exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("ingest", ["--max-df", "2"], "max_df must be in (0, 1], got 2.0"),
+    ("ingest", ["--min-df", "0.5", "--max-df", "0.4"],
+     "min_df (0.5) must not exceed max_df (0.4)"),
+    ("factorize", ["--rank", "2", "--lambda", "0.5"],
+     "--lambda > 0 requires --seeds FILE"),
+    ("factorize", ["--rank", "2", "--mu", "0.5"], "--mu > 0 requires --labels FILE"),
+    ("rank-scan", ["--top", "0"], "--top must be >= 1, got 0"),
+], ids=["ingest-max-df", "ingest-min-df", "factorize-lambda", "factorize-mu",
+        "rank-scan-top"])
+def test_flag_checks_exit_2_before_any_input_is_read(
+        tmp_path, monkeypatch, capsys, command, flags, message):
+    def no_read(path):
+        raise AssertionError(f"{path} read")
+
+    monkeypatch.setattr(cli, "read_corpus_dir", no_read)
+    monkeypatch.setattr(cli, "load_corpus", no_read)
+    source = "docs" if command == "ingest" else "corpus.txt"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, str(tmp_path / source), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_on_one_document_exits_2_naming_the_cell(tmp_path, capsys):
     from gssnmf.textpipe import CorpusMatrix, Vocabulary, save_corpus
 

@@ -485,19 +485,19 @@ def test_fit_cells_stop_each_cell_on_its_own(monkeypatch):
 
 def test_fit_cells_use_stacked_wtx_once_its_width_passed(monkeypatch):
     x, y, z, mask = _labelled_problem(10, 40, 30)
-    real_blocks, real_update = factorization._wtx_blocks, factorization._update_hbc
+    real_blocks, real_update = factorization._wtx_blocks, factorization._Cell.update_hbc
     formed, consumed = [], []
 
     def form(x, ws):
         formed.append(real_blocks(x, ws))
         return formed[-1]
 
-    def update(p, config, wtx, *rest):
+    def update(cell, p, wtx, iteration):
         consumed.append(wtx)
-        return real_update(p, config, wtx, *rest)
+        return real_update(cell, p, wtx, iteration)
 
     monkeypatch.setattr(factorization, "_wtx_blocks", form)
-    monkeypatch.setattr(factorization, "_update_hbc", update)
+    monkeypatch.setattr(factorization._Cell, "update_hbc", update)
     monkeypatch.setattr(factorization, "_blocks_equal", lambda *blocks: True)
     configs = [ModelConfig(rank=3, lam=lam, mu=mu, max_iters=6, rng_seed=1)
                for lam, mu in _GRID]
@@ -526,6 +526,29 @@ def test_fit_cells_diverging_cell_leaves_the_batch():
             assert str(alone.value).endswith(f"non-finite entries in {factor}")
     for i in (0, 2):
         _assert_same_fit(results[i], fit(x, configs[i], y=y, z=z, l=mask))
+
+
+@pytest.mark.parametrize("factor", ["B", "C"])
+def test_fit_cells_divergence_in_b_or_c_is_that_of_fit(factor):
+    # B and C are updated even at a zero weight, so an overflowing Y or Z
+    # stops every cell, in the rule of the factor it feeds.
+    x, y, z, mask = _labelled_problem(4, 30, 20)
+    if factor == "B":
+        y[:, 0] = 1.7e308
+        grid = [(0.0, mu) for mu in (0.0, 0.05)]
+    else:
+        z = z * 1e308
+        grid = [(lam, 0.0) for lam in (0.0, 0.3)]
+    configs = [ModelConfig(rank=3, lam=lam, mu=mu, max_iters=20, rng_seed=1)
+               for lam, mu in grid]
+    with np.errstate(all="ignore"):
+        results = fit_cells(x, configs, y=y, z=z, l=mask)
+        for got, config in zip(results, configs):
+            with pytest.raises(FactorizationError) as alone:
+                fit(x, config, y=y, z=z, l=mask)
+            assert isinstance(got, FactorizationError)
+            assert str(got) == str(alone.value)
+            assert str(got).endswith(f"non-finite entries in {factor}")
 
 
 def test_fit_cells_builds_one_problem(monkeypatch):

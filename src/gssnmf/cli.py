@@ -34,7 +34,7 @@ from .evaluation import (
 from .factorization import (
     FactorizationError,
     ModelConfig,
-    _keywords_by_topic,
+    _top_keywords,
     fit,
     fit_cells,
     load_result,
@@ -271,14 +271,25 @@ def run_coherence(args) -> int:
 def _topic_coherences(w, vocab: Vocabulary, present, n_top: int):
     """Top keywords and coherence of every topic column of ``w``.
 
-    ``present`` is the boolean term x document incidence ``X != 0``.
+    ``present`` is the boolean term x document incidence ``X != 0``. W is
+    finite: a fit checked it every iteration, and ``read_rows`` a loaded one.
     """
-    topics = _keywords_by_topic(w, vocab, n_top)
+    topics = [_top_keywords(w, vocab, t, n_top) for t in range(w.shape[1])]
     scores = [incidence_coherence(kw, present, vocab.term_index) for kw in topics]
     return topics, scores
 
 
 # --- sweep ------------------------------------------------------------------
+
+# The widest batch of cells a sweep fits at once, as the sum of their
+# ranks. A cell's share of the two stacked products of X costs less the
+# wider the batch, up to about this width. In ms per rank-7 cell, at
+# widths 28 / 56 / 112 / 224 / 448, on a 2-CPU Xeon with one OpenBLAS
+# 0.3.31 thread and X 5% nonzero:
+#   600 x 700     0.389  0.285  0.262  0.224  0.266
+#   700 x 2000    1.49   1.12   0.867  0.751  0.779
+#   2000 x 7000   18.7   15.9   10.1   8.90   8.63
+_BATCH_WIDTH = 224
 
 _WORKER_PAYLOAD = {}
 
@@ -287,38 +298,72 @@ def _sweep_init(payload):
     _WORKER_PAYLOAD["payload"] = payload
 
 
-def _sweep_run_task(group):
-    return _sweep_eval(_WORKER_PAYLOAD["payload"], group)
+def _sweep_run_task(batch):
+    return _sweep_eval(_WORKER_PAYLOAD["payload"], batch)
 
 
-def _sweep_eval(payload, group):
-    """Evaluate one (rank, trial) group of cells as one batch.
+def _batches(groups) -> list[list]:
+    """Consecutive (rank, trial, weights) groups, packed into batches.
 
-    Returns one ``(rank, lam, mu, trial, value)`` row per cell, in the
-    group's order. A cell that fails gets, as its value, the error that
-    names it; the other cells of the group still run.
+    A batch's width, the sum of its cells' ranks, is at most
+    ``_BATCH_WIDTH``; a group wider than that is a batch of its own.
     """
-    rank, trial, weights = group
+    batches, width = [], _BATCH_WIDTH
+    for group in groups:
+        group_width = group[0] * len(group[2])
+        if width + group_width > _BATCH_WIDTH:
+            batches.append([])
+            width = 0
+        batches[-1].append(group)
+        width += group_width
+    return batches
+
+
+def _sweep_eval(payload, batch):
+    """Fit and score a batch of (rank, trial) groups as one ``fit_cells`` batch.
+
+    The cells of one group share their split and their initial factors;
+    each group's cells get its split as their mask. Returns one
+    ``(rank, lam, mu, trial, value)`` row per cell, in the batch's order.
+    A cell that fails gets, as its value, the error that names it; the
+    other cells still run. A group whose split fails gives that error to
+    its own cells.
+    """
     corpus, labels = payload["corpus"], payload["labels"]
-    try:
+    cells, configs, masks = [], [], []  # cells: (rank, lam, mu, trial), mask
+    for rank, trial, weights in batch:
         seed = payload["base_seed"] + trial
-        mask = split_mask(corpus.n_docs, payload["train_fraction"], seed,
-                          len(labels.label_names))
-        configs = [replace(payload["config"], rank=rank, lam=lam, mu=mu, rng_seed=seed)
-                   for lam, mu in weights]
-        fits = fit_cells(corpus, configs, y=payload["seeds"], z=labels, l=mask)
-    except (ValueError, FactorizationError) as exc:
-        fits = [exc] * len(weights)
-    rows = []
-    for (lam, mu), result in zip(weights, fits):
         try:
+            mask = split_mask(corpus.n_docs, payload["train_fraction"], seed,
+                              len(labels.label_names))
+        except ValueError as exc:
+            mask = exc  # the group's own cells fail with it
+        else:
+            configs += [replace(payload["config"], rank=rank, lam=lam, mu=mu,
+                                rng_seed=seed) for lam, mu in weights]
+            masks += [mask] * len(weights)
+        cells += [((rank, lam, mu, trial), mask) for lam, mu in weights]
+    try:
+        fits = fit_cells(corpus, configs, y=payload["seeds"], z=labels, l=masks)
+    except (ValueError, FactorizationError) as exc:
+        fits = [exc] * len(configs)
+    fits = iter(fits)
+    # One byte per entry, built after the fits; every cell reads its
+    # keywords' rows.
+    present = corpus.x != 0 if payload["metric"] == "avg_coherence" else None
+    rows = []
+    for (rank, lam, mu, trial), mask in cells:
+        try:
+            if isinstance(mask, Exception):
+                raise mask
+            result = next(fits)
             if isinstance(result, Exception):
                 raise result
             if payload["metric"] == "macro_f1":
                 value, _ = _test_macro_f1(result, labels, mask)
             else:
                 _, scores = _topic_coherences(
-                    result.w, corpus.vocab, payload["present"], payload["n_top"]
+                    result.w, corpus.vocab, present, payload["n_top"]
                 )
                 value = avg_coherence(scores)
         except (ValueError, FactorizationError) as exc:
@@ -368,19 +413,20 @@ def run_sweep(args) -> int:
         "corpus": corpus,
         "seeds": seeds,
         "labels": labels,
-        # One byte per entry; every cell reads its keywords' rows.
-        "present": corpus.x != 0,
         "train_fraction": args.train_fraction,
         "base_seed": args.base_seed,
         "metric": args.metric,
         "n_top": args.n_top,
         "config": shared,
     }
-    # One fit_cells batch per (rank, trial): its cells share their split and
-    # their initial factors.
+    # The cells of one (rank, trial) group share their split and their
+    # initial factors. The groups are split into one contiguous share per
+    # worker, and each share is packed into fit_cells batches.
     groups = [(rank, trial, [(lam, mu) for lam in sorted(lams) for mu in sorted(mus)])
               for rank in sorted(ranks) for trial in range(args.trials)]
     workers = min(args.jobs, len(groups), os.cpu_count() or 1)
+    batches = [batch for i in range(workers) for batch in _batches(
+        groups[i * len(groups) // workers:(i + 1) * len(groups) // workers])]
     if workers > 1:
         # Imported here: the pool machinery would slow every command's start.
         from concurrent.futures import ProcessPoolExecutor
@@ -388,12 +434,12 @@ def run_sweep(args) -> int:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_sweep_init, initargs=(payload,)
         ) as pool:
-            done = list(pool.map(_sweep_run_task, groups))
+            done = list(pool.map(_sweep_run_task, batches))
     else:
-        done = [_sweep_eval(payload, group) for group in groups]
+        done = [_sweep_eval(payload, batch) for batch in batches]
     # The collector owns the output order regardless of scheduling, and
     # reports the first failing cell in that order.
-    rows = sorted((row for group in done for row in group), key=lambda r: r[:4])
+    rows = sorted((row for batch in done for row in batch), key=lambda r: r[:4])
     for row in rows:
         if isinstance(row[4], Exception):
             raise row[4]

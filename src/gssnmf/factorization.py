@@ -42,9 +42,10 @@ The loss costs no pass over X. The H update already forms ``W^T X`` and
 reuses both (and the B update ``W^T W``). The loss forms ``H H^T`` for
 the new H, and the next iteration's W update takes it from there instead
 of forming it again. What does not change between iterations lives in a
-``_Problem``, built once per batch: X, Y, Z, L and the cached
-``||X||_F^2``, ``L o L`` and ``L o L o Z``. The weights and eps come from
-each cell's ``ModelConfig``.
+``_Problem``: X, Y, Z, L and the cached ``||X||_F^2``, ``L o L`` and
+``L o L o Z``. A batch checks X, Y and Z and forms ``||X||_F^2`` once, and
+each distinct mask gets its own ``L o L`` and ``L o L o Z``. The weights
+and eps come from each cell's ``ModelConfig``.
 
 Each input is checked once, where it enters: a wrapper type checks its
 array when it is constructed, ``_Problem`` checks bare arrays and the
@@ -54,12 +55,14 @@ enters from outside. The update loop re-checks nothing; it checks only
 that the new factors are finite, and a cell whose factor is not records
 the error and stops.
 
-``fit_cells`` runs configs that share a start (rank and rng seed) as one
-batch, and ``fit`` is its one-config case. Each cell (``_Cell``) holds
-the four rules, split in two where their products of X are consumed:
-``update_w`` takes ``X H^T``, and ``update_hbc`` (the H, B and C rules and
-the loss) takes ``W^T X`` of the new W. Between the halves the batch forms
-each product for all running cells at once (``_Products``):
+``fit_cells`` runs any configs as one batch, each with its own rank,
+rng seed and mask, and ``fit`` is its one-config case. Cells that share
+a (rank, rng seed) start from the same factors. Each cell (``_Cell``)
+holds the four rules, split in two where their products of X are
+consumed: ``update_w`` takes ``X H^T``, and ``update_hbc`` (the H, B and
+C rules and the loss) takes ``W^T X`` of the new W. Between the halves
+the batch forms each product for all running cells at once
+(``_Products``):
 
 - ``X H^T`` for two or more cells comes as column blocks of one stacked
   product ``X [H_1; ...; H_B]^T``, and for one cell as ``(H X^T)^T``;
@@ -67,15 +70,20 @@ each product for all running cells at once (``_Products``):
   ``(X^T [W_1 ... W_B])^T``, with ``X^T`` a view; for one cell it is
   ``W^T X``.
 
-These forms sum in another order than the per-cell products ``X H^T``
-and ``W^T X`` for some shapes under some BLAS builds. So each (product,
-width) pair is compared ``==`` with the per-cell products once, on its
-first use, and a pair that mismatches keeps the per-cell products. Every
-cell's factors and traces are therefore bitwise those of its own ``fit``.
+Each block is as wide as its cell's rank. The wider the stacked product,
+the less each cell's share costs, so a sweep packs many cells into one
+batch. These forms sum in another order than the per-cell products
+``X H^T`` and ``W^T X`` for some shapes under some BLAS builds. So each
+(product, block widths) pair is compared ``==`` with the per-cell
+products once, on its first use. A pair that mismatches stacks each of
+its widths apart, under a check of its own, or, of one width, keeps the
+per-cell products. Every cell's factors and traces are therefore bitwise
+those of its own ``fit``.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -192,18 +200,31 @@ class _Problem:
     place their shapes are checked against one another. ``xx``
     (``||X||_F^2``), ``ll`` (``L o L``) and ``llz`` (``L o L o Z``) are
     computed once, here. The weights are not part of it, so one ``_Problem``
-    serves a whole batch.
+    serves every cell of a batch with its mask; ``with_mask`` gives the
+    cells of another mask theirs, sharing the rest.
     """
 
     __slots__ = ("x", "y", "z", "l", "xx", "ll", "llz")
 
     def __init__(self, x, y=None, z=None, l=None):
-        x, y, z, l = map(_as_input, (x, y, z, l))
+        x, y, z = map(_as_input, (x, y, z))
         d, n = x.shape
         if y is not None and y.shape[0] != d:
             raise ValueError(
                 f"guiding term: Y is {y.shape[0]}x{y.shape[1]} but X is {d}x{n}"
             )
+        self.x, self.y, self.z = x, y, z
+        self.xx = frobenius_sq(x)
+        self._set_mask(l)
+
+    def with_mask(self, l) -> _Problem:
+        """This problem with the mask ``l``; X, Y, Z and ``xx`` are shared."""
+        p = copy.copy(self)
+        p._set_mask(l)
+        return p
+
+    def _set_mask(self, l) -> None:
+        l, z, n = _as_input(l), self.z, self.x.shape[1]
         if (z is None) != (l is None):
             raise ValueError("label term: Z and L must be supplied together")
         if z is not None and (z.shape[1] != n or l.shape != z.shape):
@@ -211,8 +232,7 @@ class _Problem:
                 f"label term: Z is {z.shape[0]}x{z.shape[1]} and "
                 f"L is {l.shape[0]}x{l.shape[1]}, expected p x {n} for both"
             )
-        self.x, self.y, self.z, self.l = x, y, z, l
-        self.xx = frobenius_sq(x)
+        self.l = l
         self.ll = None if l is None else l * l
         self.llz = None if z is None else self.ll * z
 
@@ -267,18 +287,16 @@ def _xht_blocks(x, hs):
     """``X H_i^T`` for each H: ``(H X^T)^T`` alone, else ``X [H_1; ...]^T`` split."""
     if len(hs) == 1:
         return [(hs[0] @ x.T).T]
-    k = len(hs[0])
     stacked = x @ np.concatenate(hs).T
-    return [stacked[:, i:i + k] for i in range(0, stacked.shape[1], k)]
+    return np.split(stacked, np.cumsum([len(h) for h in hs])[:-1], axis=1)
 
 
 def _wtx_blocks(x, ws):
     """``W_i^T X`` for each W as blocks of ``(X^T [W_1 ...])^T``; None for one W."""
     if len(ws) < 2:
         return None
-    k = ws[0].shape[1]
     stacked = (x.T @ np.concatenate(ws, axis=1)).T
-    return [stacked[i:i + k] for i in range(0, len(stacked), k)]
+    return np.split(stacked, np.cumsum([w.shape[1] for w in ws])[:-1])
 
 
 class _Products:
@@ -286,28 +304,43 @@ class _Products:
 
     Each product has a reference form per cell (``X H^T``, ``W^T X``) and
     a faster form for the whole batch (``_xht_blocks``, ``_wtx_blocks``).
-    BLAS may sum the faster form in another order, so a (product, width)
-    pair uses it only after its blocks compared ``==`` with the reference
+    BLAS may sum the faster form in another order, so a (product, widths)
+    pair, with the widths the tuple of the cells' ranks in batch order,
+    uses it only after its blocks compared ``==`` with the reference
     products. That check runs on the pair's first use; until it passed,
-    and for good after a mismatch, every cell gets its reference product.
+    every cell gets its reference product. After a mismatch, a pair of
+    several widths stacks the cells of each width apart, and a pair of
+    one width keeps the reference products for good.
     """
 
     def __init__(self, x):
         self.x = x
-        self.exact = {}  # (form, width) -> whether the form matched
+        self.exact = {}  # (form, widths) -> whether the form matched
 
     def xht(self, hs):
-        return self._products(_xht_blocks, lambda h: self.x @ h.T, hs)
+        return self._products(_xht_blocks, lambda h: self.x @ h.T, hs, 0)
 
     def wtx(self, ws):
-        return self._products(_wtx_blocks, lambda w: w.T @ self.x, ws)
+        return self._products(_wtx_blocks, lambda w: w.T @ self.x, ws, 1)
 
-    def _products(self, form, reference, factors):
-        key = (form, len(factors))
+    def _products(self, form, reference, factors, axis):
+        widths = tuple(f.shape[axis] for f in factors)
+        key = (form, widths)
         if self.exact.get(key):
             return form(self.x, factors)
-        # Cells that still share a factor (all of them share H at the
-        # start) share its product.
+        if key in self.exact and len(set(widths)) > 1:
+            # BLAS may sum the own products of some widths in another order
+            # (OpenBLAS does for rank 2), so after a mismatch each width
+            # gets a stack, and a check, of its own.
+            out = [None] * len(factors)
+            for width in dict.fromkeys(widths):
+                at = [i for i, k in enumerate(widths) if k == width]
+                products = self._products(form, reference, [factors[i] for i in at], axis)
+                for i, product in zip(at, products):
+                    out[i] = product
+            return out
+        # Cells that still share a factor (the cells of one start share H
+        # at first) share its product.
         distinct = {id(f): f for f in factors}
         own = {i: reference(f) for i, f in distinct.items()}
         singles = [own[id(f)] for f in factors]
@@ -403,62 +436,76 @@ class _Cell:
 def fit_cells(
     x, configs, *, y=None, z=None, l=None
 ) -> list[FactorizationResult | FactorizationError]:
-    """Run the solver for several configs that share a start, as one batch.
+    """Run the solver for several configs as one batch.
 
-    ``configs`` must share ``rank`` and ``rng_seed``, so every cell starts
-    from the same W, H, B, C; weights, ``max_iters``, ``eps`` and ``tol``
-    are per cell. Each iteration runs the two halves of the step,
+    Every setting is per cell. Cells with the same ``rank`` and
+    ``rng_seed`` start from the same W, H, B, C, drawn once. ``l`` is one
+    mask for every config, as for ``fit``, or a list with one mask per
+    config. Each iteration runs the two halves of the step,
     ``_Cell.update_w`` and ``_Cell.update_hbc``, for every running cell,
     with the cells' ``X H^T`` and ``W^T X`` formed together between them
     (``_Products``). Every cell's factors and traces are bitwise what
-    ``fit`` returns for its config alone. A cell leaves the batch when it
-    meets its ``tol`` or ``max_iters``, or when it diverges.
+    ``fit`` returns for its config and mask alone. A cell leaves the batch
+    when it meets its ``tol`` or ``max_iters``, or when it diverges.
 
     Returns one entry per config, in order: its ``FactorizationResult``,
-    or the ``FactorizationError`` that stopped it. One ``_Problem`` checks
-    the data and serves every cell. Invalid inputs, a weight without its
-    data and a rank above min(d, n) raise ``ValueError`` before any factor
-    is drawn. Arguments are as for ``fit``.
+    or the ``FactorizationError`` that stopped it. X, Y and Z are checked
+    once for the batch, and ``L o L`` and ``L o L o Z`` are formed once per
+    distinct mask (``_Problem``). Invalid inputs, a weight without its data
+    and a rank above min(d, n) raise ``ValueError`` before any factor is
+    drawn. Arguments are as for ``fit``.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("fit_cells needs at least one config")
-    first = configs[0]
-    if any((c.rank, c.rng_seed) != (first.rank, first.rng_seed) for c in configs):
-        raise ValueError("configs of one batch must share rank and rng_seed")
-    p = _Problem(x, y, z, l)
+    masks = l if isinstance(l, list) else [l] * len(configs)
+    if len(masks) != len(configs):
+        raise ValueError(f"fit_cells got {len(masks)} masks for {len(configs)} configs")
+    p = _Problem(x, y, z, masks[0])
+    problems = {id(masks[0]): p}
+    for mask in masks:
+        if id(mask) not in problems:
+            problems[id(mask)] = p.with_mask(mask)
     if p.y is None and any(cfg.lam > 0 for cfg in configs):
         raise ValueError("guiding term: lam > 0 requires a seed matrix Y")
     if p.z is None and any(cfg.mu > 0 for cfg in configs):
         raise ValueError("label term: mu > 0 requires a label matrix Z and a mask L")
     d, n = p.x.shape
-    if first.rank > min(d, n):
+    rank = max(cfg.rank for cfg in configs)
+    if rank > min(d, n):
         raise ValueError(f"rank must be <= min(d, n) = {min(d, n)} for a {d}x{n} X, "
-                         f"got {first.rank}")
-    w, h, b, c = _initial_factors(
-        d, n, first,
-        n_seeds=None if p.y is None else p.y.shape[1],
-        n_classes=None if p.z is None else p.z.shape[0],
-    )
-    hht = h @ h.T
-    cells = [_Cell(cfg, w, h, b, c, hht) for cfg in configs]
-    if any(cfg.tol > 0 for cfg in configs):
-        wtx, wtw = w.T @ p.x, w.T @ w
-        for cell in cells:
-            cfg = cell.config
-            if cfg.tol > 0:
-                cell.prev = _losses(p, cfg.lam, cfg.mu, w, h, b, c, wtx, wtw, hht)[0]
+                         f"got {rank}")
+    starts = {}
+    for cfg in configs:
+        if (cfg.rank, cfg.rng_seed) not in starts:
+            w, h, b, c = _initial_factors(
+                d, n, cfg,
+                n_seeds=None if p.y is None else p.y.shape[1],
+                n_classes=None if p.z is None else p.z.shape[0],
+            )
+            starts[cfg.rank, cfg.rng_seed] = w, h, b, c, h @ h.T
+    cells = [_Cell(cfg, *starts[cfg.rank, cfg.rng_seed]) for cfg in configs]
+    running = [(cell, problems[id(mask)]) for cell, mask in zip(cells, masks)]
+    for cell, q in running:
+        cfg, w = cell.config, cell.w
+        if cfg.tol > 0:
+            cell.prev = _losses(q, cfg.lam, cfg.mu, w, cell.h, cell.b, cell.c,
+                                w.T @ p.x, w.T @ w, cell.hht)[0]
 
     products = _Products(p.x)
-    running, i = cells, 0
+    i = 0
     while running:
         i += 1
-        xhts = products.xht([cell.h for cell in running])
-        running = [cell for cell, xht in zip(running, xhts)
-                   if cell.update_w(p, xht, i)]
-        wtxs = products.wtx([cell.w for cell in running])
-        running = [cell for cell, wtx in zip(running, wtxs)
-                   if cell.update_hbc(p, wtx, i)]
+        # Each list of products goes once its half of the step consumed
+        # it, so one stacked product is alive at a time.
+        xhts = products.xht([cell.h for cell, _ in running])
+        running = [(cell, q) for (cell, q), xht in zip(running, xhts)
+                   if cell.update_w(q, xht, i)]
+        del xhts
+        wtxs = products.wtx([cell.w for cell, _ in running])
+        running = [(cell, q) for (cell, q), wtx in zip(running, wtxs)
+                   if cell.update_hbc(q, wtx, i)]
+        del wtxs
     return [cell.outcome for cell in cells]
 
 
@@ -499,14 +546,8 @@ def top_keywords(w, vocab: Vocabulary, topic: int, n_top: int) -> list[str]:
     return _top_keywords(as_matrix(w), vocab, topic, n_top)
 
 
-def _keywords_by_topic(w, vocab: Vocabulary, n_top: int) -> list[list[str]]:
-    """``top_keywords`` of every topic column of W, which is checked once."""
-    w = as_matrix(w)
-    return [_top_keywords(w, vocab, t, n_top) for t in range(w.shape[1])]
-
-
 def _top_keywords(w: Matrix, vocab: Vocabulary, topic: int, n_top: int):
-    """``top_keywords`` of a W that ``as_matrix`` already checked."""
+    """``top_keywords`` of a finite W: a fit's, or one ``read_rows`` read."""
     d, k = w.shape
     if not 0 <= topic < k:
         raise ValueError(f"topic index {topic} out of range for {k} topics")

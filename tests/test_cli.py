@@ -398,19 +398,26 @@ def test_coherence_checks_w_once(workspace, monkeypatch):
     assert main(["factorize", str(workspace["corpus_file"]), "--out", str(out),
                  "--rank", "3", "--max-iters", "10"]) == 0
     w_shape = load_result(out)[0].w.shape
-    real, shapes = linalg.as_matrix, []
+    checked = []
 
-    def counting(a):
-        got = real(a)
-        shapes.append(got.shape)
-        return got
+    def spy(name):
+        real = getattr(linalg, name)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("gssnmf.") and hasattr(module, "as_matrix"):
-            monkeypatch.setattr(module, "as_matrix", counting)
+        def check(*args, **kwargs):
+            got = real(*args, **kwargs)
+            checked.append((name, got.shape))
+            return got
+
+        return check
+
+    for module_name, module in list(sys.modules.items()):
+        for name in ("as_matrix", "read_rows"):
+            if module_name.startswith("gssnmf.") and hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name))
     assert main(["coherence", str(out), str(workspace["corpus_file"]),
                  "--n-top", "4"]) == 0
-    assert shapes.count(w_shape) == 1
+    # W is checked where it is read, and not again for its keywords.
+    assert [name for name, shape in checked if shape == w_shape] == ["read_rows"]
 
 
 @pytest.mark.parametrize("rows", ["negative", "vocab+2"])
@@ -715,22 +722,75 @@ def test_sweep_rows_do_not_depend_on_stacking(workspace, tmp_path, monkeypatch):
     assert (stacked / "sweep.csv").read_bytes() == (alone / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("metric", ["macro_f1", "avg_coherence"])
+def test_sweep_rows_do_not_depend_on_batching(workspace, tmp_path, monkeypatch,
+                                              metric):
+    real, batches = cli._sweep_eval, []
+
+    def spy(payload, batch):
+        batches.append([group[:2] for group in batch])
+        return real(payload, batch)
+
+    monkeypatch.setattr(cli, "_sweep_eval", spy)
+    extra = ("--ranks", "1,2", "--metric", metric, "--n-top", "4")
+    outputs = []
+    for name, width, jobs in (("whole", cli._BATCH_WIDTH, "1"), ("capped", 4, "1"),
+                              ("parallel", 4, "2")):
+        out = tmp_path / name
+        out.mkdir()
+        monkeypatch.setattr(cli, "_BATCH_WIDTH", width)
+        assert main(_sweep_args(workspace, out, extra=extra + ("--jobs", jobs))) == 0
+        outputs.append([(out / f).read_bytes() for f in ("sweep.csv", "sweep.mean.csv")])
+    # Each (rank, trial) group holds 4 cells of its rank: all four groups
+    # fit as one batch, then, capped at a width of 4, one batch per group.
+    assert batches == [[(1, 0), (1, 1), (2, 0), (2, 1)],
+                       [(1, 0)], [(1, 1)], [(2, 0)], [(2, 1)]]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_sweep_reports_a_failed_split_for_its_own_group(workspace, tmp_path,
+                                                        monkeypatch, capsys):
+    real_split, real_fit, fitted = cli.split_mask, cli.fit_cells, []
+
+    def split(n_docs, train_fraction, seed, n_classes):
+        if seed == 9 + 1:
+            raise ValueError("no split for this seed")
+        return real_split(n_docs, train_fraction, seed, n_classes)
+
+    def fit_cells(x, configs, **kwargs):
+        fitted.extend(configs)
+        return real_fit(x, configs, **kwargs)
+
+    monkeypatch.setattr(cli, "split_mask", split)
+    monkeypatch.setattr(cli, "fit_cells", fit_cells)
+    assert main(_sweep_args(workspace, tmp_path, extra=("--ranks", "1,2"))) == 2
+    assert capsys.readouterr().err == (
+        "error: sweep cell (rank=1, lambda=0.0, mu=0.05, trial=1): "
+        "no split for this seed\n")
+    # The groups of trial 0 were fitted, in the same batch.
+    assert [(c.rank, c.rng_seed) for c in fitted] == [(1, 9)] * 4 + [(2, 9)] * 4
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_cells_do_not_check_x_again(workspace, tmp_path, monkeypatch):
-    from gssnmf import factorization, linalg
+    from gssnmf import linalg
 
     shape = load_corpus(workspace["corpus_file"]).x.shape
-    shapes = []
+    real, shapes = linalg.as_matrix, []
 
     def counting(a):
-        out = linalg.as_matrix(a)
+        out = real(a)
         shapes.append(out.shape)
         return out
 
-    monkeypatch.setattr(factorization, "as_matrix", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gssnmf.") and hasattr(module, "as_matrix"):
+            monkeypatch.setattr(module, "as_matrix", counting)
     assert main(_sweep_args(workspace, tmp_path, extra=(
         "--metric", "avg_coherence", "--n-top", "5", "--jobs", "1",
     ))) == 0
-    assert shapes and shape not in shapes
+    # X is checked once, when the corpus is read; no cell checks it again.
+    assert shapes.count(shape) == 1
 
 
 def test_cli_import_leaves_process_pool_unloaded():
@@ -1237,7 +1297,8 @@ def test_sweep_warns_of_a_seed_word_not_in_the_vocabulary_once_before_any_fit(
         "sweep", pristine / "corpus.txt", pristine / "labels.csv", seeds,
         "--out", tmp_path / "sweep.csv", "--ranks", "2", "--lambda-grid", "0.1",
         "--mu-grid", "0", "--trials", "2", "--max-iters", "5"]]) == 0
-    assert err_at_fit == ["warning: seed word 'nowherex' not in vocabulary\n", ""]
+    # Both trials' groups are one batch, fitted after the one warning.
+    assert err_at_fit == ["warning: seed word 'nowherex' not in vocabulary\n"]
     assert capsys.readouterr().err == ""
 
 

@@ -431,6 +431,38 @@ def test_fit_cells_equal_standalone_fit(d, n, density, rank, iters):
         _assert_same_fit(got, fit(x, config, y=y, z=z, l=mask))
 
 
+def test_fit_cells_mix_ranks_seeds_and_masks(monkeypatch):
+    x, y, z, mask = _labelled_problem(7, 600, 700, 0.05)
+    other = split_mask(700, 0.7, rng_seed=8, n_classes=3)
+    real, passed = factorization._blocks_equal, []
+
+    def spy(stacked, singles):
+        passed.append(real(stacked, singles))
+        return passed[-1]
+
+    monkeypatch.setattr(factorization, "_blocks_equal", spy)
+    cells = [(ModelConfig(rank=rank, lam=lam, mu=0.05, max_iters=3, rng_seed=seed), m)
+             for rank, seed, m in ((3, 4, mask), (4, 4, other), (3, 5, other),
+                                   (4, 5, mask))
+             for lam in (0.0, 0.3)]
+    results = fit_cells(x, [cfg for cfg, _ in cells], y=y, z=z,
+                        l=[m for _, m in cells])
+    # A stacked product was used. (Ranks 3 and 4: under OpenBLAS a rank-2
+    # factor's own product sums in another order than its stacked block.)
+    assert True in passed
+    for got, (config, m) in zip(results, cells):
+        _assert_same_fit(got, fit(x, config, y=y, z=z, l=m))
+
+
+def test_fit_cells_take_one_mask_per_config():
+    x, y, z, mask = _labelled_problem(2, 30, 20)
+    configs = [ModelConfig(rank=2, mu=0.1, max_iters=4)] * 2
+    with pytest.raises(ValueError, match="2 masks for 3 configs"):
+        fit_cells(x, configs + configs[:1], y=y, z=z, l=[mask, mask])
+    with pytest.raises(ValueError, match="together"):
+        fit_cells(x, configs, y=y, z=z, l=[mask, None])
+
+
 def _product_name(blocks, x):
     """Which product a list of blocks of a batch holds: X H^T is d x k."""
     return "xht" if blocks[0].shape[0] == x.shape[0] else "wtx"
@@ -451,6 +483,27 @@ def test_fit_cells_without_stacking_still_equal_fit(monkeypatch):
     # One check per (product, width), on the first iteration; after them
     # every cell runs on its own products.
     assert checked == [("xht", 4), ("wtx", 4)]
+    for got, config in zip(results, configs):
+        _assert_same_fit(got, fit(x, config, y=y, z=z, l=mask))
+
+
+def test_fit_cells_stack_each_width_apart_after_a_mixed_mismatch(monkeypatch):
+    x, y, z, mask = _labelled_problem(12, 60, 50)
+    checked = []
+
+    def equal(stacked, singles):
+        # A BLAS whose own products of rank-2 factors sum in another order.
+        widths = tuple(min(block.shape) for block in stacked)
+        checked.append((_product_name(stacked, x), widths))
+        return 2 not in widths
+
+    monkeypatch.setattr(factorization, "_blocks_equal", equal)
+    configs = [ModelConfig(rank=rank, lam=lam, mu=0.05, max_iters=5, rng_seed=3)
+               for rank in (2, 3) for lam in (0.0, 0.3)]
+    results = fit_cells(x, configs, y=y, z=z, l=mask)
+    assert checked == [("xht", (2, 2, 3, 3)), ("wtx", (2, 2, 3, 3)),
+                       ("xht", (2, 2)), ("xht", (3, 3)),
+                       ("wtx", (2, 2)), ("wtx", (3, 3))]
     for got, config in zip(results, configs):
         _assert_same_fit(got, fit(x, config, y=y, z=z, l=mask))
 
@@ -573,10 +626,11 @@ def test_fit_cells_requires_a_shared_start():
     x = np.random.default_rng(0).random((6, 5))
     with pytest.raises(ValueError, match="at least one"):
         fit_cells(x, [])
-    with pytest.raises(ValueError, match="share rank and rng_seed"):
-        fit_cells(x, [ModelConfig(rank=2), ModelConfig(rank=3)])
-    with pytest.raises(ValueError, match="share rank and rng_seed"):
-        fit_cells(x, [ModelConfig(rank=2), ModelConfig(rank=2, rng_seed=1)])
+    # Cells of other ranks and rng seeds start from their own factors.
+    configs = [ModelConfig(rank=2, max_iters=5), ModelConfig(rank=3, max_iters=5),
+               ModelConfig(rank=2, max_iters=5, rng_seed=1)]
+    for got, config in zip(fit_cells(x, configs), configs):
+        _assert_same_fit(got, fit(x, config))
     with pytest.raises(ValueError, match="seed matrix"):
         fit_cells(x, [ModelConfig(rank=2), ModelConfig(rank=2, lam=0.1)])
 

@@ -282,10 +282,11 @@ def _topic_coherences(w, vocab: Vocabulary, present, n_top: int):
 # --- sweep ------------------------------------------------------------------
 
 # The widest batch of cells a sweep fits at once, as the sum of their
-# ranks. A cell's share of the two stacked products of X costs less the
-# wider the batch, up to about this width. In ms per rank-7 cell, at
-# widths 28 / 56 / 112 / 224 / 448, on a 2-CPU Xeon with one OpenBLAS
-# 0.3.31 thread and X 5% nonzero:
+# ranks; the cells are packed in row order, so one rank and trial's cells
+# may span batches. A cell's share of the two stacked products of X costs
+# less the wider the batch, up to about this width. In ms per rank-7
+# cell, at widths 28 / 56 / 112 / 224 / 448, on a 2-CPU Xeon with one
+# OpenBLAS 0.3.31 thread and X 5% nonzero:
 #   600 x 700     0.389  0.285  0.262  0.224  0.266
 #   700 x 2000    1.49   1.12   0.867  0.751  0.779
 #   2000 x 7000   18.7   15.9   10.1   8.90   8.63
@@ -302,61 +303,43 @@ def _sweep_run_task(batch):
     return _sweep_eval(_WORKER_PAYLOAD["payload"], batch)
 
 
-def _batches(groups) -> list[list]:
-    """Consecutive (rank, trial, weights) groups, packed into batches.
+def _batches(cells) -> list[list]:
+    """Consecutive (rank, lambda, mu, trial) cells, packed into batches.
 
     A batch's width, the sum of its cells' ranks, is at most
-    ``_BATCH_WIDTH``; a group wider than that is a batch of its own.
+    ``_BATCH_WIDTH``; a cell wider than that is a batch of its own.
     """
     batches, width = [], _BATCH_WIDTH
-    for group in groups:
-        group_width = group[0] * len(group[2])
-        if width + group_width > _BATCH_WIDTH:
+    for cell in cells:
+        if width + cell[0] > _BATCH_WIDTH:
             batches.append([])
             width = 0
-        batches[-1].append(group)
-        width += group_width
+        batches[-1].append(cell)
+        width += cell[0]
     return batches
 
 
 def _sweep_eval(payload, batch):
-    """Fit and score a batch of (rank, trial) groups as one ``fit_cells`` batch.
+    """Fit and score (rank, lambda, mu, trial) cells as one ``fit_cells`` batch.
 
-    The cells of one group share their split and their initial factors;
-    each group's cells get its split as their mask. Returns one
-    ``(rank, lam, mu, trial, value)`` row per cell, in the batch's order.
-    A cell that fails gets, as its value, the error that names it; the
-    other cells still run. A group whose split fails gives that error to
-    its own cells.
+    Each cell's mask is its trial's split, and trial t's rng seed is
+    base + t, so the cells of one rank and trial share their initial
+    factors. Returns one ``(rank, lam, mu, trial, value)`` row per cell,
+    in the batch's order. A cell that fails gets, as its value, the error
+    that names it; the other cells still run.
     """
     corpus, labels = payload["corpus"], payload["labels"]
-    cells, configs, masks = [], [], []  # cells: (rank, lam, mu, trial), mask
-    for rank, trial, weights in batch:
-        seed = payload["base_seed"] + trial
-        try:
-            mask = split_mask(corpus.n_docs, payload["train_fraction"], seed,
-                              len(labels.label_names))
-        except ValueError as exc:
-            mask = exc  # the group's own cells fail with it
-        else:
-            configs += [replace(payload["config"], rank=rank, lam=lam, mu=mu,
-                                rng_seed=seed) for lam, mu in weights]
-            masks += [mask] * len(weights)
-        cells += [((rank, lam, mu, trial), mask) for lam, mu in weights]
-    try:
-        fits = fit_cells(corpus, configs, y=payload["seeds"], z=labels, l=masks)
-    except (ValueError, FactorizationError) as exc:
-        fits = [exc] * len(configs)
-    fits = iter(fits)
+    configs = [replace(payload["config"], rank=rank, lam=lam, mu=mu,
+                       rng_seed=payload["base_seed"] + trial)
+               for rank, lam, mu, trial in batch]
+    masks = [payload["splits"][trial] for *_, trial in batch]
+    fits = fit_cells(corpus, configs, y=payload["seeds"], z=labels, l=masks)
     # One byte per entry, built after the fits; every cell reads its
     # keywords' rows.
     present = corpus.x != 0 if payload["metric"] == "avg_coherence" else None
     rows = []
-    for (rank, lam, mu, trial), mask in cells:
+    for (rank, lam, mu, trial), mask, result in zip(batch, masks, fits):
         try:
-            if isinstance(mask, Exception):
-                raise mask
-            result = next(fits)
             if isinstance(result, Exception):
                 raise result
             if payload["metric"] == "macro_f1":
@@ -408,25 +391,29 @@ def run_sweep(args) -> int:
     seeds = _seed_matrix(args.seeds_file, corpus.vocab)
     assignments = load_label_assignments(args.labels_file)
     labels = build_label_matrix(assignments, corpus.doc_ids)
+    # Each trial's split, drawn once, before any fit.
+    splits = [split_mask(corpus.n_docs, args.train_fraction, args.base_seed + t,
+                         len(labels.label_names)) for t in range(args.trials)]
     payload = {
         # The checked wrappers, so no cell checks X, Y or Z again.
         "corpus": corpus,
         "seeds": seeds,
         "labels": labels,
-        "train_fraction": args.train_fraction,
+        "splits": splits,
         "base_seed": args.base_seed,
         "metric": args.metric,
         "n_top": args.n_top,
         "config": shared,
     }
-    # The cells of one (rank, trial) group share their split and their
-    # initial factors. The groups are split into one contiguous share per
-    # worker, and each share is packed into fit_cells batches.
-    groups = [(rank, trial, [(lam, mu) for lam in sorted(lams) for mu in sorted(mus)])
-              for rank in sorted(ranks) for trial in range(args.trials)]
-    workers = min(args.jobs, len(groups), os.cpu_count() or 1)
+    # One cell per output row, in row order, split into one contiguous
+    # share per worker; each share is packed into fit_cells batches.
+    cells = [(rank, lam, mu, trial) for rank in sorted(ranks) for lam in sorted(lams)
+             for mu in sorted(mus) for trial in range(args.trials)]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(args.jobs, len(cells), cpus)
     batches = [batch for i in range(workers) for batch in _batches(
-        groups[i * len(groups) // workers:(i + 1) * len(groups) // workers])]
+        cells[i * len(cells) // workers:(i + 1) * len(cells) // workers])]
     if workers > 1:
         # Imported here: the pool machinery would slow every command's start.
         from concurrent.futures import ProcessPoolExecutor
@@ -437,9 +424,9 @@ def run_sweep(args) -> int:
             done = list(pool.map(_sweep_run_task, batches))
     else:
         done = [_sweep_eval(payload, batch) for batch in batches]
-    # The collector owns the output order regardless of scheduling, and
-    # reports the first failing cell in that order.
-    rows = sorted((row for batch in done for row in batch), key=lambda r: r[:4])
+    # map keeps the batches' order, so the rows are in row order; the
+    # first failing cell in that order is reported.
+    rows = [row for batch in done for row in batch]
     for row in rows:
         if isinstance(row[4], Exception):
             raise row[4]
@@ -647,8 +634,8 @@ def build_parser():
     _add_fit_flags(sp)
     sp.add_argument("--jobs", type=int, default=1,
                     help="worker processes (>= 1; capped at the number of "
-                         "(rank, trial) groups and the CPU count); output is "
-                         "identical for any value")
+                         "cells and the CPUs this process may run on); "
+                         "output is identical for any value")
     sp.set_defaults(func=run_sweep)
 
     sp = sub.add_parser("plot-heatmap", help="SVG heatmap from a sweep mean CSV")

@@ -120,8 +120,8 @@ def split_mask(
 ) -> MaskMatrix:
     """Uniform random train/test split over ``n_docs`` columns.
 
-    The training set has ``ceil(train_fraction * n_docs)`` columns, capped
-    at ``n_docs - 1`` so a test set always exists. Deterministic given
+    The training set has ``ceil(train_fraction * n_docs)`` columns, kept
+    within [1, n_docs - 1] so neither set is empty. Deterministic given
     ``rng_seed``.
     """
     if not 0.0 < train_fraction < 1.0:
@@ -132,7 +132,7 @@ def split_mask(
         raise ValueError(f"n_classes must be >= 1, got {n_classes}")
     # round() guards the ceiling against float dust in the product
     # (e.g. fraction * n landing a hair above an exact integer).
-    n_train = min(math.ceil(round(train_fraction * n_docs, 9)), n_docs - 1)
+    n_train = min(max(math.ceil(round(train_fraction * n_docs, 9)), 1), n_docs - 1)
     perm = np.random.default_rng(rng_seed).permutation(n_docs).tolist()
     return _mask_matrix(n_classes, perm[:n_train], perm[n_train:])
 

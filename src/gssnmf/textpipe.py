@@ -232,7 +232,7 @@ def doc_token_sets(corpus: CorpusMatrix) -> list[set[str]]:
 
 
 def read_corpus_dir(root) -> list[tuple[str, str]]:
-    """Load every ``.txt`` file under ``root`` (recursively), UTF-8.
+    """Load every regular ``.txt`` file under ``root`` (recursively), UTF-8.
 
     Document ids are file paths relative to ``root``, sorted
     lexicographically; this fixes the matrix column order.
@@ -240,7 +240,8 @@ def read_corpus_dir(root) -> list[tuple[str, str]]:
     rootp = Path(root)
     if not rootp.is_dir():
         raise ValueError(f"corpus directory not found: {root}")
-    paths = sorted(rootp.rglob("*.txt"), key=lambda p: p.relative_to(rootp).as_posix())
+    paths = sorted((p for p in rootp.rglob("*.txt") if p.is_file()),
+                   key=lambda p: p.relative_to(rootp).as_posix())
     return [(p.relative_to(rootp).as_posix(), _read_text(p)) for p in paths]
 
 

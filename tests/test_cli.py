@@ -728,7 +728,7 @@ def test_sweep_rows_do_not_depend_on_batching(workspace, tmp_path, monkeypatch,
     real, batches = cli._sweep_eval, []
 
     def spy(payload, batch):
-        batches.append([group[:2] for group in batch])
+        batches.append([(rank, trial) for rank, _, _, trial in batch])
         return real(payload, batch)
 
     monkeypatch.setattr(cli, "_sweep_eval", spy)
@@ -741,34 +741,77 @@ def test_sweep_rows_do_not_depend_on_batching(workspace, tmp_path, monkeypatch,
         monkeypatch.setattr(cli, "_BATCH_WIDTH", width)
         assert main(_sweep_args(workspace, out, extra=extra + ("--jobs", jobs))) == 0
         outputs.append([(out / f).read_bytes() for f in ("sweep.csv", "sweep.mean.csv")])
-    # Each (rank, trial) group holds 4 cells of its rank: all four groups
-    # fit as one batch, then, capped at a width of 4, one batch per group.
-    assert batches == [[(1, 0), (1, 1), (2, 0), (2, 1)],
-                       [(1, 0)], [(1, 1)], [(2, 0)], [(2, 1)]]
+    # The cells in row order, (rank, lambda, mu, trial): all 16 fit as one
+    # batch, then, capped at a width of 4, four rank-1 cells or two rank-2
+    # cells a batch.
+    assert batches == [[(1, 0), (1, 1)] * 4 + [(2, 0), (2, 1)] * 4,
+                       [(1, 0), (1, 1)] * 2, [(1, 0), (1, 1)] * 2,
+                       [(2, 0), (2, 1)], [(2, 0), (2, 1)],
+                       [(2, 0), (2, 1)], [(2, 0), (2, 1)]]
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_sweep_reports_a_failed_split_for_its_own_group(workspace, tmp_path,
-                                                        monkeypatch, capsys):
-    real_split, real_fit, fitted = cli.split_mask, cli.fit_cells, []
+def test_sweep_rows_do_not_depend_on_splitting_a_rank_and_trial(
+        workspace, tmp_path, monkeypatch):
+    real, shares = cli._batches, []
+
+    def spy(cells):
+        batches = real(cells)
+        shares.append([[(rank, trial) for rank, _, _, trial in b] for b in batches])
+        return batches
+
+    monkeypatch.setattr(cli, "_batches", spy)
+    extra = ("--ranks", "1,2,3", "--metric", "avg_coherence", "--n-top", "4")
+    whole, split = tmp_path / "whole", tmp_path / "split"
+    whole.mkdir()
+    split.mkdir()
+    assert main(_sweep_args(workspace, whole, extra=extra)) == 0
+    # Below the width 8 of rank 2's four cells of one trial, and across
+    # the two workers' shares of 12 cells each.
+    monkeypatch.setattr(cli, "_BATCH_WIDTH", 3)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert main(_sweep_args(workspace, split, extra=extra + ("--jobs", "2"))) == 0
+    assert len(shares) == 1 + 2
+    for share in shares[1:]:
+        assert sum(batch.count((2, 0)) for batch in share) == 2
+        assert sum((2, 0) in batch for batch in share) == 2
+    for name in ("sweep.csv", "sweep.mean.csv"):
+        assert (whole / name).read_bytes() == (split / name).read_bytes()
+
+
+def test_sweep_jobs_are_capped_by_the_cpus_this_process_may_run_on(
+        workspace, tmp_path, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    serial, capped = tmp_path / "serial", tmp_path / "capped"
+    serial.mkdir()
+    capped.mkdir()
+    assert main(_sweep_args(workspace, serial)) == 0
+    assert main(_sweep_args(workspace, capped, extra=("--jobs", "2"))) == 0
+    assert (serial / "sweep.csv").read_bytes() == (capped / "sweep.csv").read_bytes()
+
+
+def test_sweep_split_fault_exits_2_before_any_fit(workspace, tmp_path, monkeypatch,
+                                                  capsys):
+    real_split, fitted = cli.split_mask, []
 
     def split(n_docs, train_fraction, seed, n_classes):
         if seed == 9 + 1:
             raise ValueError("no split for this seed")
         return real_split(n_docs, train_fraction, seed, n_classes)
 
-    def fit_cells(x, configs, **kwargs):
-        fitted.extend(configs)
-        return real_fit(x, configs, **kwargs)
-
     monkeypatch.setattr(cli, "split_mask", split)
-    monkeypatch.setattr(cli, "fit_cells", fit_cells)
+    monkeypatch.setattr(cli, "fit_cells", lambda *a, **k: fitted.append(a))
     assert main(_sweep_args(workspace, tmp_path, extra=("--ranks", "1,2"))) == 2
-    assert capsys.readouterr().err == (
-        "error: sweep cell (rank=1, lambda=0.0, mu=0.05, trial=1): "
-        "no split for this seed\n")
-    # The groups of trial 0 were fitted, in the same batch.
-    assert [(c.rank, c.rng_seed) for c in fitted] == [(1, 9)] * 4 + [(2, 9)] * 4
+    assert capsys.readouterr().err == "error: no split for this seed\n"
+    assert fitted == []
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -1347,7 +1390,7 @@ def test_flag_checks_exit_2_before_any_input_is_read(
     assert not out.exists()
 
 
-def test_sweep_on_one_document_exits_2_naming_the_cell(tmp_path, capsys):
+def test_sweep_on_one_document_exits_2_before_any_fit(tmp_path, monkeypatch, capsys):
     from gssnmf.textpipe import CorpusMatrix, Vocabulary, save_corpus
 
     corpus = CorpusMatrix(np.ones((2, 1)), Vocabulary(["gangx", "theftx"]), ["d0"])
@@ -1355,15 +1398,18 @@ def test_sweep_on_one_document_exits_2_naming_the_cell(tmp_path, capsys):
     (tmp_path / "labels.csv").write_text("d0,gang\n", "utf-8")
     (tmp_path / "seeds.txt").write_text("gangx\n", "utf-8")
     out = tmp_path / "sweep.csv"
+    fitted = []
+    monkeypatch.setattr(cli, "fit_cells", lambda *a, **k: fitted.append(a))
     capsys.readouterr()
     assert main([str(a) for a in [
         "sweep", tmp_path / "corpus.txt", tmp_path / "labels.csv",
         tmp_path / "seeds.txt", "--out", out, "--ranks", "1",
         "--lambda-grid", "0", "--mu-grid", "0", "--trials", "1"]]) == 2
     assert capsys.readouterr().err == (
-        "error: sweep cell (rank=1, lambda=0.0, mu=0.0, trial=0): "
-        "need at least 2 documents to split, got 1\n")
+        "error: need at least 2 documents to split, got 1\n")
+    assert fitted == []
     assert not out.exists()
+    assert not out.with_suffix(".mean.csv").exists()
 
 
 def test_sweep_non_finite_grid_values_exit_2_before_any_input_is_read(

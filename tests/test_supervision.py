@@ -96,6 +96,12 @@ def test_split_sizes():
     assert len(mask.train_ids) == 2 and len(mask.test_ids) == 1
 
 
+def test_split_keeps_one_training_column_at_a_tiny_fraction():
+    # the product rounds to 0, but a training set must exist
+    mask = split_mask(2, 1e-12, rng_seed=0, n_classes=1)
+    assert len(mask.train_ids) == 1 and len(mask.test_ids) == 1
+
+
 def test_split_columns_all_ones_or_all_zeros():
     mask = split_mask(8, 0.5, rng_seed=5, n_classes=4)
     for j in mask.train_ids:

@@ -196,6 +196,14 @@ def test_read_corpus_dir_sorted_relative_ids(tmp_path):
         read_corpus_dir(tmp_path / "missing")
 
 
+def test_read_corpus_dir_skips_a_directory_named_like_a_text_file(tmp_path):
+    (tmp_path / "notes.txt").mkdir()
+    (tmp_path / "notes.txt" / "inner.txt").write_text("inner", encoding="utf-8")
+    (tmp_path / "a.txt").write_text("alpha", encoding="utf-8")
+    assert read_corpus_dir(tmp_path) == [("a.txt", "alpha"),
+                                         ("notes.txt/inner.txt", "inner")]
+
+
 def test_save_load_round_trip(tmp_path):
     docs = [("d1", "gang murder trial"), ("d2", "murder weapon"),
             ("d3", "trial gang gang")]

@@ -194,6 +194,9 @@ def run_classify(args) -> int:
         )
     assignments = load_label_assignments(args.labels_file)
     labels = build_label_matrix(assignments, doc_ids)
+    if labels.label_names != manifest.get("label_names"):
+        raise ValueError(f"{args.labels_file}: classes {labels.label_names}, but "
+                         f"{args.result_dir} was fit on {manifest.get('label_names')}")
     p, n = labels.z.shape
     mask = load_mask(args.mask_file, p, n)
 
@@ -325,8 +328,8 @@ def _sweep_eval(payload, batch):
     Each cell's mask is its trial's split, and trial t's rng seed is
     base + t, so the cells of one rank and trial share their initial
     factors. Returns one ``(rank, lam, mu, trial, value)`` row per cell,
-    in the batch's order. A cell that fails gets, as its value, the error
-    that names it; the other cells still run.
+    in the batch's order. The first cell that fails, in that order, raises
+    its error, named for the cell.
     """
     corpus, labels = payload["corpus"], payload["labels"]
     configs = [replace(payload["config"], rank=rank, lam=lam, mu=mu,
@@ -350,9 +353,9 @@ def _sweep_eval(payload, batch):
                 )
                 value = avg_coherence(scores)
         except (ValueError, FactorizationError) as exc:
-            value = type(exc)(
+            raise type(exc)(
                 f"sweep cell (rank={rank}, lambda={lam}, mu={mu}, trial={trial}): {exc}"
-            )
+            ) from None
         rows.append((rank, lam, mu, trial, value))
     return rows
 
@@ -424,12 +427,9 @@ def run_sweep(args) -> int:
             done = list(pool.map(_sweep_run_task, batches))
     else:
         done = [_sweep_eval(payload, batch) for batch in batches]
-    # map keeps the batches' order, so the rows are in row order; the
-    # first failing cell in that order is reported.
+    # The pool and the loop consume the batches in row order, so the rows
+    # are in row order and the first failing cell in that order raises.
     rows = [row for batch in done for row in batch]
-    for row in rows:
-        if isinstance(row[4], Exception):
-            raise row[4]
 
     values: dict[tuple, list[float]] = {}
     for rank, lam, mu, _, value in rows:

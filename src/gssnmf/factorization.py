@@ -43,9 +43,9 @@ reuses both (and the B update ``W^T W``). The loss forms ``H H^T`` for
 the new H, and the next iteration's W update takes it from there instead
 of forming it again. What does not change between iterations lives in a
 ``_Problem``: X, Y, Z, L and the cached ``||X||_F^2``, ``L o L`` and
-``L o L o Z``. A batch checks X, Y and Z and forms ``||X||_F^2`` once, and
-each distinct mask gets its own ``L o L`` and ``L o L o Z``. The weights
-and eps come from each cell's ``ModelConfig``.
+``L o L o Z``. A batch checks X, Y and Z and forms ``||X||_F^2`` once; the
+problem of each further mask shares them and forms its own ``L o L`` and
+``L o L o Z``. The weights and eps come from each cell's ``ModelConfig``.
 
 Each input is checked once, where it enters: a wrapper type checks its
 array when it is constructed, ``_Problem`` checks bare arrays and the
@@ -58,11 +58,11 @@ the error and stops.
 ``fit_cells`` runs any configs as one batch, each with its own rank,
 rng seed and mask, and ``fit`` is its one-config case. Cells that share
 a (rank, rng seed) start from the same factors. Each cell (``_Cell``)
-holds the four rules, split in two where their products of X are
-consumed: ``update_w`` takes ``X H^T``, and ``update_hbc`` (the H, B and
-C rules and the loss) takes ``W^T X`` of the new W. Between the halves
-the batch forms each product for all running cells at once
-(``_Products``):
+holds its config, problem and factors and the four rules, split in two
+where their products of X are consumed: ``update_w`` takes ``X H^T``,
+and ``update_hbc`` (the H, B and C rules and the loss) takes ``W^T X``
+of the new W. Between the halves the batch forms each product for all
+running cells at once (``_Products``):
 
 - ``X H^T`` for two or more cells comes as column blocks of one stacked
   product ``X [H_1; ...; H_B]^T``, and for one cell as ``(H X^T)^T``;
@@ -83,7 +83,6 @@ those of its own ``fit``.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -200,31 +199,20 @@ class _Problem:
     place their shapes are checked against one another. ``xx``
     (``||X||_F^2``), ``ll`` (``L o L``) and ``llz`` (``L o L o Z``) are
     computed once, here. The weights are not part of it, so one ``_Problem``
-    serves every cell of a batch with its mask; ``with_mask`` gives the
-    cells of another mask theirs, sharing the rest.
+    serves every cell of a batch with its mask. Given ``xx``, X, Y and Z
+    come checked from another mask's problem, and only L's terms are formed.
     """
 
     __slots__ = ("x", "y", "z", "l", "xx", "ll", "llz")
 
-    def __init__(self, x, y=None, z=None, l=None):
-        x, y, z = map(_as_input, (x, y, z))
-        d, n = x.shape
-        if y is not None and y.shape[0] != d:
-            raise ValueError(
-                f"guiding term: Y is {y.shape[0]}x{y.shape[1]} but X is {d}x{n}"
-            )
-        self.x, self.y, self.z = x, y, z
-        self.xx = frobenius_sq(x)
-        self._set_mask(l)
-
-    def with_mask(self, l) -> _Problem:
-        """This problem with the mask ``l``; X, Y, Z and ``xx`` are shared."""
-        p = copy.copy(self)
-        p._set_mask(l)
-        return p
-
-    def _set_mask(self, l) -> None:
-        l, z, n = _as_input(l), self.z, self.x.shape[1]
+    def __init__(self, x, y=None, z=None, l=None, xx=None):
+        if xx is None:
+            x, y, z = map(_as_input, (x, y, z))
+            if y is not None and y.shape[0] != x.shape[0]:
+                raise ValueError(f"guiding term: Y is {y.shape[0]}x{y.shape[1]} "
+                                 f"but X is {x.shape[0]}x{x.shape[1]}")
+            xx = frobenius_sq(x)
+        l, n = _as_input(l), x.shape[1]
         if (z is None) != (l is None):
             raise ValueError("label term: Z and L must be supplied together")
         if z is not None and (z.shape[1] != n or l.shape != z.shape):
@@ -232,7 +220,7 @@ class _Problem:
                 f"label term: Z is {z.shape[0]}x{z.shape[1]} and "
                 f"L is {l.shape[0]}x{l.shape[1]}, expected p x {n} for both"
             )
-        self.l = l
+        self.x, self.y, self.z, self.l, self.xx = x, y, z, l, xx
         self.ll = None if l is None else l * l
         self.llz = None if z is None else self.ll * z
 
@@ -355,12 +343,14 @@ class _Cell:
     """One config's state inside a ``fit_cells`` batch, and its update step.
 
     The step's two halves are ``update_w`` and ``update_hbc``; the batch
-    forms the X products between them. ``hht`` is ``H H^T`` of the current
-    H. ``outcome`` is None while the cell runs, then its result or the
-    ``FactorizationError`` that stopped it.
+    forms the X products between them. ``p`` is the problem of the cell's
+    mask, ``hht`` is ``H H^T`` of the current H, and ``prev`` the last loss
+    (first, when ``tol > 0``, that of the initial factors). ``outcome`` is
+    None while the cell runs, then its result or the error that stopped it.
     """
 
     config: ModelConfig
+    p: _Problem
     w: Matrix
     h: Matrix
     b: Matrix | None
@@ -371,9 +361,15 @@ class _Cell:
     terms: list[tuple[float, float, float]] = field(default_factory=list)
     outcome: FactorizationResult | FactorizationError | None = None
 
-    def update_w(self, p: _Problem, xht, iteration: int) -> bool:
+    def __post_init__(self):
+        config, p, w = self.config, self.p, self.w
+        if config.tol > 0:
+            self.prev = _losses(p, config.lam, config.mu, w, self.h, self.b, self.c,
+                                w.T @ p.x, w.T @ w, self.hht)[0]
+
+    def update_w(self, xht, iteration: int) -> bool:
         """The W rule, given ``xht = X H^T``; whether the cell runs on."""
-        config, w, b = self.config, self.w, self.b
+        config, p, w, b = self.config, self.p, self.w, self.b
         numer = xht
         denom = w @ self.hht
         if config.lam > 0:
@@ -382,14 +378,14 @@ class _Cell:
         self.w = w * (numer / (denom + config.eps))
         return self._finite("W", self.w, iteration)
 
-    def update_hbc(self, p: _Problem, wtx, iteration: int) -> bool:
+    def update_hbc(self, wtx, iteration: int) -> bool:
         """The H, B and C rules and the loss, given ``wtx = W^T X`` of the new W.
 
         Appends the loss to the trace and applies the stop rule; returns
         whether the cell runs on. The new ``hht`` is the loss's, for the
         next W rule.
         """
-        config, w, h, b, c = self.config, self.w, self.h, self.b, self.c
+        config, p, w, h, b, c = self.config, self.p, self.w, self.h, self.b, self.c
         lam, mu, eps = config.lam, config.mu, config.eps
         wtw = w.T @ w
         numer = wtx
@@ -440,8 +436,8 @@ def fit_cells(
 
     Every setting is per cell. Cells with the same ``rank`` and
     ``rng_seed`` start from the same W, H, B, C, drawn once. ``l`` is one
-    mask for every config, as for ``fit``, or a list with one mask per
-    config. Each iteration runs the two halves of the step,
+    mask for every config, or a list of one mask per config: a list is
+    never one mask. Each iteration runs the two halves of the step,
     ``_Cell.update_w`` and ``_Cell.update_hbc``, for every running cell,
     with the cells' ``X H^T`` and ``W^T X`` formed together between them
     (``_Products``). Every cell's factors and traces are bitwise what
@@ -451,9 +447,9 @@ def fit_cells(
     Returns one entry per config, in order: its ``FactorizationResult``,
     or the ``FactorizationError`` that stopped it. X, Y and Z are checked
     once for the batch, and ``L o L`` and ``L o L o Z`` are formed once per
-    distinct mask (``_Problem``). Invalid inputs, a weight without its data
-    and a rank above min(d, n) raise ``ValueError`` before any factor is
-    drawn. Arguments are as for ``fit``.
+    distinct mask, in the ``_Problem`` its cells hold. Invalid inputs, a
+    weight without its data and a rank above min(d, n) raise
+    ``ValueError`` before any factor is drawn. Arguments are as for ``fit``.
     """
     configs = list(configs)
     if not configs:
@@ -465,7 +461,7 @@ def fit_cells(
     problems = {id(masks[0]): p}
     for mask in masks:
         if id(mask) not in problems:
-            problems[id(mask)] = p.with_mask(mask)
+            problems[id(mask)] = _Problem(p.x, p.y, p.z, mask, p.xx)
     if p.y is None and any(cfg.lam > 0 for cfg in configs):
         raise ValueError("guiding term: lam > 0 requires a seed matrix Y")
     if p.z is None and any(cfg.mu > 0 for cfg in configs):
@@ -484,27 +480,20 @@ def fit_cells(
                 n_classes=None if p.z is None else p.z.shape[0],
             )
             starts[cfg.rank, cfg.rng_seed] = w, h, b, c, h @ h.T
-    cells = [_Cell(cfg, *starts[cfg.rank, cfg.rng_seed]) for cfg in configs]
-    running = [(cell, problems[id(mask)]) for cell, mask in zip(cells, masks)]
-    for cell, q in running:
-        cfg, w = cell.config, cell.w
-        if cfg.tol > 0:
-            cell.prev = _losses(q, cfg.lam, cfg.mu, w, cell.h, cell.b, cell.c,
-                                w.T @ p.x, w.T @ w, cell.hht)[0]
+    cells = [_Cell(cfg, problems[id(mask)], *starts[cfg.rank, cfg.rng_seed])
+             for cfg, mask in zip(configs, masks)]
 
     products = _Products(p.x)
-    i = 0
+    running, i = cells, 0
     while running:
         i += 1
         # Each list of products goes once its half of the step consumed
         # it, so one stacked product is alive at a time.
-        xhts = products.xht([cell.h for cell, _ in running])
-        running = [(cell, q) for (cell, q), xht in zip(running, xhts)
-                   if cell.update_w(q, xht, i)]
+        xhts = products.xht([cell.h for cell in running])
+        running = [cell for cell, xht in zip(running, xhts) if cell.update_w(xht, i)]
         del xhts
-        wtxs = products.wtx([cell.w for cell, _ in running])
-        running = [(cell, q) for (cell, q), wtx in zip(running, wtxs)
-                   if cell.update_hbc(q, wtx, i)]
+        wtxs = products.wtx([cell.w for cell in running])
+        running = [cell for cell, wtx in zip(running, wtxs) if cell.update_hbc(wtx, i)]
         del wtxs
     return [cell.outcome for cell in cells]
 
@@ -526,13 +515,13 @@ def fit(x, config: ModelConfig, *, y=None, z=None, l=None) -> FactorizationResul
     ``config.tol > 0`` the loop stops early once the relative objective
     change drops below it. Deterministic given identical inputs and config.
 
-    ``fit`` is ``fit_cells`` with one config. The inputs are checked once,
-    and one ``_Problem`` caches ``||X||_F^2``, ``L o L`` and ``L o L o Z``
-    for the whole run. The loss at the initial factors is evaluated only
-    when ``tol > 0`` needs it. A divergence raises its
-    ``FactorizationError``.
+    ``fit`` is ``fit_cells`` with one config and ``l=[l]``, so ``l`` may be
+    anything ``as_matrix`` accepts. The inputs are checked once, and one
+    ``_Problem`` caches ``||X||_F^2``, ``L o L`` and ``L o L o Z`` for the
+    whole run. The loss at the initial factors is evaluated only when
+    ``tol > 0`` needs it. A divergence raises its ``FactorizationError``.
     """
-    (result,) = fit_cells(x, [config], y=y, z=z, l=l)
+    (result,) = fit_cells(x, [config], y=y, z=z, l=[l])
     if isinstance(result, FactorizationError):
         raise result
     return result
@@ -620,11 +609,12 @@ def load_result(result_dir) -> tuple[FactorizationResult, dict]:
         config = ModelConfig(**manifest["config"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path}: invalid config: {exc}") from None
-    doc_ids = manifest.get("doc_ids")
-    if doc_ids is not None and not (
-        isinstance(doc_ids, list) and all(isinstance(d, str) for d in doc_ids)
-    ):
-        raise ValueError(f"{manifest_path}: doc_ids must be a list of strings")
+    doc_ids, label_names = manifest.get("doc_ids"), manifest.get("label_names")
+    for key, names in (("doc_ids", doc_ids), ("label_names", label_names)):
+        if names is not None and not (
+            isinstance(names, list) and all(isinstance(v, str) for v in names)
+        ):
+            raise ValueError(f"{manifest_path}: {key} must be a list of strings")
     w = load_matrix_csv(root / "w.csv")
     h = load_matrix_csv(root / "h.csv")
     b = load_matrix_csv(root / "b.csv") if (root / "b.csv").is_file() else None
@@ -645,6 +635,10 @@ def load_result(result_dir) -> tuple[FactorizationResult, dict]:
     if doc_ids is not None and len(doc_ids) != h.shape[1]:
         raise ValueError(f"{manifest_path}: {len(doc_ids)} doc_ids, but h.csv "
                          f"has {h.shape[1]} columns")
+    classes = 0 if c is None else len(c)
+    if label_names is not None and len(label_names) != classes:
+        raise ValueError(f"{manifest_path}: {len(label_names)} label_names, but C "
+                         f"has {classes} rows")
     terms = [tuple(r) for r in rows[:, 2:].tolist()]
     result = FactorizationResult(w, h, b, c, rows[:, 1].tolist(), terms, config)
     return result, manifest

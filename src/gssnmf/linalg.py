@@ -247,6 +247,13 @@ def read_json(path, what: str):
             raise ValueError(f"{path}:{exc.lineno}: invalid {what}: {exc.msg}") from None
 
 
+def json_int(value) -> int:
+    """``value`` if it is a JSON integer (not a bool); else ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def read_entries(lines) -> list[str]:
     """The stripped ``lines`` that are neither blank nor ``#`` comments."""
     return [e for e in map(str.strip, lines) if e and not e.startswith("#")]

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Matrix, as_matrix, open_text, read_entries, read_json, write_file
+from .linalg import (Matrix, as_matrix, json_int, open_text, read_entries, read_json,
+                     write_file)
 from .stemmer import porter_stem
 from .textpipe import Vocabulary, tokenize
 
@@ -200,9 +201,9 @@ def load_mask(path, n_classes: int, n_docs: int) -> MaskMatrix:
     """
     obj = read_json(path, "mask file")
     try:
-        shape = (int(obj["n_classes"]), int(obj["n_docs"]))
-        train_ids = [int(i) for i in obj["train_ids"]]
-        test_ids = [int(i) for i in obj["test_ids"]]
+        shape = (json_int(obj["n_classes"]), json_int(obj["n_docs"]))
+        train_ids = [json_int(i) for i in obj["train_ids"]]
+        test_ids = [json_int(i) for i in obj["test_ids"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed mask file: {exc}") from None
     if shape != (n_classes, n_docs):

@@ -29,6 +29,7 @@ import numpy as np
 from .linalg import (
     Matrix,
     as_matrix,
+    json_int,
     open_text,
     read_entries,
     read_rows,
@@ -302,8 +303,8 @@ def load_corpus(path) -> CorpusMatrix:
         if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
             raise CorpusFormatError(f"{path}:1: not a corpus file")
         try:
-            rows = int(header["rows"])
-            cols = int(header["cols"])
+            rows = json_int(header["rows"])
+            cols = json_int(header["cols"])
             doc_ids = list(header["doc_ids"])
             vocab_terms = list(header["vocab"])
             params = _params_from_json(header.get("params"))

@@ -36,9 +36,9 @@ def update_step(p, config, w, h, b, c, *, iteration=1):
     ``(total, reconstruction, guiding, label)`` tuple at the new factors.
     Raises the ``FactorizationError`` of a diverged rule.
     """
-    cell = _Cell(config, w, h, b, c, h @ h.T)
-    if cell.update_w(p, p.x @ h.T, iteration):
-        cell.update_hbc(p, cell.w.T @ p.x, iteration)
+    cell = _Cell(config, p, w, h, b, c, h @ h.T)
+    if cell.update_w(p.x @ h.T, iteration):
+        cell.update_hbc(cell.w.T @ p.x, iteration)
     if isinstance(cell.outcome, FactorizationError):
         raise cell.outcome
     return cell.w, cell.h, cell.b, cell.c, (cell.trace[-1], *cell.terms[-1])

@@ -233,6 +233,28 @@ def test_classify_perfect_recovery_scores_one(workspace, tmp_path):
     assert report["per_class_f1"] == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("names", [("alpha", "beta"), ("zeta", "alpha")])
+def test_classify_labels_of_other_classes_exit_2(workspace, tmp_path, capsys, names):
+    # Classes of other names would score C's rows as the wrong classes:
+    # as row names in the same order, or in the other order.
+    out = workspace["root"] / "model_classes"
+    assert main(["factorize", str(workspace["corpus_file"]), "--out", str(out),
+                 "--rank", "2", "--mu", "0.1", "--max-iters", "5",
+                 "--labels", str(workspace["labels"])]) == 0
+    renamed = tmp_path / "renamed.csv"
+    text = workspace["labels"].read_text("utf-8")
+    renamed.write_text(text.replace(",gang", f",{names[0]}")
+                       .replace(",theft", f",{names[1]}"), "utf-8")
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main(["classify", str(out), str(renamed), str(out / "mask.json"),
+                 "--out", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {renamed}: classes {sorted(names)}, but {out} was fit on "
+        "['gang', 'theft']\n")
+    assert not report.exists()
+
+
 def test_sweep_error_identifies_failing_cell(workspace, tmp_path, capsys):
     # lambda near the float maximum makes its cell's W update overflow
     args = [
@@ -709,6 +731,36 @@ def test_sweep_reports_first_failing_cell_across_groups(workspace, tmp_path,
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_stops_at_the_first_failing_batch(workspace, tmp_path, monkeypatch,
+                                                 capsys):
+    # Two serial batches, rank 2 then rank 3, each with a cell whose W
+    # update overflows; the first batch's failure ends the sweep.
+    real, fitted = cli.fit_cells, []
+
+    def counting(*args, **kwargs):
+        fitted.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_cells", counting)
+    monkeypatch.setattr(cli, "_BATCH_WIDTH", 6)
+    errors = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        out.mkdir()
+        args = _sweep_args(workspace, out, extra=(
+            "--ranks", "2,3", "--lambda-grid", "0.1,1.7e308", "--mu-grid", "0.05",
+            "--trials", "1", "--max-iters", "5", "--jobs", jobs))
+        with np.errstate(all="ignore"):
+            assert main(args) == 1
+        errors.append(capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+        if jobs == "1":
+            assert fitted == [2]
+    assert errors[0] == errors[1] == (
+        "error: sweep cell (rank=2, lambda=1.7e+308, mu=0.05, trial=0): "
+        "update diverged at iteration 2: non-finite entries in W\n")
+
+
 def test_sweep_rows_do_not_depend_on_stacking(workspace, tmp_path, monkeypatch):
     from gssnmf import factorization
 
@@ -1083,6 +1135,18 @@ _MALFORMED = {
     "mask-json": ("model/mask.json", lambda t: t[:-3], "classify", 1),
     "mask-shape": ("model/mask.json", lambda t: t.replace('"n_docs":20', '"n_docs":21'),
                    "classify", None),
+    # Counts and ids that int() would truncate to valid ones.
+    "mask-n-classes-fraction": ("model/mask.json", lambda t: t.replace(
+        '"n_classes":2', '"n_classes":2.5'), "classify", None),
+    "mask-n-docs-fraction": ("model/mask.json", lambda t: t.replace(
+        '"n_docs":20', '"n_docs":20.7'), "classify", None),
+    "mask-id-fraction": ("model/mask.json", lambda t: json.dumps({
+        **json.loads(t), "train_ids": [i + 0.9 for i in json.loads(t)["train_ids"]]}),
+        "classify", None),
+    "corpus-rows-fraction": ("corpus.txt", lambda t: t.replace(
+        '"rows":18', '"rows":18.5', 1), "rank-scan", 1),
+    "corpus-cols-fraction": ("corpus.txt", lambda t: t.replace(
+        '"cols":20', '"cols":20.5', 1), "rank-scan", 1),
     "corpus-fields": ("corpus.txt", lambda t: _line(2, t.splitlines()[1].rsplit(",", 1)[0])(t),
                       "rank-scan", 2),
     "corpus-number": ("corpus.txt", _field(3, 0, "zz"), "coherence", 3),

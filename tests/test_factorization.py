@@ -463,6 +463,15 @@ def test_fit_cells_take_one_mask_per_config():
         fit_cells(x, configs, y=y, z=z, l=[mask, None])
 
 
+def test_fit_takes_nested_list_z_and_l():
+    # A list given to fit_cells as l is one mask per config; fit passes its
+    # one mask as a list, so a mask given as nested lists is one mask.
+    x, y, z, mask = _labelled_problem(5, 30, 20)
+    config = ModelConfig(rank=3, lam=0.2, mu=0.1, max_iters=6, rng_seed=1, tol=1e-9)
+    _assert_same_fit(fit(x, config, y=y.tolist(), z=z.tolist(), l=mask.l.tolist()),
+                     fit(x, config, y=y, z=z, l=mask))
+
+
 def _product_name(blocks, x):
     """Which product a list of blocks of a batch holds: X H^T is d x k."""
     return "xht" if blocks[0].shape[0] == x.shape[0] else "wtx"
@@ -545,9 +554,9 @@ def test_fit_cells_use_stacked_wtx_once_its_width_passed(monkeypatch):
         formed.append(real_blocks(x, ws))
         return formed[-1]
 
-    def update(cell, p, wtx, iteration):
+    def update(cell, wtx, iteration):
         consumed.append(wtx)
-        return real_update(cell, p, wtx, iteration)
+        return real_update(cell, wtx, iteration)
 
     monkeypatch.setattr(factorization, "_wtx_blocks", form)
     monkeypatch.setattr(factorization._Cell, "update_hbc", update)

@@ -28,6 +28,13 @@ def test_as_matrix_rejects_bad_input():
         as_matrix([[1.0, float("nan")]])
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None, [2]])
+def test_json_int_takes_only_json_integers(value):
+    assert linalg.json_int(2) == 2
+    with pytest.raises(ValueError, match="expected an integer, got"):
+        linalg.json_int(value)
+
+
 def test_frobenius_sq():
     assert frobenius_sq(as_matrix([[3, 4]])) == 25.0
     assert frobenius_sq(np.zeros((5, 5))) == 0.0

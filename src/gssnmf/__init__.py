@@ -47,7 +47,6 @@ from .supervision import (
     split_mask,
 )
 from .textpipe import (
-    CorpusFormatError,
     CorpusMatrix,
     PipelineParams,
     Vocabulary,
@@ -63,7 +62,6 @@ from .textpipe import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorpusFormatError",
     "CorpusMatrix",
     "EvalReport",
     "FactorizationError",

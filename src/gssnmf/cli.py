@@ -199,6 +199,8 @@ def run_classify(args) -> int:
                          f"{args.result_dir} was fit on {manifest.get('label_names')}")
     p, n = labels.z.shape
     mask = load_mask(args.mask_file, p, n)
+    if not mask.test_ids:  # a fit may train on every document; a score cannot
+        raise ValueError(f"{args.mask_file}: no test documents to score")
 
     macro, per_class = _test_macro_f1(result, labels, mask)
     report = EvalReport(
@@ -469,6 +471,11 @@ def run_plot_heatmap(args) -> int:
         if fh.readline().strip() != "rank,lambda,mu,mean_metric_value":
             raise ValueError(f"{args.mean_csv}: not a sweep mean CSV")
         rows = read_rows(fh, args.mean_csv, 4, first=2, ints=(0,)).tolist()
+    seen = {}
+    for lineno, (rk, lam, mu, _) in enumerate(rows, start=2):
+        if seen.setdefault((rk, lam, mu), lineno) != lineno:
+            raise ValueError(f"{args.mean_csv}:{lineno}: repeats the cell of line "
+                             f"{seen[rk, lam, mu]}")
     ranks = sorted({int(r[0]) for r in rows})
     rank = args.rank if args.rank is not None else ranks[0]
     cells = {(lam, mu): v for rk, lam, mu, v in rows if rk == rank}

@@ -48,8 +48,9 @@ problem of each further mask shares them and forms its own ``L o L`` and
 ``L o L o Z``. The weights and eps come from each cell's ``ModelConfig``.
 
 Each input is checked once, where it enters: a wrapper type checks its
-array when it is constructed, ``_Problem`` checks bare arrays and the
-shapes, and ``ModelConfig`` checks the weights and ``eps > 0``.
+array when it is constructed, ``_Problem`` checks bare arrays (X, Y and Z
+must be non-negative) and the shapes, and ``ModelConfig`` checks the
+weights and ``eps > 0``.
 ``fit_cells`` draws W, H, B and C itself from those shapes, so no factor
 enters from outside. The update loop re-checks nothing; it checks only
 that the new factors are finite, and a cell whose factor is not records
@@ -95,6 +96,7 @@ from .linalg import (
     as_matrix,
     frobenius_sq,
     load_matrix_csv,
+    nonnegative,
     open_text,
     read_json,
     read_rows,
@@ -182,12 +184,18 @@ class FactorizationResult:
 _WRAPPED = {CorpusMatrix: "x", SeedMatrix: "y", LabelMatrix: "z", MaskMatrix: "l"}
 
 
-def _as_input(a) -> Matrix | None:
-    """A wrapper's array as it is, else ``as_matrix(a)``; None stays None."""
+def _as_input(a, name=None) -> Matrix | None:
+    """A wrapper's array as it is, else ``as_matrix(a)``; None stays None.
+
+    A bare array given a ``name`` must be non-negative. L gets none: the
+    rules use only ``L o L``.
+    """
     if a is None:
         return None
-    name = _WRAPPED.get(type(a))
-    return as_matrix(a) if name is None else getattr(a, name)
+    wrapped = _WRAPPED.get(type(a))
+    if wrapped is not None:
+        return getattr(a, wrapped)
+    return as_matrix(a) if name is None else nonnegative(as_matrix(a), name)
 
 
 class _Problem:
@@ -207,7 +215,7 @@ class _Problem:
 
     def __init__(self, x, y=None, z=None, l=None, xx=None):
         if xx is None:
-            x, y, z = map(_as_input, (x, y, z))
+            x, y, z = map(_as_input, (x, y, z), "XYZ")
             if y is not None and y.shape[0] != x.shape[0]:
                 raise ValueError(f"guiding term: Y is {y.shape[0]}x{y.shape[1]} "
                                  f"but X is {x.shape[0]}x{x.shape[1]}")

@@ -34,6 +34,14 @@ def as_matrix(data) -> Matrix:
     return a
 
 
+def nonnegative(a: Matrix, what: str) -> Matrix:
+    """``a``, a matrix ``as_matrix`` returned, if no entry is negative; else
+    ``ValueError`` naming ``what``."""
+    if a.min() < 0:
+        raise ValueError(f"{what} entries must be non-negative")
+    return a
+
+
 def frobenius_sq(a: Matrix) -> float:
     """Sum of squared entries, without a squared copy of ``a``."""
     return float(np.vdot(a, a))
@@ -145,9 +153,11 @@ def read_rows(lines, path, width=None, rows=None, first=1, ints=()) -> Matrix:
     raises ``ValueError`` naming ``path:line``; the result is a finite matrix.
 
     One pass over the lines checks their layout; the numbers are converted
-    ``_CHUNK`` rows at a time (see ``_numbers``). A fault is raised only
-    after the rows before it are converted, so the first fault in the file
-    is the one named.
+    ``_CHUNK`` rows at a time (see ``_numbers``). A layout or number fault
+    is raised only after the rows before it are converted, so the first
+    such fault in the file is the one named. Non-finite values are looked
+    for last, in the whole matrix: the first row holding one is named only
+    when the file has no layout or number fault, wherever that lies.
     """
     out = [] if rows is None else np.empty((rows, width))
     chunk, n, blank = [], 0, None

@@ -6,7 +6,8 @@ the label term on held-out columns so supervision only acts on training
 documents.
 
 Each wrapper type's constructor converts its array with ``as_matrix``
-(finite, 2-D, C-order float64), so the solver takes it as it is.
+(finite, 2-D, C-order float64), and the seed and label matrices must be
+non-negative, so the solver takes them as they are.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (Matrix, as_matrix, json_int, open_text, read_entries, read_json,
-                     write_file)
+from .linalg import (Matrix, as_matrix, json_int, nonnegative, open_text, read_entries,
+                     read_json, write_file)
 from .stemmer import porter_stem
 from .textpipe import Vocabulary, tokenize
 
@@ -37,7 +38,7 @@ class SeedMatrix:
     dropped: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        self.y = as_matrix(self.y)
+        self.y = nonnegative(as_matrix(self.y), "seed matrix")
 
 
 @dataclass
@@ -48,7 +49,7 @@ class LabelMatrix:
     label_names: list[str]
 
     def __post_init__(self):
-        self.z = as_matrix(self.z)
+        self.z = nonnegative(as_matrix(self.z), "label matrix")
 
 
 @dataclass

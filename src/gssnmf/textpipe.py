@@ -5,7 +5,8 @@ stem, document-frequency filter, vocabulary cap, tf-idf weighting with
 smoothed idf, unit-norm columns. The resulting matrix is terms by
 documents with column order fixed by the caller's document order.
 ``CorpusMatrix`` checks its own matrix (finite, non-negative, no empty
-term row), whether it was built, loaded or wrapped by a caller.
+term row) and document ids (distinct strings), and ``Vocabulary`` its
+terms, whether they were built, loaded or wrapped by a caller.
 
 Corpus file layout (UTF-8 text): line 1 is a JSON header
 ``{"format": "gssnmf-corpus", "version": 1, "rows": d, "cols": n,
@@ -30,6 +31,7 @@ from .linalg import (
     Matrix,
     as_matrix,
     json_int,
+    nonnegative,
     open_text,
     read_entries,
     read_rows,
@@ -39,10 +41,6 @@ from .linalg import (
 from .stemmer import porter_stem
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-
-class CorpusFormatError(ValueError):
-    """Raised when a corpus file cannot be parsed; message carries file and line."""
 
 
 def tokenize(raw: str) -> list[str]:
@@ -78,7 +76,7 @@ class Vocabulary:
         if not self.terms:
             raise ValueError("vocabulary must contain at least one term")
         for t in self.terms:
-            if not t or not t.isalpha() or t != t.lower():
+            if not (isinstance(t, str) and t.isalpha() and t == t.lower()):
                 raise ValueError(f"invalid vocabulary term {t!r}")
         if len(set(self.terms)) != len(self.terms):
             raise ValueError("vocabulary terms must be unique")
@@ -147,8 +145,11 @@ class CorpusMatrix:
                 f"matrix has {self.x.shape[1]} columns but {len(self.doc_ids)} "
                 "document ids were given"
             )
-        if np.any(self.x < 0):
-            raise ValueError("corpus matrix entries must be non-negative")
+        if not all(isinstance(i, str) for i in self.doc_ids):
+            raise ValueError("document ids must be strings")
+        if len(set(self.doc_ids)) != len(self.doc_ids):
+            raise ValueError("document ids must be unique")
+        nonnegative(self.x, "corpus matrix")
         zero_rows = np.nonzero(~self.x.any(axis=1))[0]
         if zero_rows.size:
             raise ValueError(
@@ -181,8 +182,6 @@ def build_corpus(docs: list[tuple[str, str]], params: PipelineParams) -> CorpusM
     if len(docs) < 2:
         raise ValueError(f"need at least 2 documents, got {len(docs)}")
     doc_ids = [doc_id for doc_id, _ in docs]
-    if len(set(doc_ids)) != len(doc_ids):
-        raise ValueError("document ids must be unique")
 
     # One count per document serves df, the totals and the fill.
     counts = [Counter(preprocess(text, params.stopwords)) for _, text in docs]
@@ -295,35 +294,30 @@ def load_corpus(path) -> CorpusMatrix:
     with open_text(path) as fh:
         first = fh.readline()
         if not first.strip():
-            raise CorpusFormatError(f"{path}:1: empty corpus file")
+            raise ValueError(f"{path}:1: empty corpus file")
         try:
             header = json.loads(first)
         except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}:1: invalid header: {exc.msg}") from None
+            raise ValueError(f"{path}:1: invalid header: {exc.msg}") from None
         if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
-            raise CorpusFormatError(f"{path}:1: not a corpus file")
+            raise ValueError(f"{path}:1: not a corpus file")
         try:
             rows = json_int(header["rows"])
             cols = json_int(header["cols"])
-            doc_ids = list(header["doc_ids"])
-            vocab_terms = list(header["vocab"])
+            doc_ids, vocab_terms = header["doc_ids"], header["vocab"]
+            if not (isinstance(doc_ids, list) and isinstance(vocab_terms, list)):
+                raise TypeError("doc_ids and vocab must be arrays")
             params = _params_from_json(header.get("params"))
         except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"{path}:1: malformed header: {exc}") from None
+            raise ValueError(f"{path}:1: malformed header: {exc}") from None
         # Checked before the matrix is allocated from the declared shape.
         if not (rows == len(vocab_terms) >= 1 and cols == len(doc_ids) >= 1):
-            raise CorpusFormatError(
+            raise ValueError(
                 f"{path}:1: header declares {rows}x{cols} but lists "
                 f"{len(vocab_terms)} terms and {len(doc_ids)} documents"
             )
-
-        try:
-            data = read_rows(fh, path, cols, rows, first=2)
-        except UnicodeDecodeError:  # open_text names the file
-            raise
-        except ValueError as exc:
-            raise CorpusFormatError(exc) from None
+        data = read_rows(fh, path, cols, rows, first=2)
     try:
         return CorpusMatrix(data, Vocabulary(vocab_terms), doc_ids, params)
     except ValueError as exc:
-        raise CorpusFormatError(f"{path}: inconsistent corpus: {exc}") from None
+        raise ValueError(f"{path}: inconsistent corpus: {exc}") from None

@@ -1091,6 +1091,16 @@ def _not_utf8(lineno):
     return edit
 
 
+def _header(key, value):
+    """An edit setting the corpus header's ``key`` to ``value(old value)``."""
+    def edit(text):
+        first, rest = text.split("\n", 1)
+        header = json.loads(first)
+        header[key] = value(header[key])
+        return json.dumps(header, separators=(",", ":")) + "\n" + rest
+    return edit
+
+
 _COMMANDS = {
     "classify": lambda r: ["classify", r / "model", r / "labels.csv",
                            r / "model" / "mask.json"],
@@ -1159,6 +1169,19 @@ _MALFORMED = {
                     "rank-scan", 1),
     "corpus-negative": ("corpus.txt", _field(2, 0, "-1.0"), "rank-scan", None),
     "corpus-zero-row": ("corpus.txt", _line(2, ",".join(["0"] * 20)), "rank-scan", None),
+    # Header items: terms and document ids are strings, the ids distinct,
+    # and both lists are JSON arrays.
+    "corpus-vocab-int": ("corpus.txt", _header("vocab", lambda v: [1, *v[1:]]),
+                         "rank-scan", None),
+    "corpus-doc-id-int": ("corpus.txt", _header("doc_ids", lambda v: [1, *v[1:]]),
+                          "rank-scan", None),
+    "corpus-doc-ids-string": ("corpus.txt", _header(
+        "doc_ids", lambda v: "abcdefghijklmnopqrstuvwxyz"[:len(v)]), "rank-scan", 1),
+    "corpus-doc-id-repeat": ("corpus.txt", _header("doc_ids", lambda v: [v[1], *v[1:]]),
+                             "rank-scan", None),
+    "mean-repeat": ("mean.csv", lambda t: t + "2,0.0,0.0,0.7\n", "plot-heatmap", 4),
+    "mask-no-test": ("model/mask.json", lambda t: json.dumps({
+        **json.loads(t), "train_ids": list(range(20)), "test_ids": []}), "classify", None),
     "mean-fields": ("mean.csv", _line(3, "2,0.0,0.1"), "plot-heatmap", 3),
     "mean-number": ("mean.csv", _field(2, 1, "abc"), "plot-heatmap", 2),
     "mean-nan": ("mean.csv", _field(3, 3, "nan"), "plot-heatmap", 3),

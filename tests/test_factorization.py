@@ -367,6 +367,30 @@ def test_fit_checks_each_bare_input_once(monkeypatch):
         assert [id(a) for a in calls] == [id(x), id(y), id(z)]
 
 
+@pytest.mark.parametrize("name", ["x", "y", "z"])
+def test_fit_rejects_a_negative_entry_bare_or_wrapped(name, monkeypatch):
+    x, y, z, mask = _labelled_problem(6, 20, 15)
+    data = {"x": x, "y": y, "z": z}
+    data[name] = data[name].copy()
+    data[name][1, :] = -5.0
+    terms = ["".join(t) for t in product("abcde", repeat=2)][:20]
+    wrap = {
+        "x": lambda a: CorpusMatrix(a, Vocabulary(terms), [f"d{j}" for j in range(15)]),
+        "y": lambda a: SeedMatrix(a, terms[:2]),
+        "z": lambda a: LabelMatrix(a, ["a", "b", "c"]),
+    }
+    with pytest.raises(ValueError, match="must be non-negative"):
+        wrap[name](data[name])
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("factors drawn")
+
+    monkeypatch.setattr(factorization, "_initial_factors", no_draw)
+    cfg = ModelConfig(rank=3, lam=0.1, mu=0.1, max_iters=50)
+    with pytest.raises(ValueError, match=f"{name.upper()} entries must be non-negative"):
+        fit(data["x"], cfg, y=data["y"], z=data["z"], l=mask)
+
+
 def test_fit_loop_allocates_no_d_by_n_temporary():
     rng = np.random.default_rng(11)
     d, n, p = 400, 300, 3

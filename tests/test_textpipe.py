@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from gssnmf.textpipe import (
-    CorpusFormatError,
     CorpusMatrix,
     PipelineParams,
     Vocabulary,
@@ -226,13 +225,35 @@ def test_load_corpus_rejects_truncation_and_junk(tmp_path):
 
     truncated = tmp_path / "truncated.txt"
     truncated.write_text("\n".join(lines[:2]) + "\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="truncated"):
+    with pytest.raises(ValueError, match="truncated"):
         load_corpus(truncated)
 
     junk = tmp_path / "junk.txt"
     junk.write_text("not a corpus\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="junk.txt:1"):
+    with pytest.raises(ValueError, match="junk.txt:1"):
         load_corpus(junk)
+
+
+def test_public_names_resolve_and_corpus_errors_are_plain_value_errors():
+    import gssnmf
+    from gssnmf import textpipe
+
+    assert [name for name in gssnmf.__all__ if not hasattr(gssnmf, name)] == []
+    assert not hasattr(gssnmf, "CorpusFormatError")
+    assert not hasattr(textpipe, "CorpusFormatError")
+
+
+def test_corpus_types_reject_non_string_terms_and_ids():
+    with pytest.raises(ValueError, match="invalid vocabulary term 1"):
+        Vocabulary(["aa", 1])
+    with pytest.raises(ValueError, match="invalid vocabulary term"):
+        Vocabulary([["aa"]])
+    vocab = Vocabulary(["aa", "bb"])
+    for ids in (["d0", 1], ["d0", ["d1"]]):
+        with pytest.raises(ValueError, match="document ids must be strings"):
+            CorpusMatrix(np.ones((2, 2)), vocab, ids)
+    with pytest.raises(ValueError, match="document ids must be unique"):
+        CorpusMatrix(np.ones((2, 2)), vocab, ["d0", "d0"])
 
 
 def _long_corpus(tmp_path, d=1500, n=40):

@@ -8,8 +8,8 @@ any optional flag of its subcommand, with command-line flags taking
 precedence; its values are parsed as the same text given to the flag. A
 key naming a positional argument or a required flag is an error.
 
-Exit codes: 0 success, 1 runtime, numeric or out-of-memory failure, 2
-usage or input error.
+Exit codes: 0 success, 1 runtime, numeric or out-of-memory failure (a
+sweep worker that died, too), 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -260,13 +259,15 @@ def run_coherence(args) -> int:
         avg_coherence=avg_coherence(per_topic),
         topics=topics,
     )
-    if args.out:
-        save_report(report, args.out)
-        print(f"wrote {args.out}")
-    if args.table:
-        with write_file(args.table) as fh:
-            fh.write(topics_table(report))
-        print(f"wrote {args.table}")
+    with write_batch():
+        if args.out:
+            save_report(report, args.out)
+        if args.table:
+            with write_file(args.table) as fh:
+                fh.write(topics_table(report))
+    for path in (args.out, args.table):
+        if path:
+            print(f"wrote {path}")
     for i, c in enumerate(per_topic, start=1):
         print(f"topic {i}: coherence={c:.3f} keywords={' '.join(topics[i - 1][:10])}")
     print(f"avg_coherence={report.avg_coherence:.3f}")
@@ -300,50 +301,63 @@ _BATCH_WIDTH = 224
 _WORKER_PAYLOAD = {}
 
 
-def _sweep_init(payload):
-    _WORKER_PAYLOAD["payload"] = payload
+def _sweep_init(payload, failed):
+    _WORKER_PAYLOAD["payload"], _WORKER_PAYLOAD["failed"] = payload, failed
 
 
-def _sweep_run_task(batch):
-    return _sweep_eval(_WORKER_PAYLOAD["payload"], batch)
+def _sweep_run_task(task):
+    """``_sweep_eval`` of batch ``index``; None, unfitted, after a failed batch.
+
+    ``failed`` holds the smallest index of a batch that raised, shared by
+    the workers, so none fits a batch whose rows the parent would never
+    read. A batch before the failed one still runs, and may fail first.
+    """
+    index, batch = task
+    failed = _WORKER_PAYLOAD["failed"]
+    if failed.value < index:
+        return None
+    try:
+        return _sweep_eval(_WORKER_PAYLOAD["payload"], batch)
+    except Exception:
+        with failed.get_lock():
+            failed.value = min(failed.value, index)
+        raise
 
 
 def _batches(cells) -> list[list]:
-    """Consecutive (rank, lambda, mu, trial) cells, packed into batches.
+    """Consecutive (config, trial) cells, packed into batches.
 
     A batch's width, the sum of its cells' ranks, is at most
     ``_BATCH_WIDTH``; a cell wider than that is a batch of its own.
     """
     batches, width = [], _BATCH_WIDTH
     for cell in cells:
-        if width + cell[0] > _BATCH_WIDTH:
+        if width + cell[0].rank > _BATCH_WIDTH:
             batches.append([])
             width = 0
         batches[-1].append(cell)
-        width += cell[0]
+        width += cell[0].rank
     return batches
 
 
 def _sweep_eval(payload, batch):
-    """Fit and score (rank, lambda, mu, trial) cells as one ``fit_cells`` batch.
+    """Fit and score (config, trial) cells as one ``fit_cells`` batch.
 
-    Each cell's mask is its trial's split, and trial t's rng seed is
-    base + t, so the cells of one rank and trial share their initial
-    factors. Returns one ``(rank, lam, mu, trial, value)`` row per cell,
-    in the batch's order. The first cell that fails, in that order, raises
-    its error, named for the cell.
+    Each cell's mask is its trial's split, and each fit draws its own start
+    from its config. Returns one ``(rank, lam, mu, trial, value)`` row per
+    cell, in the batch's order. The first cell that fails, in that order,
+    raises its error, named for the cell.
     """
     corpus, labels = payload["corpus"], payload["labels"]
-    configs = [replace(payload["config"], rank=rank, lam=lam, mu=mu,
-                       rng_seed=payload["base_seed"] + trial)
-               for rank, lam, mu, trial in batch]
-    masks = [payload["splits"][trial] for *_, trial in batch]
+    configs = [config for config, _ in batch]
+    masks = [payload["splits"][trial] for _, trial in batch]
     fits = fit_cells(corpus, configs, y=payload["seeds"], z=labels, l=masks)
     # One byte per entry, built after the fits; every cell reads its
     # keywords' rows.
     present = corpus.x != 0 if payload["metric"] == "avg_coherence" else None
     rows = []
-    for (rank, lam, mu, trial), mask, result in zip(batch, masks, fits):
+    for (config, trial), mask, result in zip(batch, masks, fits):
+        rank, lam, mu = config.rank, config.lam, config.mu
         try:
             if isinstance(result, Exception):
                 raise result
@@ -381,9 +395,19 @@ def run_sweep(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     _check_train_fraction(args.train_fraction)
-    # The settings every cell shares, checked before anything is read; each
-    # cell sets its own rank, weights and seed.
-    shared = ModelConfig(rank=1, max_iters=args.max_iters, eps=args.eps, tol=args.tol)
+    # One (config, trial) cell per output row, in row order, checked before
+    # anything is read. Trial t's fits and split use the seed base + t.
+    cells = [(ModelConfig(rank, lam, mu, args.max_iters, args.base_seed + trial,
+                          args.eps, args.tol), trial)
+             for rank in sorted(ranks) for lam in sorted(lams)
+             for mu in sorted(mus) for trial in range(args.trials)]
+    out_mean = args.out_mean or str(Path(args.out).with_suffix(".mean.csv"))
+    named = {}
+    for flag, path in (("--out", args.out), ("--out-mean", out_mean),
+                       ("--best-by-lambda", args.best_by_lambda)):
+        if path and named.setdefault(os.path.realpath(path), flag) != flag:
+            raise ValueError(f"{flag} and {named[os.path.realpath(path)]} name "
+                             f"the same file {path}")
     corpus = load_corpus(args.corpus_file)
     # What would fail every cell fails here, once, before any fit.
     limit = min(corpus.x.shape)
@@ -405,15 +429,11 @@ def run_sweep(args) -> int:
         "seeds": seeds,
         "labels": labels,
         "splits": splits,
-        "base_seed": args.base_seed,
         "metric": args.metric,
         "n_top": args.n_top,
-        "config": shared,
     }
-    # One cell per output row, in row order, split into one contiguous
-    # share per worker; each share is packed into fit_cells batches.
-    cells = [(rank, lam, mu, trial) for rank in sorted(ranks) for lam in sorted(lams)
-             for mu in sorted(mus) for trial in range(args.trials)]
+    # The cells are split into one contiguous share per worker; each share
+    # is packed into fit_cells batches.
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(args.jobs, len(cells), cpus)
@@ -422,15 +442,22 @@ def run_sweep(args) -> int:
     if workers > 1:
         # Imported here: the pool machinery would slow every command's start.
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        from multiprocessing import Value
 
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_sweep_init, initargs=(payload,)
-        ) as pool:
-            done = list(pool.map(_sweep_run_task, batches))
+        # The smallest index of a failed batch; none has failed yet.
+        failed = Value("q", len(batches))
+        try:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_sweep_init,
+                                     initargs=(payload, failed)) as pool:
+                done = list(pool.map(_sweep_run_task, enumerate(batches)))
+        except BrokenProcessPool as exc:
+            raise FactorizationError(f"a sweep worker process died: {exc}") from None
     else:
         done = [_sweep_eval(payload, batch) for batch in batches]
     # The pool and the loop consume the batches in row order, so the rows
     # are in row order and the first failing cell in that order raises.
+    # No batch after a failed one is read.
     rows = [row for batch in done for row in batch]
 
     values: dict[tuple, list[float]] = {}
@@ -442,7 +469,6 @@ def run_sweep(args) -> int:
         # Strict > keeps the smallest mu on ties.
         if (rank, lam) not in best or mean > best[rank, lam][1]:
             best[rank, lam] = (mu, mean)
-    out_mean = args.out_mean or str(Path(args.out).with_suffix(".mean.csv"))
     with write_batch():
         _write_csv(args.out, "rank,lambda,mu,trial,metric_value", rows)
         _write_csv(out_mean, "rank,lambda,mu,mean_metric_value",

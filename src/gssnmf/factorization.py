@@ -57,12 +57,13 @@ that the new factors are finite, and a cell whose factor is not records
 the error and stops.
 
 ``fit_cells`` runs any configs as one batch, each with its own rank,
-rng seed and mask, and ``fit`` is its one-config case. Cells that share
-a (rank, rng seed) start from the same factors. Each cell (``_Cell``)
-holds its config, problem and factors and the four rules, split in two
-where their products of X are consumed: ``update_w`` takes ``X H^T``,
-and ``update_hbc`` (the H, B and C rules and the loss) takes ``W^T X``
-of the new W. Between the halves the batch forms each product for all
+rng seed and mask, and ``fit`` is its one-config case. Each cell draws
+its own start, so cells that share a (rank, rng seed) start from equal
+factors but share no array. Each cell (``_Cell``) holds its config,
+problem and factors and the four rules, split in two where their
+products of X are consumed: ``update_w`` takes ``X H^T``, and
+``update_hbc`` (the H, B and C rules and the loss) takes ``W^T X`` of
+the new W. Between the halves the batch forms each product for all
 running cells at once (``_Products``):
 
 - ``X H^T`` for two or more cells comes as column blocks of one stacked
@@ -111,7 +112,8 @@ from .textpipe import CorpusMatrix, Vocabulary
 
 
 class FactorizationError(RuntimeError):
-    """Numeric failure inside the update loop."""
+    """A fit that failed: numbers that diverged in the update loop, or a
+    sweep worker process that died."""
 
 
 @dataclass
@@ -306,7 +308,8 @@ class _Products:
     products. That check runs on the pair's first use; until it passed,
     every cell gets its reference product. After a mismatch, a pair of
     several widths stacks the cells of each width apart, and a pair of
-    one width keeps the reference products for good.
+    one width keeps the reference products for good. No two cells share
+    a factor array, so each reference product is formed once per cell.
     """
 
     def __init__(self, x):
@@ -335,11 +338,7 @@ class _Products:
                 for i, product in zip(at, products):
                     out[i] = product
             return out
-        # Cells that still share a factor (the cells of one start share H
-        # at first) share its product.
-        distinct = {id(f): f for f in factors}
-        own = {i: reference(f) for i, f in distinct.items()}
-        singles = [own[id(f)] for f in factors]
+        singles = [reference(f) for f in factors]
         if key not in self.exact:
             blocks = form(self.x, factors)
             self.exact[key] = blocks is not None and _blocks_equal(blocks, singles)
@@ -442,10 +441,11 @@ def fit_cells(
 ) -> list[FactorizationResult | FactorizationError]:
     """Run the solver for several configs as one batch.
 
-    Every setting is per cell. Cells with the same ``rank`` and
-    ``rng_seed`` start from the same W, H, B, C, drawn once. ``l`` is one
-    mask for every config, or a list of one mask per config: a list is
-    never one mask. Each iteration runs the two halves of the step,
+    Every setting is per cell. Each cell draws its own W, H, B, C from
+    its ``rank`` and ``rng_seed``, so cells that share both start from
+    equal factors, and no factor array is shared. ``l`` is one mask for
+    every config, or a list of one mask per config: a list is never one
+    mask. Each iteration runs the two halves of the step,
     ``_Cell.update_w`` and ``_Cell.update_hbc``, for every running cell,
     with the cells' ``X H^T`` and ``W^T X`` formed together between them
     (``_Products``). Every cell's factors and traces are bitwise what
@@ -479,17 +479,12 @@ def fit_cells(
     if rank > min(d, n):
         raise ValueError(f"rank must be <= min(d, n) = {min(d, n)} for a {d}x{n} X, "
                          f"got {rank}")
-    starts = {}
-    for cfg in configs:
-        if (cfg.rank, cfg.rng_seed) not in starts:
-            w, h, b, c = _initial_factors(
-                d, n, cfg,
-                n_seeds=None if p.y is None else p.y.shape[1],
-                n_classes=None if p.z is None else p.z.shape[0],
-            )
-            starts[cfg.rank, cfg.rng_seed] = w, h, b, c, h @ h.T
-    cells = [_Cell(cfg, problems[id(mask)], *starts[cfg.rank, cfg.rng_seed])
-             for cfg, mask in zip(configs, masks)]
+    n_seeds = None if p.y is None else p.y.shape[1]
+    n_classes = None if p.z is None else p.z.shape[0]
+    cells = []
+    for cfg, mask in zip(configs, masks):
+        w, h, b, c = _initial_factors(d, n, cfg, n_seeds, n_classes)
+        cells.append(_Cell(cfg, problems[id(mask)], w, h, b, c, h @ h.T))
 
     products = _Products(p.x)
     running, i = cells, 0

@@ -110,10 +110,17 @@ def remove_file(path) -> None:
 
 @contextmanager
 def write_file(path):
-    """A text handle whose content replaces ``path`` when its batch commits."""
+    """A text handle whose content replaces ``path`` when its batch commits.
+
+    A path the batch already writes or removes, under any name, is refused
+    before anything is opened: its two writes would share one temporary.
+    """
     with write_batch():
+        pending, real = _batch.get(), os.path.realpath(path)
+        if any(os.path.realpath(other) == real for _, other in pending):
+            raise ValueError(f"{path}: two outputs name this file")
         tmp = f"{path}.{os.getpid()}.tmp"
-        _batch.get().append((tmp, path))
+        pending.append((tmp, path))
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
 

@@ -23,6 +23,7 @@ import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from importlib import resources
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,14 @@ class PipelineParams:
     stopwords: frozenset[str] | None = None
 
     def __post_init__(self):
+        # A bool is an int to Python, but neither a fraction nor a count.
+        number = Real, "a number"
+        count = (Integral, type(None)), "an integer or None"
+        for name, (kinds, what) in (("max_df", number), ("min_df", number),
+                                    ("max_features", count)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(f"{name} must be {what}, got {value!r}")
         if not 0.0 < self.max_df <= 1.0:
             raise ValueError(f"max_df must be in (0, 1], got {self.max_df}")
         if not 0.0 <= self.min_df <= 1.0:
@@ -120,8 +129,14 @@ class PipelineParams:
             raise ValueError(f"max_features must be >= 1, got {self.max_features}")
         if self.stopwords is None:
             self.stopwords = _default_stopwords()
+        elif isinstance(self.stopwords, str):  # not the set of its letters
+            raise TypeError(f"stopwords must be a collection of strings, "
+                            f"got {self.stopwords!r}")
         else:
             self.stopwords = frozenset(self.stopwords)
+            for word in self.stopwords:
+                if not isinstance(word, str):
+                    raise TypeError(f"stopwords must be strings, got {word!r}")
 
 
 @dataclass
@@ -266,11 +281,13 @@ def _params_to_json(params: PipelineParams | None):
 def _params_from_json(obj) -> PipelineParams | None:
     if obj is None:
         return None
+    if obj["stopwords"] is None:  # None would select the shipped list
+        raise TypeError("stopwords must be a list of strings, got null")
     return PipelineParams(
         max_df=obj["max_df"],
         min_df=obj["min_df"],
         max_features=obj["max_features"],
-        stopwords=frozenset(obj["stopwords"]),
+        stopwords=obj["stopwords"],
     )
 
 

@@ -1,9 +1,12 @@
 import io
 import json
 import math
+import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import ExitStack, redirect_stderr
 from unittest.mock import patch
@@ -761,6 +764,109 @@ def test_sweep_stops_at_the_first_failing_batch(workspace, tmp_path, monkeypatch
         "update diverged at iteration 2: non-finite entries in W\n")
 
 
+@pytest.mark.parametrize("workers", ["2", "4"])
+def test_sweep_workers_fit_no_batch_after_a_failed_one(workspace, tmp_path, monkeypatch,
+                                                       capsys, workers):
+    # Twelve one-cell batches of rank 6. The first fails at once and each
+    # other one takes 0.3 s, so a worker that keeps fitting after the
+    # failure shows in the count of fitted batches. Four workers share
+    # the two CPUs of a small host.
+    from gssnmf.factorization import FactorizationError
+
+    real = cli.fit_cells
+
+    def failing_first(x, configs, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write("fit\n")
+        (config,) = configs
+        if (config.lam, config.mu, config.rng_seed) == (0.0, 0.0, 9):
+            return [FactorizationError("diverged")]
+        time.sleep(0.3)
+        return real(x, configs, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_cells", failing_first)
+    monkeypatch.setattr(cli, "_BATCH_WIDTH", 6)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    errors, fitted = [], []
+    for jobs in ("1", workers):
+        out, log = tmp_path / jobs, tmp_path / f"{jobs}.log"
+        out.mkdir()
+        args = _sweep_args(workspace, out, extra=(
+            "--ranks", "6", "--lambda-grid", "0,0.3", "--mu-grid", "0,0.006",
+            "--trials", "3", "--jobs", jobs))
+        assert main(args) == 1
+        errors.append(capsys.readouterr().err)
+        fitted.append(len(log.read_text("utf-8").splitlines()))
+        assert list(out.iterdir()) == []
+    assert errors[0] == errors[1] == (
+        "error: sweep cell (rank=6, lambda=0.0, mu=0.0, trial=0): diverged\n")
+    # The serial sweep stops at the failure; each worker may finish the
+    # batch it holds.
+    assert fitted[0] == 1
+    assert fitted[1] <= int(workers)
+
+
+def test_sweep_worker_killed_exits_1_without_traceback(workspace, tmp_path,
+                                                       monkeypatch, capsys):
+    real, parent = cli.fit_cells, os.getpid()
+
+    def killed(x, configs, **kwargs):
+        # The base seed is 9: the cells of trial 1 have rng seed 10.
+        if os.getpid() != parent and any(c.rng_seed == 10 for c in configs):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(x, configs, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_cells", killed)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(_sweep_args(workspace, out, extra=("--jobs", "2"))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a sweep worker process died: "), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [
+    ("--out-mean", "{out}/sweep.csv"),
+    ("--out-mean", "{out}/./sweep.csv"),
+    ("--best-by-lambda", "{out}/sweep.mean.csv"),
+])
+def test_sweep_outputs_naming_one_file_exit_2_before_any_input(
+        workspace, tmp_path, monkeypatch, capsys, flags):
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "load_corpus", no_read)
+    monkeypatch.setattr(cli, "fit_cells", no_read)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "sweep.csv").write_bytes(b"old rows\n")
+    flag, path = flags[0], flags[1].format(out=out)
+    assert main(_sweep_args(workspace, out, extra=(flag, path))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} and --") and "the same file" in err, err
+    assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
+    assert (out / "sweep.csv").read_bytes() == b"old rows\n"
+
+
+def test_coherence_out_and_table_naming_one_file_write_neither(workspace, capsys):
+    model = workspace["root"] / "model"
+    assert main(["factorize", str(workspace["corpus_file"]), "--out", str(model),
+                 "--rank", "2", "--max-iters", "5"]) == 0
+    same = workspace["root"] / "same.txt"
+    capsys.readouterr()
+    assert main(["coherence", str(model), str(workspace["corpus_file"]), "--n-top", "3",
+                 "--out", str(same), "--table", str(same)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {same}: two outputs name this file\n"
+    assert "wrote" not in captured.out
+    assert sorted(p.name for p in workspace["root"].iterdir()
+                  if p.name.startswith("same")) == []
+
+
 def test_sweep_rows_do_not_depend_on_stacking(workspace, tmp_path, monkeypatch):
     from gssnmf import factorization
 
@@ -780,7 +886,7 @@ def test_sweep_rows_do_not_depend_on_batching(workspace, tmp_path, monkeypatch,
     real, batches = cli._sweep_eval, []
 
     def spy(payload, batch):
-        batches.append([(rank, trial) for rank, _, _, trial in batch])
+        batches.append([(config.rank, trial) for config, trial in batch])
         return real(payload, batch)
 
     monkeypatch.setattr(cli, "_sweep_eval", spy)
@@ -809,7 +915,7 @@ def test_sweep_rows_do_not_depend_on_splitting_a_rank_and_trial(
 
     def spy(cells):
         batches = real(cells)
-        shares.append([[(rank, trial) for rank, _, _, trial in b] for b in batches])
+        shares.append([[(config.rank, trial) for config, trial in b] for b in batches])
         return batches
 
     monkeypatch.setattr(cli, "_batches", spy)
@@ -1101,6 +1207,11 @@ def _header(key, value):
     return edit
 
 
+def _params(**items):
+    """An edit setting ``items`` in the corpus header's pipeline params."""
+    return _header("params", lambda params: {**params, **items})
+
+
 _COMMANDS = {
     "classify": lambda r: ["classify", r / "model", r / "labels.csv",
                            r / "model" / "mask.json"],
@@ -1179,6 +1290,17 @@ _MALFORMED = {
         "doc_ids", lambda v: "abcdefghijklmnopqrstuvwxyz"[:len(v)]), "rank-scan", 1),
     "corpus-doc-id-repeat": ("corpus.txt", _header("doc_ids", lambda v: [v[1], *v[1:]]),
                              "rank-scan", None),
+    # The pipeline params: numbers, an integer or null, and strings.
+    "corpus-stopwords-string": ("corpus.txt", _params(stopwords="the"), "rank-scan", 1),
+    "corpus-stopword-int": ("corpus.txt", _params(stopwords=["the", 1]), "rank-scan", 1),
+    "corpus-max-features-float": ("corpus.txt", _params(max_features=2.5), "rank-scan", 1),
+    "corpus-max-features-bool": ("corpus.txt", _params(max_features=True), "rank-scan", 1),
+    "corpus-max-df-bool": ("corpus.txt", _params(max_df=True), "rank-scan", 1),
+    "corpus-min-df-bool": ("corpus.txt", _params(min_df=False), "rank-scan", 1),
+    # A model whose label names do not match the rows of C.
+    "manifest-label-names": ("model/manifest.json", lambda t: json.dumps({
+        **json.loads(t), "label_names": json.loads(t)["label_names"][:1]}),
+        "coherence", None),
     "mean-repeat": ("mean.csv", lambda t: t + "2,0.0,0.0,0.7\n", "plot-heatmap", 4),
     "mask-no-test": ("model/mask.json", lambda t: json.dumps({
         **json.loads(t), "train_ids": list(range(20)), "test_ids": []}), "classify", None),

@@ -327,3 +327,18 @@ def test_write_batch_removes_temporaries_when_a_rename_fails(tmp_path):
             save_matrix_csv(np.ones((1, 1)), tmp_path / "b.csv")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.csv"]
     assert not any((tmp_path / "dir.csv").iterdir())
+
+
+@pytest.mark.parametrize("second", ["a.csv", "./a.csv", "sub/../a.csv"])
+def test_write_batch_refuses_a_path_written_twice(tmp_path, monkeypatch, second):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.csv").write_text("old\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=f"^{second}: two outputs name this file$"):
+        with write_batch():
+            with write_file("a.csv") as fh:
+                fh.write("first\n")
+            with write_file(second) as fh:
+                fh.write("second\n")
+    assert (tmp_path / "a.csv").read_text("utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "sub"]

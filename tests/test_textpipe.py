@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import re
 import string
 import tracemalloc
 
@@ -73,6 +75,31 @@ def test_pipeline_params_validation():
         PipelineParams(max_df=0.2, min_df=0.5)
     with pytest.raises(ValueError, match="max_features"):
         PipelineParams(max_features=0)
+
+
+@pytest.mark.parametrize("items, message", [
+    ({"stopwords": "the"}, "stopwords must be a collection of strings, got 'the'"),
+    ({"stopwords": ["the", 1]}, "stopwords must be strings, got 1"),
+    ({"stopwords": None}, "stopwords must be a list of strings, got null"),
+    ({"max_features": 2.5}, "max_features must be an integer or None, got 2.5"),
+    ({"max_features": True}, "max_features must be an integer or None, got True"),
+    ({"max_df": True}, "max_df must be a number, got True"),
+    ({"min_df": "0"}, "min_df must be a number, got '0'"),
+])
+def test_load_corpus_checks_the_types_of_the_pipeline_params(tmp_path, items, message):
+    corpus = build_corpus([("d1", "aa bb"), ("d2", "aa cc")], PipelineParams())
+    path = tmp_path / "corpus.txt"
+    save_corpus(corpus, path)
+    header, rest = path.read_text("utf-8").split("\n", 1)
+    header = json.loads(header)
+    header["params"].update(items)
+    path.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}:1: malformed header: {message}"
+    if items != {"stopwords": None}:  # None is the shipped list to the library
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            PipelineParams(**{**NO_FILTER, **items})
 
 
 def test_build_corpus_three_doc_oracle():

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -102,14 +103,11 @@ def _write_csv(path, header: str, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def run_ingest(args) -> int:
-    stop = load_stopwords(args.stopwords) if args.stopwords else None
-    params = PipelineParams(
-        max_df=args.max_df,
-        min_df=args.min_df,
-        max_features=args.max_features,
-        stopwords=stop,
-    )
-    docs = read_corpus_dir(args.corpus_dir)
+    params = PipelineParams(max_df=args.max_df, min_df=args.min_df,
+                            max_features=args.max_features)
+    if args.stopwords:  # read only once the flags have passed
+        params = replace(params, stopwords=load_stopwords(args.stopwords))
+    docs = read_corpus_dir(args.corpus_dir, filter(None, (args.out, args.stopwords)))
     if not docs:
         raise ValueError("no documents")
     corpus = build_corpus(docs, params)
@@ -219,8 +217,7 @@ def _test_macro_f1(result, labels, mask):
     ch = result.c @ result.h
     test = mask.test_ids
     truth = labels.z[:, test]
-    counts = [int(v) for v in truth.sum(axis=0)]
-    return macro_f1(threshold_predictions(ch[:, test], counts), truth)
+    return macro_f1(threshold_predictions(ch[:, test], truth.sum(axis=0)), truth)
 
 
 def _check_train_fraction(train_fraction: float) -> None:

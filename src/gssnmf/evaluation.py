@@ -14,12 +14,11 @@ as the row sums of D and the co-document counts as ``D D^T`` (exact
 integers, so the score equals the pair-by-pair count bit for bit), then
 sums the ordered log pairs. Callers scoring many topics build the
 incidence once per corpus (``X != 0``), so the documents are scanned
-once; ``coherence`` builds one over its keywords from token collections.
+once; ``coherence`` builds its own from a keyword frozenset per document.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -37,18 +36,16 @@ def threshold_predictions(scores: Matrix, true_counts) -> Matrix:
     """
     scores = as_matrix(scores)
     p, m = scores.shape
-    counts = [int(j) for j in true_counts]
+    counts = np.array([int(j) for j in true_counts])
     if len(counts) != m:
         raise ValueError(f"got {len(counts)} counts for {m} columns")
+    bad = np.flatnonzero((counts < 1) | (counts > p))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"label count {counts[i]} for column {i} out of range 1..{p}")
+    order = np.argsort(-scores, axis=0, kind="stable")  # ties keep row order
     out = np.zeros_like(scores)
-    for i, j in enumerate(counts):
-        if not 1 <= j <= p:
-            raise ValueError(
-                f"label count {j} for column {i} out of range 1..{p}"
-            )
-        # Stable sort of negated scores: equal values keep row order.
-        order = np.argsort(-scores[:, i], kind="stable")
-        out[order[:j], i] = 1.0
+    out[order, np.arange(m)] = np.arange(p)[:, None] < counts
     return out
 
 
@@ -71,13 +68,9 @@ def macro_f1(pred: Matrix, truth: Matrix) -> tuple[float, list[float]]:
         )
     _check_binary("pred", pred)
     _check_binary("truth", truth)
-    per_class: list[float] = []
-    for i in range(pred.shape[0]):
-        tp = float(np.sum((pred[i] == 1) & (truth[i] == 1)))
-        fp = float(np.sum((pred[i] == 1) & (truth[i] == 0)))
-        fn = float(np.sum((pred[i] == 0) & (truth[i] == 1)))
-        denom = 2 * tp + fp + fn
-        per_class.append(2 * tp / denom if denom > 0 else 0.0)
+    tp = np.sum((pred == 1) & (truth == 1), axis=1)
+    denom = 2 * tp + np.sum(pred != truth, axis=1)  # fp + fn on binary rows
+    per_class = np.divide(2 * tp, denom, out=np.zeros(len(tp)), where=denom > 0).tolist()
     return sum(per_class) / len(per_class), per_class
 
 
@@ -96,11 +89,8 @@ def coherence(topic_keywords: list[str], docs) -> float:
     keywords = list(topic_keywords)
     index = {w: i for i, w in enumerate(dict.fromkeys(keywords))}
     wanted = frozenset(index)
-    hits = [[index[w] for w in wanted.intersection(doc)] for doc in docs]
-    present = np.zeros((len(index), len(hits)), dtype=bool)
-    rows = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp)
-    cols = np.repeat(np.arange(len(hits)), [len(h) for h in hits])
-    present[rows, cols] = True
+    hits = [wanted.intersection(doc) for doc in docs]
+    present = np.array([[w in hit for hit in hits] for w in index], dtype=bool)
     return incidence_coherence(keywords, present, index)
 
 

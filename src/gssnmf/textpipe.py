@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -246,16 +247,20 @@ def doc_token_sets(corpus: CorpusMatrix) -> list[set[str]]:
     ]
 
 
-def read_corpus_dir(root) -> list[tuple[str, str]]:
+def read_corpus_dir(root, exclude=()) -> list[tuple[str, str]]:
     """Load every regular ``.txt`` file under ``root`` (recursively), UTF-8.
 
-    Document ids are file paths relative to ``root``, sorted
-    lexicographically; this fixes the matrix column order.
+    Files that are one of the paths in ``exclude`` (say, an ingest's own
+    output and stopword list) are left out. Document ids are file paths
+    relative to ``root``, sorted lexicographically; this fixes the matrix
+    column order.
     """
     rootp = Path(root)
     if not rootp.is_dir():
         raise ValueError(f"corpus directory not found: {root}")
-    paths = sorted((p for p in rootp.rglob("*.txt") if p.is_file()),
+    skip = {os.path.realpath(p) for p in exclude}
+    paths = sorted((p for p in rootp.rglob("*.txt")
+                    if p.is_file() and os.path.realpath(p) not in skip),
                    key=lambda p: p.relative_to(rootp).as_posix())
     return [(p.relative_to(rootp).as_posix(), _read_text(p)) for p in paths]
 

@@ -92,6 +92,42 @@ def test_ingest_accepts_df_and_feature_flags(workspace):
     assert corpus.n_terms <= 700
 
 
+def test_ingest_into_its_own_corpus_dir_is_repeatable(workspace, capsys):
+    docs = workspace["corpus_dir"]
+    out = docs / "corpus.txt"
+    summaries, files = [], []
+    for _ in range(2):
+        capsys.readouterr()
+        assert main(["ingest", str(docs), "--out", str(out)]) == 0
+        summaries.append(capsys.readouterr().out.splitlines()[0])
+        files.append(out.read_bytes())
+    assert summaries[0] == summaries[1]
+    assert "documents=20" in summaries[0]
+    assert files[0] == files[1]
+    assert "corpus.txt" not in load_corpus(out).doc_ids
+
+
+def test_ingest_leaves_out_a_stopword_file_in_its_corpus_dir(workspace):
+    docs = workspace["corpus_dir"]
+    (docs / "stop.txt").write_text("courtx\n", "utf-8")
+    out = workspace["root"] / "stopped.txt"
+    assert main(["ingest", str(docs), "--out", str(out),
+                 "--stopwords", str(docs / "stop.txt")]) == 0
+    corpus = load_corpus(out)
+    assert corpus.n_docs == 20 and "stop.txt" not in corpus.doc_ids
+    assert "courtx" not in corpus.vocab.terms
+
+
+def test_ingest_checks_flags_before_reading_the_stopword_file(workspace, capsys):
+    out = workspace["root"] / "c.txt"
+    capsys.readouterr()
+    assert main(["ingest", str(workspace["corpus_dir"]), "--out", str(out),
+                 "--stopwords", str(workspace["root"] / "missing.txt"),
+                 "--max-df", "2"]) == 2
+    assert capsys.readouterr().err == "error: max_df must be in (0, 1], got 2.0\n"
+    assert not out.exists()
+
+
 def test_rank_scan_known_spectrum(tmp_path):
     # corpus file written directly around a diagonal-like matrix
     from gssnmf.textpipe import CorpusMatrix, Vocabulary, save_corpus

@@ -50,6 +50,36 @@ def test_threshold_count_out_of_range():
         threshold_predictions(np.zeros((3, 2)), [1])
 
 
+def _threshold_by_column(scores, counts):
+    """One stable argsort per column, the column-by-column definition."""
+    out = np.zeros_like(scores)
+    for i, j in enumerate(counts):
+        out[np.argsort(-scores[:, i], kind="stable")[:j], i] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_threshold_equals_per_column_argsort_on_ties(seed):
+    rng = np.random.default_rng(seed)
+    p, m = int(rng.integers(1, 8)), int(rng.integers(1, 40))
+    levels = int(rng.integers(2, 4))
+    scores = np.round(rng.random((p, m)) * (levels - 1)) / (levels - 1)
+    scores[:, rng.random(m) < 0.3] = 0.0
+    counts = rng.integers(1, p + 1, m)
+    counts[: min(m, 2)] = [1, p][: min(m, 2)]
+    assert np.array_equal(threshold_predictions(scores, counts),
+                          _threshold_by_column(scores, counts))
+
+
+def test_threshold_names_the_first_bad_column():
+    with pytest.raises(ValueError,
+                       match=r"^label count 0 for column 1 out of range 1\.\.3$"):
+        threshold_predictions(np.zeros((3, 5)), [1, 0, 4, 2, -1])
+    with pytest.raises(ValueError,
+                       match=r"^label count 4 for column 2 out of range 1\.\.3$"):
+        threshold_predictions(np.zeros((3, 5)), [1, 3, 4, 0, 2])
+
+
 def test_macro_f1_perfect_prediction():
     truth = np.array([[1.0, 0.0], [0.0, 1.0]])
     macro, per_class = macro_f1(truth, truth)
@@ -89,6 +119,33 @@ def test_macro_f1_permutation_equivariant(seed):
     perm = rng.permutation(4)
     macro_p, _ = macro_f1(pred[perm], truth[perm])
     assert macro == pytest.approx(macro_p, abs=1e-15)
+
+
+def _macro_f1_by_class(pred, truth):
+    """Three counts per class in a loop, the class-by-class definition."""
+    per_class = []
+    for i in range(pred.shape[0]):
+        tp = float(np.sum((pred[i] == 1) & (truth[i] == 1)))
+        fp = float(np.sum((pred[i] == 1) & (truth[i] == 0)))
+        fn = float(np.sum((pred[i] == 0) & (truth[i] == 1)))
+        denom = 2 * tp + fp + fn
+        per_class.append(2 * tp / denom if denom > 0 else 0.0)
+    return sum(per_class) / len(per_class), per_class
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_macro_f1_equals_per_class_counts_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    p, m = int(rng.integers(1, 9)), int(rng.integers(1, 60))
+    truth = (rng.random((p, m)) < 0.3).astype(float)
+    pred = (rng.random((p, m)) < 0.3).astype(float)
+    empty = rng.random(p) < 0.3  # classes with an empty F1 denominator
+    truth[empty] = pred[empty] = 0.0
+    macro, per_class = macro_f1(pred, truth)
+    ref_macro, ref_per_class = _macro_f1_by_class(pred, truth)
+    assert macro == ref_macro
+    assert len(per_class) == len(ref_per_class)
+    assert all(type(a) is float and a == b for a, b in zip(per_class, ref_per_class))
 
 
 def test_coherence_hand_example():

@@ -230,6 +230,19 @@ def test_read_corpus_dir_skips_a_directory_named_like_a_text_file(tmp_path):
                                          ("notes.txt/inner.txt", "inner")]
 
 
+def test_read_corpus_dir_leaves_out_excluded_paths(tmp_path, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    for name in ("a.txt", "out.txt", "sub/stop.txt"):
+        (tmp_path / name).write_text(name, encoding="utf-8")
+    monkeypatch.chdir(tmp_path / "sub")
+    # Relative, absolute and roundabout spellings of the same files.
+    docs = read_corpus_dir(tmp_path, ["../out.txt", str(tmp_path / "sub" / "stop.txt"),
+                                      str(tmp_path / "missing.txt")])
+    assert docs == [("a.txt", "a.txt")]
+    assert [d for d, _ in read_corpus_dir(tmp_path, [])] == [
+        "a.txt", "out.txt", "sub/stop.txt"]
+
+
 def test_save_load_round_trip(tmp_path):
     docs = [("d1", "gang murder trial"), ("d2", "murder weapon"),
             ("d3", "trial gang gang")]

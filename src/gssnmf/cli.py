@@ -6,10 +6,12 @@ come from explicit seeds with documented defaults, and output files are
 byte-identical across reruns. A JSON config file (``--config``) may supply
 any optional flag of its subcommand, with command-line flags taking
 precedence; its values are parsed as the same text given to the flag. A
-key naming a positional argument or a required flag is an error.
+flag's type checks any bound of its own, before any file is opened. A key
+naming a positional argument or a required flag is an error.
 
 Exit codes: 0 success, 1 runtime, numeric or out-of-memory failure (a
-sweep worker that died, too), 2 usage or input error.
+sweep worker that died, too), 2 usage or input error; each fault is one
+``error: ...`` line on stderr, with no usage text.
 """
 
 from __future__ import annotations
@@ -73,24 +75,6 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def _list_parser(kind, what: str):
-    """An argparse type for a comma-separated list."""
-
-    def parse(text: str) -> list:
-        try:
-            return [kind(v) for v in text.split(",") if v.strip() != ""]
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated {what}, got {text!r}"
-            ) from None
-
-    return parse
-
-
-_float_list = _list_parser(float, "numbers")
-_int_list = _list_parser(int, "integers")
-
-
 def _write_csv(path, header: str, rows) -> None:
     """Write a CSV of ``header`` and ``rows``, each value in ``repr`` form."""
     with write_file(path) as fh:
@@ -121,8 +105,6 @@ def run_ingest(args) -> int:
 
 
 def run_rank_scan(args) -> int:
-    if args.top < 1:  # the upper bound needs the corpus
-        raise ValueError(f"--top must be >= 1, got {args.top}")
     corpus = load_corpus(args.corpus_file)
     spectrum = singular_values(corpus.x, args.top)
     _write_csv(args.out, "index,singular_value", enumerate(spectrum, start=1))
@@ -137,7 +119,6 @@ def run_factorize(args) -> int:
     config = ModelConfig(rank=args.rank, lam=args.lam, mu=args.mu,
                          max_iters=args.max_iters, rng_seed=args.rng_seed,
                          eps=args.eps, tol=args.tol)
-    _check_train_fraction(args.train_fraction)
     if config.lam > 0 and not args.seeds:
         raise ValueError("--lambda > 0 requires --seeds FILE")
     if config.mu > 0 and not args.labels:
@@ -220,11 +201,6 @@ def _test_macro_f1(result, labels, mask):
     return macro_f1(threshold_predictions(ch[:, test], truth.sum(axis=0)), truth)
 
 
-def _check_train_fraction(train_fraction: float) -> None:
-    if not 0 < train_fraction < 1:
-        raise ValueError(f"--train-fraction must be in (0, 1), got {train_fraction}")
-
-
 def _seed_matrix(path, vocab: Vocabulary):
     """The seed matrix of the words in ``path``; warns of each one not in ``vocab``."""
     seeds = build_seed_matrix(load_seed_words(path), vocab)
@@ -233,14 +209,7 @@ def _seed_matrix(path, vocab: Vocabulary):
     return seeds
 
 
-def _check_n_top(n_top: int) -> None:
-    """Coherence scores keyword pairs, so a topic needs two keywords."""
-    if n_top < 2:
-        raise ValueError(f"--n-top must be >= 2, got {n_top}")
-
-
 def run_coherence(args) -> int:
-    _check_n_top(args.n_top)
     result, _ = load_result(args.result_dir)
     corpus = load_corpus(args.corpus_file)
     if result.w.shape[0] != corpus.n_terms:
@@ -374,24 +343,9 @@ def _sweep_eval(payload, batch):
 
 
 def run_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    _check_n_top(args.n_top)
     lams, mus, ranks = args.lambda_grid, args.mu_grid, args.ranks
-    if not ranks or not lams or not mus:
-        raise ValueError("--ranks, --lambda-grid, and --mu-grid must be non-empty")
-    if not all(0 <= v < float("inf") for v in lams + mus):
-        raise ValueError("grid values must be finite and >= 0")
-    if any(r < 1 for r in ranks):
-        raise ValueError("ranks must be >= 1")
-    # A repeated value would run its cells again and write their rows twice.
-    for flag, values in (("--ranks", ranks), ("--lambda-grid", lams),
-                         ("--mu-grid", mus)):
-        if len(set(values)) < len(values):
-            raise ValueError(f"{flag} must not repeat a value, got {values}")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    _check_train_fraction(args.train_fraction)
+    if None in (ranks, lams, mus):  # a config file may supply them
+        raise ValueError("--ranks, --lambda-grid and --mu-grid are required")
     # One (config, trial) cell per output row, in row order, checked before
     # anything is read. Trial t's fits and split use the seed base + t.
     cells = [(ModelConfig(rank, lam, mu, args.max_iters, args.base_seed + trial,
@@ -561,7 +515,47 @@ def run_plot_heatmap(args) -> int:
 # Parser and config handling
 # ---------------------------------------------------------------------------
 
-class _CommandParser(argparse.ArgumentParser):
+def _arg_type(kind, bound: str, ok, listed=False):
+    """An argparse type: a ``kind`` value that passes ``ok`` (``bound`` says
+    how), or with ``listed`` a non-empty comma-separated list of such
+    values that repeats none."""
+
+    def parse(text: str):
+        try:
+            values = ([kind(v) for v in text.split(",") if v.strip()] if listed
+                      else [kind(text)])
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        for value in values:
+            if not ok(value):
+                raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        # A repeated grid value would run its cells again and write their
+        # rows twice.
+        if not values or len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(
+                f"must list one or more distinct values, got {text!r}")
+        return values if listed else values[0]
+
+    parse.listed = listed
+    return parse
+
+
+_count = _arg_type(int, ">= 1", lambda v: v >= 1)
+_seed = _arg_type(int, ">= 0", lambda v: v >= 0)
+# Coherence scores keyword pairs, so a topic needs two keywords.
+_n_top = _arg_type(int, ">= 2", lambda v: v >= 2)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage faults raise ValueError, which ``main`` reports
+    as one ``error: ...`` line, instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+class _CommandParser(_Parser):
     """A subcommand's parser; ``flags`` maps each argument's dest to its action."""
 
     def __init__(self, **kwargs):
@@ -582,12 +576,13 @@ def _add_fit_flags(sp):
     sp.add_argument("--eps", type=float, default=ModelConfig.eps)
     sp.add_argument("--tol", type=float, default=ModelConfig.tol,
                     help="relative objective-change early stop; 0 disables")
-    sp.add_argument("--train-fraction", type=float, default=0.7)
+    sp.add_argument("--train-fraction", default=0.7,
+                    type=_arg_type(float, "in (0, 1)", lambda v: 0 < v < 1))
 
 
 def build_parser():
     """The parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gssnmf",
         description=(
             "Topic factorization of text corpora with optional seed-word "
@@ -609,7 +604,7 @@ def build_parser():
     sp = sub.add_parser("rank-scan", help="leading singular values of a corpus")
     sp.add_argument("corpus_file")
     sp.add_argument("--out", required=True, help="CSV of (index, singular value)")
-    sp.add_argument("--top", type=int, default=20)
+    sp.add_argument("--top", type=_count, default=20)
     sp.set_defaults(func=run_rank_scan)
 
     sp = sub.add_parser("factorize", help="run the multiplicative-update solver")
@@ -622,7 +617,7 @@ def build_parser():
     sp.add_argument("--rng-seed", type=int, default=0)
     sp.add_argument("--seeds", help="seed word file")
     sp.add_argument("--labels", help="label assignments CSV")
-    sp.add_argument("--split-seed", type=int, default=0)
+    sp.add_argument("--split-seed", type=_seed, default=0)
     _add_fit_flags(sp)
     sp.set_defaults(func=run_factorize)
 
@@ -636,7 +631,7 @@ def build_parser():
     sp = sub.add_parser("coherence", help="score topic keyword coherence")
     sp.add_argument("result_dir")
     sp.add_argument("corpus_file")
-    sp.add_argument("--n-top", type=int, default=30,
+    sp.add_argument("--n-top", type=_n_top, default=30,
                     help="keywords per topic entering the score")
     sp.add_argument("--out", help="report JSON to write")
     sp.add_argument("--table", help="plain-text topic table to write")
@@ -651,18 +646,20 @@ def build_parser():
                     help="mean-aggregated CSV (default: <out>.mean.csv)")
     sp.add_argument("--best-by-lambda", default=None,
                     help="optional per-lambda best-mu CSV")
-    sp.add_argument("--ranks", type=_int_list, default=None)
-    sp.add_argument("--lambda-grid", dest="lambda_grid", type=_float_list,
-                    default=None)
-    sp.add_argument("--mu-grid", dest="mu_grid", type=_float_list, default=None)
-    sp.add_argument("--trials", type=int, default=10)
-    sp.add_argument("--base-seed", type=int, default=0,
+    sp.add_argument("--ranks", type=_arg_type(int, ">= 1", lambda v: v >= 1,
+                                              listed=True))
+    grid = _arg_type(float, "finite and >= 0", lambda v: 0 <= v < float("inf"),
+                     listed=True)
+    sp.add_argument("--lambda-grid", dest="lambda_grid", type=grid)
+    sp.add_argument("--mu-grid", dest="mu_grid", type=grid)
+    sp.add_argument("--trials", type=_count, default=10)
+    sp.add_argument("--base-seed", type=_seed, default=0,
                     help="trial t uses seed base+t for its split and init")
     sp.add_argument("--metric", choices=("macro_f1", "avg_coherence"),
                     default="macro_f1")
-    sp.add_argument("--n-top", type=int, default=30)
+    sp.add_argument("--n-top", type=_n_top, default=30)
     _add_fit_flags(sp)
-    sp.add_argument("--jobs", type=int, default=1,
+    sp.add_argument("--jobs", type=_count, default=1,
                     help="worker processes (>= 1; capped at the number of "
                          "cells and the CPUs this process may run on); "
                          "output is identical for any value")
@@ -683,7 +680,7 @@ def _apply_config(argv, commands) -> None:
     cmd = next((a for a in argv if not a.startswith("-")), None)
     if cmd not in commands:
         return
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if not known.config:
@@ -707,7 +704,7 @@ def _apply_config(argv, commands) -> None:
                              f"{action.option_strings[0]} of '{cmd}'; give it "
                              "on the command line")
         try:  # the value as its flag reads the same text on the command line
-            if isinstance(value, list) and action.type in (_int_list, _float_list):
+            if isinstance(value, list) and getattr(action.type, "listed", False):
                 value = ",".join(map(str, value))
             elif not isinstance(value, (str, int, float)):
                 raise ValueError("expected a scalar value")
@@ -727,7 +724,7 @@ def main(argv=None) -> int:
         _apply_config(argv, commands)
         try:
             args = parser.parse_args(argv)
-        except SystemExit as exc:
+        except SystemExit as exc:  # --help, which prints the help
             return int(exc.code or 0)
         return args.func(args)
     except FactorizationError as exc:

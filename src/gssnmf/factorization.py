@@ -138,6 +138,8 @@ class ModelConfig:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         for name in ("lam", "mu", "eps", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -1,3 +1,4 @@
+import builtins
 import io
 import json
 import math
@@ -333,7 +334,9 @@ def test_classify_without_label_supervision_exits_2(workspace, capsys):
     lambda m: {k: v for k, v in m.items() if k != "config"},  # missing key
     lambda m: [m],  # not a JSON object
     lambda m: {**m, "doc_ids": 5},  # doc_ids not a list
-], ids=["unknown-config-key", "missing-config", "list", "doc-ids-not-list"])
+    lambda m: {**m, "config": {**m["config"], "rng_seed": -1}},
+], ids=["unknown-config-key", "missing-config", "list", "doc-ids-not-list",
+        "negative-rng-seed"])
 def test_bad_manifest_exits_2_naming_it(workspace, capsys, mangle):
     out = workspace["root"] / "model_bad_manifest"
     assert main([
@@ -1040,7 +1043,7 @@ def test_cli_import_leaves_process_pool_unloaded():
 
 def test_sweep_rejects_jobs_below_one(workspace, tmp_path, capsys):
     assert main(_sweep_args(workspace, tmp_path, extra=("--jobs", "0"))) == 2
-    assert capsys.readouterr().err.startswith("error: --jobs")
+    assert capsys.readouterr().err.startswith("error: argument --jobs")
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -1466,7 +1469,7 @@ def test_n_top_below_two_exits_2_before_any_input_is_read(
     }[command]
     capsys.readouterr()
     assert main([str(a) for a in argv] + ["--n-top", "1"]) == 2
-    assert capsys.readouterr().err == "error: --n-top must be >= 2, got 1\n"
+    assert capsys.readouterr().err == "error: argument --n-top: must be >= 2, got 1\n"
     assert read == [] and not out.exists()
 
 
@@ -1491,19 +1494,26 @@ def test_sweep_grid_checks_exit_2_before_any_input_is_read(
     grid = {"--ranks": "2", "--lambda-grid": "0.1", "--mu-grid": "0.1",
             "--trials": "1"}
     cases = [
-        ({"--ranks": ""}, "--ranks, --lambda-grid, and --mu-grid must be non-empty"),
-        ({"--lambda-grid": ""}, "--ranks, --lambda-grid, and --mu-grid must be non-empty"),
-        ({"--mu-grid": ""}, "--ranks, --lambda-grid, and --mu-grid must be non-empty"),
-        ({"--lambda-grid": "-0.1"}, "grid values must be finite and >= 0"),
-        ({"--mu-grid": "0.1,-0.1"}, "grid values must be finite and >= 0"),
-        ({"--ranks": "2,0"}, "ranks must be >= 1"),
-        ({"--trials": "0"}, "--trials must be >= 1, got 0"),
-        ({"--train-fraction": "1.5"}, "--train-fraction must be in (0, 1), got 1.5"),
-        ({"--train-fraction": "0"}, "--train-fraction must be in (0, 1), got 0.0"),
+        ({"--ranks": ""},
+         "argument --ranks: must list one or more distinct values, got ''"),
+        ({"--lambda-grid": ""},
+         "argument --lambda-grid: must list one or more distinct values, got ''"),
+        ({"--mu-grid": ""},
+         "argument --mu-grid: must list one or more distinct values, got ''"),
+        ({"--lambda-grid": "-0.1"},
+         "argument --lambda-grid: must be finite and >= 0, got -0.1"),
+        ({"--mu-grid": "0.1,-0.1"}, "argument --mu-grid: must be finite and >= 0, got -0.1"),
+        ({"--ranks": "2,0"}, "argument --ranks: must be >= 1, got 0"),
+        ({"--trials": "0"}, "argument --trials: must be >= 1, got 0"),
+        ({"--train-fraction": "1.5"}, "argument --train-fraction: must be in (0, 1), got 1.5"),
+        ({"--train-fraction": "0"}, "argument --train-fraction: must be in (0, 1), got 0.0"),
         # A repeated grid value would run and write its cells again.
-        ({"--ranks": "2,3,2"}, "--ranks must not repeat a value, got [2, 3, 2]"),
-        ({"--lambda-grid": "0,0"}, "--lambda-grid must not repeat a value, got [0.0, 0.0]"),
-        ({"--mu-grid": "0,-0"}, "--mu-grid must not repeat a value, got [0.0, -0.0]"),
+        ({"--ranks": "2,3,2"},
+         "argument --ranks: must list one or more distinct values, got '2,3,2'"),
+        ({"--lambda-grid": "0,0"},
+         "argument --lambda-grid: must list one or more distinct values, got '0,0'"),
+        ({"--mu-grid": "0,-0"},
+         "argument --mu-grid: must list one or more distinct values, got '0,-0'"),
     ]
     for change, message in cases:
         flags = [f"{flag}={value}" for flag, value in {**grid, **change}.items()]
@@ -1606,7 +1616,7 @@ def test_factorize_train_fraction_exits_2_before_any_input_is_read(
     capsys.readouterr()
     assert main([str(a) for a in argv]) == 2
     assert capsys.readouterr().err == (
-        f"error: --train-fraction must be in (0, 1), got {float(value)}\n")
+        f"error: argument --train-fraction: must be in (0, 1), got {float(value)}\n")
     assert not (tmp_path / "model").exists()
 
 
@@ -1617,7 +1627,7 @@ def test_factorize_train_fraction_exits_2_before_any_input_is_read(
     ("factorize", ["--rank", "2", "--lambda", "0.5"],
      "--lambda > 0 requires --seeds FILE"),
     ("factorize", ["--rank", "2", "--mu", "0.5"], "--mu > 0 requires --labels FILE"),
-    ("rank-scan", ["--top", "0"], "--top must be >= 1, got 0"),
+    ("rank-scan", ["--top", "0"], "argument --top: must be >= 1, got 0"),
 ], ids=["ingest-max-df", "ingest-min-df", "factorize-lambda", "factorize-mu",
         "rank-scan-top"])
 def test_flag_checks_exit_2_before_any_input_is_read(
@@ -1660,12 +1670,129 @@ def test_sweep_on_one_document_exits_2_before_any_fit(tmp_path, monkeypatch, cap
 def test_sweep_non_finite_grid_values_exit_2_before_any_input_is_read(
         pristine, tmp_path, monkeypatch, capsys):
     for bad in ("nan", "inf"):
-        for flags in (["--lambda-grid", f"0.1,{bad}", "--mu-grid", "0.1"],
-                      ["--lambda-grid", "0.1", "--mu-grid", bad]):
+        for flag, flags in (
+                ("--lambda-grid", ["--lambda-grid", f"0.1,{bad}", "--mu-grid", "0.1"]),
+                ("--mu-grid", ["--lambda-grid", "0.1", "--mu-grid", bad])):
             code, err = _sweep_before_reading(
                 pristine, tmp_path, monkeypatch, capsys,
                 ["--ranks", "2", "--trials", "1", *flags])
-            assert (code, err) == (2, "error: grid values must be finite and >= 0\n")
+            assert (code, err) == (
+                2, f"error: argument {flag}: must be finite and >= 0, got {bad}\n")
+
+
+# --- flags checked while parsing ------------------------------------------
+
+# (command, flag, bad text, reason) for each flag whose value is checked
+# while parsing: the reason is the same on the command line and in a config.
+_BAD_FLAG_VALUES = [
+    ("rank-scan", "top", "0", "must be >= 1, got 0"),
+    ("rank-scan", "top", "x", "invalid int value: 'x'"),
+    ("factorize", "train-fraction", "0", "must be in (0, 1), got 0.0"),
+    ("factorize", "train-fraction", "1", "must be in (0, 1), got 1.0"),
+    ("factorize", "train-fraction", "nan", "must be in (0, 1), got nan"),
+    ("factorize", "split-seed", "-1", "must be >= 0, got -1"),
+    ("coherence", "n-top", "1", "must be >= 2, got 1"),
+    ("sweep", "n-top", "0", "must be >= 2, got 0"),
+    ("sweep", "jobs", "0", "must be >= 1, got 0"),
+    ("sweep", "trials", "-2", "must be >= 1, got -2"),
+    ("sweep", "train-fraction", "1.5", "must be in (0, 1), got 1.5"),
+    ("sweep", "base-seed", "-1", "must be >= 0, got -1"),
+    ("sweep", "ranks", "", "must list one or more distinct values, got ''"),
+    ("sweep", "ranks", "2,0", "must be >= 1, got 0"),
+    ("sweep", "ranks", "2,3,2", "must list one or more distinct values, got '2,3,2'"),
+    ("sweep", "ranks", "2.5", "invalid int value: '2.5'"),
+    ("sweep", "lambda-grid", "-0.1", "must be finite and >= 0, got -0.1"),
+    ("sweep", "lambda-grid", "0,inf", "must be finite and >= 0, got inf"),
+    ("sweep", "mu-grid", "0.1,nan", "must be finite and >= 0, got nan"),
+    ("sweep", "mu-grid", "0,-0", "must list one or more distinct values, got '0,-0'"),
+]
+# Each command's positionals and required --out, none of which exists.
+_NO_FILES_ARGV = {
+    "rank-scan": ["rank-scan", "corpus.txt", "--out", "out"],
+    "factorize": ["factorize", "corpus.txt", "--out", "out", "--rank", "2"],
+    "coherence": ["coherence", "model", "corpus.txt"],
+    "sweep": ["sweep", "corpus.txt", "labels.csv", "seeds.txt", "--out", "out"],
+}
+
+
+def _spy_on_open(monkeypatch):
+    """The names of the files opened from now on; every reader and writer
+    goes through ``builtins.open``."""
+    opened, real_open = [], builtins.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    return opened
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("command, flag, text, reason", _BAD_FLAG_VALUES)
+def test_bad_flag_value_exits_2_before_any_file_is_opened(
+        tmp_path, monkeypatch, capsys, where, command, flag, text, reason):
+    monkeypatch.chdir(tmp_path)
+    argv = list(_NO_FILES_ARGV[command])
+    if where == "flag":
+        argv.append(f"--{flag}={text}")
+        want, read = f"error: argument --{flag}: {reason}\n", []
+    else:
+        try:  # a number as a JSON number, anything else as a string
+            value = json.loads(text)
+        except ValueError:
+            value = text
+        (tmp_path / "config.json").write_text(json.dumps({flag: value}), "utf-8")
+        argv += ["--config", "config.json"]
+        want, read = f"error: config key '{flag}': {reason}\n", ["config.json"]
+    opened = _spy_on_open(monkeypatch)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == want
+    assert opened == read
+    assert os.listdir(tmp_path) == read
+
+
+def test_negative_rng_seed_exits_2_before_any_file_is_opened(tmp_path, monkeypatch,
+                                                             capsys):
+    monkeypatch.chdir(tmp_path)
+    opened = _spy_on_open(monkeypatch)
+    capsys.readouterr()
+    assert main([*_NO_FILES_ARGV["factorize"], "--rng-seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: rng_seed must be >= 0, got -1\n"
+    assert opened == [] and os.listdir(tmp_path) == []
+
+
+def test_config_flag_without_a_value_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["factorize", "c.txt", "--out", "m", "--config"]) == 2
+    assert capsys.readouterr() == ("", "error: argument --config: expected one argument\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["fit", "c.txt"], "argument command: invalid choice: 'fit'"),
+    (["factorize", "c.txt"], "the following arguments are required: --out"),
+    (["factorize", "c.txt", "--out", "m", "--bogus"], "unrecognized arguments: --bogus"),
+    (["factorize", "c.txt", "--out", "m", "--rank", "two"],
+     "argument --rank: invalid int value: 'two'"),
+    (["sweep", "c", "l", "s", "--out", "o", "--metric", "f2"],
+     "argument --metric: invalid choice: 'f2'"),
+    (["sweep", "c", "l", "s", "--out", "o", "--ranks", "2"],
+     "--ranks, --lambda-grid and --mu-grid are required"),
+], ids=["no-command", "unknown-command", "missing-out", "unknown-flag", "bad-int",
+        "bad-choice", "missing-grid"])
+def test_usage_fault_is_one_error_line_without_usage(tmp_path, monkeypatch, capsys,
+                                                    argv, message):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}"), err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert os.listdir(tmp_path) == []
 
 
 def test_out_of_memory_exits_1_without_a_traceback(pristine, tmp_path, monkeypatch,

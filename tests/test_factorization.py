@@ -54,6 +54,11 @@ def test_model_config_validation():
     assert ModelConfig(**asdict(cfg)) == cfg
 
 
+def test_model_config_rejects_a_negative_rng_seed():
+    with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
+        ModelConfig(rank=1, rng_seed=-1)
+
+
 @pytest.mark.parametrize("name", ["lam", "mu", "eps", "tol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_model_config_rejects_non_finite_values(name, value):

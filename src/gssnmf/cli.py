@@ -4,10 +4,10 @@ sweep, and plot-heatmap.
 Every command is deterministic given its flags; random choices always
 come from explicit seeds with documented defaults, and output files are
 byte-identical across reruns. A JSON config file (``--config``) may supply
-any optional flag of its subcommand, with command-line flags taking
-precedence; its values are parsed as the same text given to the flag. A
-flag's type checks any bound of its own, before any file is opened. A key
-naming a positional argument or a required flag is an error.
+any flag of its subcommand but a positional, with command-line flags taking
+precedence; its values are parsed as the same text given to the flag.
+argparse checks each flag's own bounds and that every required flag is
+given, from either source, before any file but the config is opened.
 
 Exit codes: 0 success, 1 runtime, numeric or out-of-memory failure (a
 sweep worker that died, too), 2 usage or input error; each fault is one
@@ -86,7 +86,7 @@ def _write_csv(path, header: str, rows) -> None:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-def run_ingest(args) -> int:
+def run_ingest(args):
     params = PipelineParams(max_df=args.max_df, min_df=args.min_df,
                             max_features=args.max_features)
     if args.stopwords:  # read only once the flags have passed
@@ -101,21 +101,17 @@ def run_ingest(args) -> int:
         f"terms={corpus.n_terms} documents={corpus.n_docs} density={density:.4f}"
     )
     print(f"wrote {args.out}")
-    return EXIT_OK
 
 
-def run_rank_scan(args) -> int:
+def run_rank_scan(args):
     corpus = load_corpus(args.corpus_file)
     spectrum = singular_values(corpus.x, args.top)
     _write_csv(args.out, "index,singular_value", enumerate(spectrum, start=1))
     print(f"wrote {args.out} ({args.top} singular values, "
           f"largest={spectrum[0]:.6g})")
-    return EXIT_OK
 
 
-def run_factorize(args) -> int:
-    if args.rank is None:
-        raise ValueError("--rank is required")
+def run_factorize(args):
     config = ModelConfig(rank=args.rank, lam=args.lam, mu=args.mu,
                          max_iters=args.max_iters, rng_seed=args.rng_seed,
                          eps=args.eps, tol=args.tol)
@@ -157,10 +153,9 @@ def run_factorize(args) -> int:
         f"last={result.objective_trace[-1]:.6g} iterations={result.iterations}"
     )
     print(f"wrote {args.out}")
-    return EXIT_OK
 
 
-def run_classify(args) -> int:
+def run_classify(args):
     result, manifest = load_result(args.result_dir)
     if result.c is None:
         raise ValueError("model was not label-supervised")
@@ -190,7 +185,6 @@ def run_classify(args) -> int:
     print(f"macro_f1={macro:.6f} over {len(mask.test_ids)} test documents")
     for name, f1 in zip(labels.label_names, per_class):
         print(f"  f1[{name}]={f1:.6f}")
-    return EXIT_OK
 
 
 def _test_macro_f1(result, labels, mask):
@@ -209,7 +203,7 @@ def _seed_matrix(path, vocab: Vocabulary):
     return seeds
 
 
-def run_coherence(args) -> int:
+def run_coherence(args):
     result, _ = load_result(args.result_dir)
     corpus = load_corpus(args.corpus_file)
     if result.w.shape[0] != corpus.n_terms:
@@ -237,7 +231,6 @@ def run_coherence(args) -> int:
     for i, c in enumerate(per_topic, start=1):
         print(f"topic {i}: coherence={c:.3f} keywords={' '.join(topics[i - 1][:10])}")
     print(f"avg_coherence={report.avg_coherence:.3f}")
-    return EXIT_OK
 
 
 def _topic_coherences(w, vocab: Vocabulary, present, n_top: int):
@@ -342,16 +335,13 @@ def _sweep_eval(payload, batch):
     return rows
 
 
-def run_sweep(args) -> int:
-    lams, mus, ranks = args.lambda_grid, args.mu_grid, args.ranks
-    if None in (ranks, lams, mus):  # a config file may supply them
-        raise ValueError("--ranks, --lambda-grid and --mu-grid are required")
+def run_sweep(args):
     # One (config, trial) cell per output row, in row order, checked before
     # anything is read. Trial t's fits and split use the seed base + t.
     cells = [(ModelConfig(rank, lam, mu, args.max_iters, args.base_seed + trial,
                           args.eps, args.tol), trial)
-             for rank in sorted(ranks) for lam in sorted(lams)
-             for mu in sorted(mus) for trial in range(args.trials)]
+             for rank in sorted(args.ranks) for lam in sorted(args.lambda_grid)
+             for mu in sorted(args.mu_grid) for trial in range(args.trials)]
     out_mean = args.out_mean or str(Path(args.out).with_suffix(".mean.csv"))
     named = {}
     for flag, path in (("--out", args.out), ("--out-mean", out_mean),
@@ -362,9 +352,9 @@ def run_sweep(args) -> int:
     corpus = load_corpus(args.corpus_file)
     # What would fail every cell fails here, once, before any fit.
     limit = min(corpus.x.shape)
-    if max(ranks) > limit:
+    if max(args.ranks) > limit:
         raise ValueError(f"--ranks must be <= min(terms, documents) = {limit} of "
-                         f"{args.corpus_file}, got {max(ranks)}")
+                         f"{args.corpus_file}, got {max(args.ranks)}")
     if args.metric == "avg_coherence" and args.n_top > corpus.n_terms:
         raise ValueError(f"--n-top must be <= the {corpus.n_terms} terms of "
                          f"{args.corpus_file}, got {args.n_top}")
@@ -431,7 +421,6 @@ def run_sweep(args) -> int:
     print(f"wrote {out_mean} ({len(means)} cells)")
     if args.best_by_lambda:
         print(f"wrote {args.best_by_lambda}")
-    return EXIT_OK
 
 
 # --- plot-heatmap -----------------------------------------------------------
@@ -443,7 +432,7 @@ def _heat_color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def run_plot_heatmap(args) -> int:
+def run_plot_heatmap(args):
     with open_text(args.mean_csv) as fh:
         if fh.readline().strip() != "rank,lambda,mu,mean_metric_value":
             raise ValueError(f"{args.mean_csv}: not a sweep mean CSV")
@@ -508,7 +497,6 @@ def run_plot_heatmap(args) -> int:
         fh.write("\n".join(parts))
         fh.write("\n")
     print(f"wrote {args.out} ({len(lams)}x{len(mus)} cells)")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +549,8 @@ class _CommandParser(_Parser):
     def __init__(self, **kwargs):
         self.flags = {}
         super().__init__(**kwargs)
-        self.add_argument("--config", help="JSON file supplying any optional "
-                          "flag of this command; flags override it")
+        self.add_argument("--config", help="JSON file supplying any flag of "
+                          "this command; flags override it")
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
@@ -610,7 +598,7 @@ def build_parser():
     sp = sub.add_parser("factorize", help="run the multiplicative-update solver")
     sp.add_argument("corpus_file")
     sp.add_argument("--out", required=True, help="result directory to write")
-    sp.add_argument("--rank", type=int, default=None)
+    sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, default=0.0,
                     help="seed-guidance weight")
     sp.add_argument("--mu", type=float, default=0.0, help="label-supervision weight")
@@ -646,12 +634,12 @@ def build_parser():
                     help="mean-aggregated CSV (default: <out>.mean.csv)")
     sp.add_argument("--best-by-lambda", default=None,
                     help="optional per-lambda best-mu CSV")
-    sp.add_argument("--ranks", type=_arg_type(int, ">= 1", lambda v: v >= 1,
-                                              listed=True))
+    sp.add_argument("--ranks", required=True,
+                    type=_arg_type(int, ">= 1", lambda v: v >= 1, listed=True))
     grid = _arg_type(float, "finite and >= 0", lambda v: 0 <= v < float("inf"),
                      listed=True)
-    sp.add_argument("--lambda-grid", dest="lambda_grid", type=grid)
-    sp.add_argument("--mu-grid", dest="mu_grid", type=grid)
+    sp.add_argument("--lambda-grid", type=grid, required=True)
+    sp.add_argument("--mu-grid", type=grid, required=True)
     sp.add_argument("--trials", type=_count, default=10)
     sp.add_argument("--base-seed", type=_seed, default=0,
                     help="trial t uses seed base+t for its split and init")
@@ -688,21 +676,16 @@ def _apply_config(argv, commands) -> None:
     cfg = read_json(known.config, "config")
     if not isinstance(cfg, dict):
         raise ValueError(f"{known.config}: config must be a JSON object")
-    sp = commands[cmd]
-    defaults = {}
+    flags = commands[cmd].flags
     for key, value in cfg.items():
         dest = "lam" if key == "lambda" else key.replace("-", "_")
-        if dest not in sp.flags or dest in ("help", "config"):
+        if dest not in flags or dest in ("help", "config"):
             raise ValueError(f"unknown config key '{key}' for command '{cmd}'")
-        action = sp.flags[dest]
-        # A default can neither fill a positional nor satisfy a required flag.
+        action = flags[dest]
+        # A default never fills a positional.
         if not action.option_strings:
             raise ValueError(f"config key '{key}' names a positional argument "
                              f"of '{cmd}'; give it on the command line")
-        if action.required:
-            raise ValueError(f"config key '{key}' names the required flag "
-                             f"{action.option_strings[0]} of '{cmd}'; give it "
-                             "on the command line")
         try:  # the value as its flag reads the same text on the command line
             if isinstance(value, list) and getattr(action.type, "listed", False):
                 value = ",".join(map(str, value))
@@ -713,8 +696,8 @@ def _apply_config(argv, commands) -> None:
                 raise ValueError(f"invalid choice: {value!r}")
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"config key '{key}': {exc}") from None
-        defaults[dest] = value
-    sp.set_defaults(**defaults)
+        action.default = value  # stands in for the flag, required or not
+        action.required = False
 
 
 def main(argv=None) -> int:
@@ -726,7 +709,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help, which prints the help
             return int(exc.code or 0)
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except FactorizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

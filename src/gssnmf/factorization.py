@@ -96,6 +96,7 @@ from .linalg import (
     Matrix,
     as_matrix,
     frobenius_sq,
+    json_int,
     load_matrix_csv,
     nonnegative,
     open_text,
@@ -612,8 +613,14 @@ def load_result(result_dir) -> tuple[FactorizationResult, dict]:
         )
     try:
         config = ModelConfig(**manifest["config"])
+        for key in ("rank", "max_iters", "rng_seed"):
+            json_int(getattr(config, key))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path}: invalid config: {exc}") from None
+    try:
+        iterations = json_int(manifest.get("iterations_run"))
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: iterations_run: {exc}") from None
     doc_ids, label_names = manifest.get("doc_ids"), manifest.get("label_names")
     for key, names in (("doc_ids", doc_ids), ("label_names", label_names)):
         if names is not None and not (
@@ -629,9 +636,9 @@ def load_result(result_dir) -> tuple[FactorizationResult, dict]:
         if not fh.readline().startswith("iteration,"):
             raise ValueError(f"{trace_path}:1: unexpected header")
         rows = read_rows(fh, trace_path, 5, first=2, ints=(0,))
-    if len(rows) != manifest.get("iterations_run"):
+    if len(rows) != iterations:
         raise ValueError(f"{trace_path}: {len(rows)} rows, but the manifest has "
-                         f"iterations_run {manifest.get('iterations_run')}")
+                         f"iterations_run {iterations}")
     # W is d x k, H k x n, B k x s and C p x k.
     for name, a, axis in (("w", w, 1), ("h", h, 0), ("b", b, 0), ("c", c, 1)):
         if a is not None and a.shape[axis] != config.rank:

@@ -246,22 +246,31 @@ def _numbers(chunk, path, first) -> Matrix:
 
 @contextmanager
 def open_text(path):
-    """``path`` opened as UTF-8 text; bytes that are not UTF-8 raise
-    ``ValueError`` naming ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """``path`` opened as UTF-8 text, a leading byte-order mark dropped;
+    bytes that are not UTF-8 raise ``ValueError`` naming ``path``."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def decode_json(text: str, path, what: str):
+    """The JSON value of ``text``, read from ``path``. A syntax error (with
+    its line), too deep a nesting or too long an integer raises
+    ``ValueError`` naming ``path``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: invalid {what}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:
+        raise ValueError(f"{path}: invalid {what}: {exc}") from None
+
+
 def read_json(path, what: str):
-    """The JSON value in ``path``; a syntax error names ``path:line``."""
+    """The JSON value in ``path``, decoded by ``decode_json``."""
     with open_text(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}: invalid {what}: {exc.msg}") from None
+        return decode_json(fh.read(), path, what)
 
 
 def json_int(value) -> int:

@@ -32,6 +32,7 @@ import numpy as np
 from .linalg import (
     Matrix,
     as_matrix,
+    decode_json,
     json_int,
     nonnegative,
     open_text,
@@ -317,10 +318,8 @@ def load_corpus(path) -> CorpusMatrix:
         first = fh.readline()
         if not first.strip():
             raise ValueError(f"{path}:1: empty corpus file")
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:1: invalid header: {exc.msg}") from None
+        # Without its newline, a fault at the header's end is on line 1.
+        header = decode_json(first.rstrip("\n"), path, "header")
         if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
             raise ValueError(f"{path}:1: not a corpus file")
         try:

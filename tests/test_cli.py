@@ -335,8 +335,15 @@ def test_classify_without_label_supervision_exits_2(workspace, capsys):
     lambda m: [m],  # not a JSON object
     lambda m: {**m, "doc_ids": 5},  # doc_ids not a list
     lambda m: {**m, "config": {**m["config"], "rng_seed": -1}},
+    # Counts that compare equal to an integer but are not JSON integers.
+    lambda m: {**m, "iterations_run": float(m["iterations_run"])},
+    lambda m: {**m, "config": {**m["config"], "rank": 2.0}},
+    lambda m: {**m, "config": {**m["config"], "max_iters": 5.0}},
+    lambda m: {**m, "config": {**m["config"], "rng_seed": 0.0}},
+    lambda m: {**m, "config": {**m["config"], "rank": True}},
 ], ids=["unknown-config-key", "missing-config", "list", "doc-ids-not-list",
-        "negative-rng-seed"])
+        "negative-rng-seed", "iterations-run-float", "rank-float", "max-iters-float",
+        "rng-seed-float", "rank-bool"])
 def test_bad_manifest_exits_2_naming_it(workspace, capsys, mangle):
     out = workspace["root"] / "model_bad_manifest"
     assert main([
@@ -563,16 +570,18 @@ def test_config_file_rejects_a_positional_key(workspace, capsys):
     assert not out.exists()
 
 
-def test_config_file_rejects_a_required_flag_key(workspace, capsys):
-    # A default does not satisfy argparse's required check, so the key
-    # could never stand in for --out.
-    config_path = workspace["root"] / "required.json"
-    config_path.write_text(json.dumps({"out": "m", "rank": 2}), "utf-8")
-    code = main(["factorize", str(workspace["corpus_file"]),
-                 "--config", str(config_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config key 'out' names the required flag --out")
+def test_config_file_supplies_required_flags_and_cli_overrides(workspace, tmp_path):
+    config_path = tmp_path / "required.json"
+    config_path.write_text(json.dumps({
+        "out": str(tmp_path / "cfg"), "rank": 2, "max-iters": 5,
+    }), "utf-8")
+    argv = ["factorize", str(workspace["corpus_file"]), "--config", str(config_path)]
+    assert main(argv) == 0
+    assert load_result(tmp_path / "cfg")[0].config.rank == 2
+
+    # explicit required flags beat the config values
+    assert main([*argv, "--out", str(tmp_path / "flag"), "--rank", "3"]) == 0
+    assert load_result(tmp_path / "flag")[0].config.rank == 3
 
 
 def test_config_file_rejects_bad_values(workspace, capsys):
@@ -1267,6 +1276,9 @@ _COMMANDS = {
                             "--stopwords", r / "seeds.txt"],
 }
 
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+_LONG_INT_JSON = "[" + "7" * 5000 + "]"
+
 # (file, edit, command, line named in the error or None). The corpus has 18
 # terms, so its header is line 1 and its rows lines 2-19; trace.csv has a
 # header and 5 rows; W is 18 x 2, H 2 x 20, B 2 x 2 and C 2 x 2.
@@ -1313,6 +1325,8 @@ _MALFORMED = {
     "corpus-nan": ("corpus.txt", _field(2, 0, "nan"), "rank-scan", 2),
     "corpus-rows": ("corpus.txt", lambda t: t + t.splitlines()[1] + "\n", "rank-scan", 20),
     "corpus-json": ("corpus.txt", lambda t: t.replace("{", "{{", 1), "rank-scan", 1),
+    "corpus-json-end": ("corpus.txt", lambda t: t.replace("}\n", "\n", 1), "rank-scan",
+                        1),
     "corpus-empty": ("corpus.txt", lambda t: "", "rank-scan", 1),
     "corpus-format": ("corpus.txt", _line(1, '{"format":"other"}'), "rank-scan", 1),
     "corpus-cols": ("corpus.txt", lambda t: t.replace('"cols":', '"columns":', 1),
@@ -1365,6 +1379,17 @@ _MALFORMED = {
     "stopwords-utf8": ("seeds.txt", _not_utf8(1), "stopwords", None),
     "labels-utf8": ("labels.csv", _not_utf8(7), "classify", None),
     "doc-utf8": ("docs/doc03.txt", _not_utf8(1), "ingest", None),
+    # JSON too deeply nested to decode, and an integer too long to convert,
+    # in each JSON file.
+    "config-deep": ("config.json", lambda t: _DEEP_JSON, "config", None),
+    "config-long-int": ("config.json", lambda t: _LONG_INT_JSON, "config", None),
+    "manifest-deep": ("model/manifest.json", lambda t: _DEEP_JSON, "coherence", None),
+    "manifest-long-int": ("model/manifest.json", lambda t: _LONG_INT_JSON, "classify",
+                          None),
+    "mask-deep": ("model/mask.json", lambda t: _DEEP_JSON, "classify", None),
+    "mask-long-int": ("model/mask.json", lambda t: _LONG_INT_JSON, "classify", None),
+    "corpus-deep": ("corpus.txt", _line(1, _DEEP_JSON), "rank-scan", None),
+    "corpus-long-int": ("corpus.txt", _line(1, _LONG_INT_JSON), "coherence", None),
 }
 
 
@@ -1380,7 +1405,7 @@ def test_malformed_file_exits_2_naming_file_and_line(pristine, tmp_path, capsys,
     assert main([str(a) for a in _COMMANDS[command](root)]) == 2
     err = capsys.readouterr().err
     where = f"{path}:{line}:" if line else f"{path}:"
-    assert err.startswith(f"error: {where}"), err
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
 
 
 def test_refit_into_a_model_directory_leaves_no_stale_factor(workspace, capsys):
@@ -1401,6 +1426,29 @@ def test_refit_into_a_model_directory_leaves_no_stale_factor(workspace, capsys):
 
 def _snapshot(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("kind", ["stopwords", "labels", "config"])
+def test_a_byte_order_mark_is_read_as_no_character(workspace, tmp_path, kind):
+    text = {"stopwords": "gangx\ncourtx\n", "config": '{"rank": 2, "max-iters": 5}\n',
+            "labels": workspace["labels"].read_text("utf-8")}[kind]
+    outputs = []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path, out = tmp_path / f"{name}-{kind}", tmp_path / f"{name}-out"
+        path.write_bytes(bom + text.encode())
+        argv = {
+            "stopwords": ["ingest", workspace["corpus_dir"], "--out", out,
+                          "--stopwords", path],
+            "labels": ["factorize", workspace["corpus_file"], "--out", out, "--rank",
+                       "2", "--max-iters", "5", "--mu", "0.1", "--labels", path],
+            "config": ["factorize", workspace["corpus_file"], "--out", out,
+                       "--config", path],
+        }[kind]
+        assert main([str(a) for a in argv]) == 0
+        outputs.append(out.read_bytes() if out.is_file() else _snapshot(out))
+    assert outputs[0] == outputs[1]
+    if kind == "stopwords":
+        assert "gangx" not in load_corpus(out).vocab.terms
 
 
 def test_failed_factorize_leaves_the_old_model(pristine, tmp_path, monkeypatch, capsys):
@@ -1775,13 +1823,14 @@ def test_config_flag_without_a_value_exits_2(tmp_path, monkeypatch, capsys):
     ([], "the following arguments are required: command"),
     (["fit", "c.txt"], "argument command: invalid choice: 'fit'"),
     (["factorize", "c.txt"], "the following arguments are required: --out"),
-    (["factorize", "c.txt", "--out", "m", "--bogus"], "unrecognized arguments: --bogus"),
+    (["factorize", "c.txt", "--out", "m", "--rank", "2", "--bogus"],
+     "unrecognized arguments: --bogus"),
     (["factorize", "c.txt", "--out", "m", "--rank", "two"],
      "argument --rank: invalid int value: 'two'"),
     (["sweep", "c", "l", "s", "--out", "o", "--metric", "f2"],
      "argument --metric: invalid choice: 'f2'"),
     (["sweep", "c", "l", "s", "--out", "o", "--ranks", "2"],
-     "--ranks, --lambda-grid and --mu-grid are required"),
+     "the following arguments are required: --lambda-grid, --mu-grid"),
 ], ids=["no-command", "unknown-command", "missing-out", "unknown-flag", "bad-int",
         "bad-choice", "missing-grid"])
 def test_usage_fault_is_one_error_line_without_usage(tmp_path, monkeypatch, capsys,
@@ -1811,18 +1860,20 @@ def test_out_of_memory_exits_1_without_a_traceback(pristine, tmp_path, monkeypat
 
 # --- config files ----------------------------------------------------------
 
-# Two JSON values for every optional flag of factorize and sweep: a valid
-# one, and one of another JSON type whose text the flag refuses (or, for a
-# file name, takes as text).
+# Two JSON values for every flag of factorize and sweep: a valid one, and
+# one of another JSON type whose text the flag refuses (or, for a file
+# name, takes as text).
 _FLAG_VALUES = {
     "factorize": {
-        "rank": (3, 2.9), "lambda": (0.25, True), "mu": ("0.5", False),
-        "rng-seed": (4, True), "seeds": ("s.txt", 7), "labels": ("l.csv", 1.5),
+        "out": ("m.out", 7), "rank": (3, 2.9), "lambda": (0.25, True),
+        "mu": ("0.5", False), "rng-seed": (4, True), "seeds": ("s.txt", 7),
+        "labels": ("l.csv", 1.5),
         "split-seed": ("2", 2.0), "max-iters": (7, True), "eps": (1e-9, True),
         "tol": (0.001, False), "train-fraction": (0.6, True),
     },
     "sweep": {
-        "out-mean": ("m.csv", 0), "best-by-lambda": ("b.csv", False),
+        "out": ("t.csv", 1.5), "out-mean": ("m.csv", 0),
+        "best-by-lambda": ("b.csv", False),
         "ranks": ([2, 3], [2.0]), "lambda-grid": ([0, 0.5], [True]),
         "mu-grid": ("0.1,0.2", [0.1, False]), "trials": (3, 3.0),
         "base-seed": (5, True), "metric": ("avg_coherence", "f1"), "n-top": (4, 4.5),
@@ -1830,12 +1881,23 @@ _FLAG_VALUES = {
         "train-fraction": (0.6, True), "jobs": (2, True),
     },
 }
-# Positionals and the required --out; none reads a file while parsing.
+# Positionals, none of which is read while parsing, and a value of each
+# required flag.
 _BASE_ARGV = {
-    "factorize": ["factorize", "corpus.txt", "--out", "model"],
-    "sweep": ["sweep", "corpus.txt", "labels.csv", "seeds.txt", "--out", "s.csv"],
+    "factorize": ["factorize", "corpus.txt"],
+    "sweep": ["sweep", "corpus.txt", "labels.csv", "seeds.txt"],
+}
+_REQUIRED = {
+    "factorize": {"out": "model", "rank": "2"},
+    "sweep": {"out": "s.csv", "ranks": "2", "lambda-grid": "0", "mu-grid": "0"},
 }
 _LIST_FLAGS = ("ranks", "lambda-grid", "mu-grid")
+
+
+def _base_argv(command, omit=()):
+    """The positionals of ``command`` and each required flag not in ``omit``."""
+    return [*_BASE_ARGV[command], *(f"--{key}={text}" for key, text
+                                    in _REQUIRED[command].items() if key not in omit)]
 
 
 def _parse(argv):
@@ -1849,7 +1911,6 @@ def _parse(argv):
     def record(args):
         got.update(vars(args))
         del got["config"], got["func"]
-        return 0
 
     err = io.StringIO()
     with ExitStack() as stack:
@@ -1870,17 +1931,40 @@ def _cli_text(key, value):
 
 
 def _with_config(tmp_path, command, cfg):
+    """``_parse`` of ``command`` with ``cfg`` as its config file, the required
+    flags ``cfg`` does not name given as flags."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), "utf-8")
-    return _parse([*_BASE_ARGV[command], "--config", path])
+    return _parse([*_base_argv(command, cfg), "--config", path])
 
 
-def test_flag_values_cover_every_optional_flag():
+def test_flag_values_cover_every_flag():
     _, commands = cli.build_parser()
     for command, values in _FLAG_VALUES.items():
         flags = {a.option_strings[-1][2:] for a in commands[command].flags.values()
-                 if a.option_strings and not a.required}
+                 if a.option_strings}
         assert flags - {"help", "config"} == set(values)
+
+
+@pytest.mark.parametrize("command, cfg, missing", [
+    ("factorize", {}, ["rank"]),
+    ("factorize", {"rank": 2}, ["out"]),
+    ("sweep", {"ranks": [2], "mu-grid": [0]}, ["lambda-grid"]),
+    ("sweep", {"max-iters": 5}, ["ranks", "lambda-grid", "mu-grid"]),
+])
+def test_required_flag_in_neither_source_exits_2_before_any_file_but_the_config(
+        tmp_path, monkeypatch, capsys, command, cfg, missing):
+    monkeypatch.chdir(tmp_path)
+    argv, read = _base_argv(command, {*cfg, *missing}), []
+    if cfg:
+        (tmp_path / "config.json").write_text(json.dumps(cfg), "utf-8")
+        argv, read = [*argv, "--config", "config.json"], ["config.json"]
+    opened = _spy_on_open(monkeypatch)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: the following arguments are required: "
+                                   + ", ".join(f"--{flag}" for flag in missing) + "\n")
+    assert opened == read and os.listdir(tmp_path) == read
 
 
 @pytest.mark.parametrize("command, key, which", [
@@ -1890,11 +1974,11 @@ def test_flag_values_cover_every_optional_flag():
 def test_config_value_parses_like_the_same_text_as_a_flag(tmp_path, command, key, which):
     value = _FLAG_VALUES[command][key][which == "other-type"]
     code, got, err = _with_config(tmp_path, command, {key: value})
-    want_code, want, _ = _parse([*_BASE_ARGV[command],
+    want_code, want, _ = _parse([*_base_argv(command, {key}),
                                  f"--{key}={_cli_text(key, value)}"])
     assert (code, got) == (want_code, want)
     if code == 0:
-        assert got != _parse(_BASE_ARGV[command])[1]  # the value arrived
+        assert got != _parse(_base_argv(command))[1]  # the value arrived
     else:
         assert err.startswith(f"error: config key '{key}': ")
     assert code == 0 if which == "valid" else code in (0, 2)
@@ -1965,7 +2049,7 @@ def test_config_fuzz_parses_like_flags(tmp_path_factory, case):
     if None in texts.values():
         assert code == 2 and err.startswith("error: config key '"), err
         return
-    want_code, want, _ = _parse([*_BASE_ARGV[command],
+    want_code, want, _ = _parse([*_base_argv(command, cfg),
                                  *(f"--{key}={text}" for key, text in texts.items())])
     assert code == want_code
     if code == 0:

@@ -5,9 +5,12 @@ Every command is deterministic given its flags; random choices always
 come from explicit seeds with documented defaults, and output files are
 byte-identical across reruns. A JSON config file (``--config``) may supply
 any flag of its subcommand but a positional, with command-line flags taking
-precedence; its values are parsed as the same text given to the flag.
-argparse checks each flag's own bounds and that every required flag is
-given, from either source, before any file but the config is opened.
+precedence; its values are parsed as the same text given to the flag. The
+command's parser reads ``--config`` from the command's own arguments and
+installs the file's values before it parses them, so argparse checks each
+flag's own bounds and that every required flag is given, from either
+source, before any file but the config is opened. No command writes over
+or removes a file it read.
 
 Exit codes: 0 success, 1 runtime, numeric or out-of-memory failure (a
 sweep worker that died, too), 2 usage or input error; each fault is one
@@ -43,6 +46,7 @@ from .factorization import (
     save_result,
 )
 from .linalg import (
+    keep_inputs,
     open_text,
     read_json,
     read_rows,
@@ -105,6 +109,7 @@ def run_ingest(args):
 
 def run_rank_scan(args):
     corpus = load_corpus(args.corpus_file)
+    _within_corpus("--top", args.top, corpus, args.corpus_file)
     spectrum = singular_values(corpus.x, args.top)
     _write_csv(args.out, "index,singular_value", enumerate(spectrum, start=1))
     print(f"wrote {args.out} ({args.top} singular values, "
@@ -195,6 +200,18 @@ def _test_macro_f1(result, labels, mask):
     return macro_f1(threshold_predictions(ch[:, test], truth.sum(axis=0)), truth)
 
 
+def _within_corpus(flag, value, corpus, corpus_file) -> None:
+    """Refuse a ``flag`` value above the bound ``corpus`` sets: its term
+    count for ``--n-top``, else min(terms, documents)."""
+    if flag == "--n-top":
+        limit, bound = corpus.n_terms, f"the {corpus.n_terms} terms"
+    else:
+        limit = min(corpus.x.shape)
+        bound = f"min(terms, documents) = {limit}"
+    if value > limit:
+        raise ValueError(f"{flag} must be <= {bound} of {corpus_file}, got {value}")
+
+
 def _seed_matrix(path, vocab: Vocabulary):
     """The seed matrix of the words in ``path``; warns of each one not in ``vocab``."""
     seeds = build_seed_matrix(load_seed_words(path), vocab)
@@ -206,6 +223,7 @@ def _seed_matrix(path, vocab: Vocabulary):
 def run_coherence(args):
     result, _ = load_result(args.result_dir)
     corpus = load_corpus(args.corpus_file)
+    _within_corpus("--n-top", args.n_top, corpus, args.corpus_file)
     if result.w.shape[0] != corpus.n_terms:
         raise ValueError(
             f"model has {result.w.shape[0]} term rows but corpus has "
@@ -351,13 +369,9 @@ def run_sweep(args):
                              f"the same file {path}")
     corpus = load_corpus(args.corpus_file)
     # What would fail every cell fails here, once, before any fit.
-    limit = min(corpus.x.shape)
-    if max(args.ranks) > limit:
-        raise ValueError(f"--ranks must be <= min(terms, documents) = {limit} of "
-                         f"{args.corpus_file}, got {max(args.ranks)}")
-    if args.metric == "avg_coherence" and args.n_top > corpus.n_terms:
-        raise ValueError(f"--n-top must be <= the {corpus.n_terms} terms of "
-                         f"{args.corpus_file}, got {args.n_top}")
+    _within_corpus("--ranks", max(args.ranks), corpus, args.corpus_file)
+    if args.metric == "avg_coherence":
+        _within_corpus("--n-top", args.n_top, corpus, args.corpus_file)
     seeds = _seed_matrix(args.seeds_file, corpus.vocab)
     assignments = load_label_assignments(args.labels_file)
     labels = build_label_matrix(assignments, corpus.doc_ids)
@@ -544,18 +558,46 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _CommandParser(_Parser):
-    """A subcommand's parser; ``flags`` maps each argument's dest to its action."""
+    """A subcommand's parser. ``--config`` among its own arguments names a
+    JSON file whose values it installs as its flags' defaults, before it
+    parses them."""
 
     def __init__(self, **kwargs):
-        self.flags = {}
         super().__init__(**kwargs)
         self.add_argument("--config", help="JSON file supplying any flag of "
                           "this command; flags override it")
 
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self.flags[action.dest] = action
-        return action
+    def parse_known_args(self, args=None, namespace=None):
+        pre = _Parser(add_help=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(args)[0].config
+        cfg = read_json(path, "config") if path else {}
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
+        cmd = self.prog.rpartition(" ")[2]
+        actions = {a.dest: a for a in self._actions}
+        for key, value in cfg.items():
+            dest = "lam" if key == "lambda" else key.replace("-", "_")
+            if dest not in actions or dest in ("help", "config"):
+                raise ValueError(f"unknown config key '{key}' for command '{cmd}'")
+            action = actions[dest]
+            # A default never fills a positional.
+            if not action.option_strings:
+                raise ValueError(f"config key '{key}' names a positional argument "
+                                 f"of '{cmd}'; give it on the command line")
+            try:  # the value as its flag reads the same text on the command line
+                if isinstance(value, list) and getattr(action.type, "listed", False):
+                    value = ",".join(map(str, value))
+                elif not isinstance(value, (str, int, float)):
+                    raise ValueError("expected a scalar value")
+                value = str(value) if action.type is None else action.type(str(value))
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"invalid choice: {value!r}")
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"config key '{key}': {exc}") from None
+            action.default = value  # stands in for the flag, required or not
+            action.required = False
+        return super().parse_known_args(args, namespace)
 
 
 def _add_fit_flags(sp):
@@ -663,54 +705,15 @@ def build_parser():
     return parser, sub.choices
 
 
-def _apply_config(argv, commands) -> None:
-    """Install config-file values as subcommand defaults before parsing."""
-    cmd = next((a for a in argv if not a.startswith("-")), None)
-    if cmd not in commands:
-        return
-    pre = _Parser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if not known.config:
-        return
-    cfg = read_json(known.config, "config")
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{known.config}: config must be a JSON object")
-    flags = commands[cmd].flags
-    for key, value in cfg.items():
-        dest = "lam" if key == "lambda" else key.replace("-", "_")
-        if dest not in flags or dest in ("help", "config"):
-            raise ValueError(f"unknown config key '{key}' for command '{cmd}'")
-        action = flags[dest]
-        # A default never fills a positional.
-        if not action.option_strings:
-            raise ValueError(f"config key '{key}' names a positional argument "
-                             f"of '{cmd}'; give it on the command line")
-        try:  # the value as its flag reads the same text on the command line
-            if isinstance(value, list) and getattr(action.type, "listed", False):
-                value = ",".join(map(str, value))
-            elif not isinstance(value, (str, int, float)):
-                raise ValueError("expected a scalar value")
-            value = str(value) if action.type is None else action.type(str(value))
-            if action.choices is not None and value not in action.choices:
-                raise ValueError(f"invalid choice: {value!r}")
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ValueError(f"config key '{key}': {exc}") from None
-        action.default = value  # stands in for the flag, required or not
-        action.required = False
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, commands = build_parser()
+    parser, _ = build_parser()
     try:
-        _apply_config(argv, commands)
-        try:
+        with keep_inputs():
             args = parser.parse_args(argv)
-        except SystemExit as exc:  # --help, which prints the help
-            return int(exc.code or 0)
-        args.func(args)
+            args.func(args)
         return EXIT_OK
+    except SystemExit as exc:  # --help, which prints the help
+        return int(exc.code or 0)
     except FactorizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

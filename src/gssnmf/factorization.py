@@ -97,6 +97,7 @@ from .linalg import (
     as_matrix,
     frobenius_sq,
     json_int,
+    json_number,
     load_matrix_csv,
     nonnegative,
     open_text,
@@ -615,6 +616,8 @@ def load_result(result_dir) -> tuple[FactorizationResult, dict]:
         config = ModelConfig(**manifest["config"])
         for key in ("rank", "max_iters", "rng_seed"):
             json_int(getattr(config, key))
+        for key in ("lam", "mu", "eps", "tol"):
+            json_number(getattr(config, key))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path}: invalid config: {exc}") from None
     try:

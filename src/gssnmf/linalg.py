@@ -5,7 +5,8 @@ corpus sizes this package targets (up to a few thousand terms by a few
 thousand documents) dense storage is all that is needed. Products and
 entry-wise operations are numpy's own ``@`` and ``*``. The helpers here check a matrix where it enters
 (``as_matrix``), take a leading singular spectrum, write every file whole
-or not at all, and hold the one reader of each text form every file uses.
+or not at all (never over a file read in the same ``keep_inputs``
+block), and hold the one reader of each text form every file uses.
 """
 
 from __future__ import annotations
@@ -72,6 +73,25 @@ def singular_values(a: Matrix, top: int) -> list[float]:
 
 # The (temporary, final) paths of the write batch open in this context.
 _batch: ContextVar[list | None] = ContextVar("write_batch", default=None)
+# The (device, inode) of each file read in the ``keep_inputs`` block open
+# in this context.
+_inputs: ContextVar[set | None] = ContextVar("keep_inputs", default=None)
+
+
+@contextmanager
+def keep_inputs():
+    """Refuse, inside the block, to replace or remove a file read inside it.
+
+    ``open_text`` records each file it opens, at the cost of one ``fstat``;
+    a ``write_file`` or ``remove_file`` of an existing path that is one of
+    them, under any name, raises ``ValueError`` naming the path before
+    anything is written.
+    """
+    token = _inputs.set(set())
+    try:
+        yield
+    finally:
+        _inputs.reset(token)
 
 
 @contextmanager
@@ -102,25 +122,40 @@ def write_batch():
                 Path(tmp).unlink(missing_ok=True)
 
 
+def _queue(tmp, path) -> None:
+    """Queue ``path`` in the open batch, to be replaced by ``tmp`` or, with
+    ``tmp`` None, removed.
+
+    A path the batch already writes or removes, under any name, is refused:
+    its two writes would share one temporary. So is a file read in the
+    enclosing ``keep_inputs`` block.
+    """
+    pending, real = _batch.get(), os.path.realpath(path)
+    if any(os.path.realpath(other) == real for _, other in pending):
+        raise ValueError(f"{path}: two outputs name this file")
+    inputs = _inputs.get()
+    if inputs and os.path.exists(path):
+        st = os.stat(path)
+        if (st.st_dev, st.st_ino) in inputs:
+            raise ValueError(f"{path}: an output names an input of this command")
+    pending.append((tmp, path))
+
+
 def remove_file(path) -> None:
     """Remove ``path``, if it exists, when the enclosing batch commits."""
     with write_batch():
-        _batch.get().append((None, path))
+        _queue(None, path)
 
 
 @contextmanager
 def write_file(path):
     """A text handle whose content replaces ``path`` when its batch commits.
 
-    A path the batch already writes or removes, under any name, is refused
-    before anything is opened: its two writes would share one temporary.
+    ``_queue`` checks ``path`` before anything is opened.
     """
     with write_batch():
-        pending, real = _batch.get(), os.path.realpath(path)
-        if any(os.path.realpath(other) == real for _, other in pending):
-            raise ValueError(f"{path}: two outputs name this file")
         tmp = f"{path}.{os.getpid()}.tmp"
-        pending.append((tmp, path))
+        _queue(tmp, path)
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
 
@@ -247,8 +282,13 @@ def _numbers(chunk, path, first) -> Matrix:
 @contextmanager
 def open_text(path):
     """``path`` opened as UTF-8 text, a leading byte-order mark dropped;
-    bytes that are not UTF-8 raise ``ValueError`` naming ``path``."""
+    bytes that are not UTF-8 raise ``ValueError`` naming ``path``. Inside
+    ``keep_inputs`` the file is recorded as an input."""
     with open(path, "r", encoding="utf-8-sig") as fh:
+        inputs = _inputs.get()
+        if inputs is not None:
+            st = os.fstat(fh.fileno())
+            inputs.add((st.st_dev, st.st_ino))
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -277,6 +317,13 @@ def json_int(value) -> int:
     """``value`` if it is a JSON integer (not a bool); else ``ValueError``."""
     if type(value) is not int:
         raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_number(value) -> float:
+    """``value`` if it is a JSON number (not a bool); else ``ValueError``."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {value!r}")
     return value
 
 

@@ -166,7 +166,9 @@ def test_rank_scan_top_out_of_range_exits_2(workspace, capsys):
     code = main(["rank-scan", str(workspace["corpus_file"]), "--top", "999",
                  "--out", str(workspace["root"] / "s.csv")])
     assert code == 2
-    assert "out of range" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: --top must be <= min(terms, documents) = 18 of "
+        f"{workspace['corpus_file']}, got 999\n")
 
 
 def test_factorize_classical_runs(workspace):
@@ -341,9 +343,14 @@ def test_classify_without_label_supervision_exits_2(workspace, capsys):
     lambda m: {**m, "config": {**m["config"], "max_iters": 5.0}},
     lambda m: {**m, "config": {**m["config"], "rng_seed": 0.0}},
     lambda m: {**m, "config": {**m["config"], "rank": True}},
+    # Weights that are not JSON numbers.
+    lambda m: {**m, "config": {**m["config"], "lam": True}},
+    lambda m: {**m, "config": {**m["config"], "mu": False}},
+    lambda m: {**m, "config": {**m["config"], "eps": True}},
+    lambda m: {**m, "config": {**m["config"], "tol": False}},
 ], ids=["unknown-config-key", "missing-config", "list", "doc-ids-not-list",
         "negative-rng-seed", "iterations-run-float", "rank-float", "max-iters-float",
-        "rng-seed-float", "rank-bool"])
+        "rng-seed-float", "rank-bool", "lam-bool", "mu-bool", "eps-bool", "tol-bool"])
 def test_bad_manifest_exits_2_naming_it(workspace, capsys, mangle):
     out = workspace["root"] / "model_bad_manifest"
     assert main([
@@ -913,6 +920,60 @@ def test_coherence_out_and_table_naming_one_file_write_neither(workspace, capsys
     assert "wrote" not in captured.out
     assert sorted(p.name for p in workspace["root"].iterdir()
                   if p.name.startswith("same")) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rank-scan", "{corpus}", "--top", "19", "--out", "{root}/s.csv"],
+     "--top must be <= min(terms, documents) = 18 of {corpus}, got 19"),
+    (["coherence", "{root}/model", "{corpus}", "--n-top", "19", "--out",
+      "{root}/c.json"],
+     "--n-top must be <= the 18 terms of {corpus}, got 19"),
+], ids=["rank-scan-top", "coherence-n-top"])
+def test_a_flag_above_the_corpus_bound_is_named(pristine, capsys, argv, message):
+    names = {"corpus": pristine / "corpus.txt", "root": pristine}
+    capsys.readouterr()
+    assert main([a.format(**names) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**names)}\n"
+    assert not (pristine / "s.csv").exists() and not (pristine / "c.json").exists()
+
+
+def _tree(root):
+    """Every file under ``root``, by its relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+_CLASSIFY = ["classify", "model", "labels.csv", "model/mask.json", "--out"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank-scan", "corpus.txt", "--top", "2", "--out", "corpus.txt"],
+    ["rank-scan", "corpus.txt", "--top", "2", "--out", "./corpus.txt"],
+    ["coherence", "model", "corpus.txt", "--n-top", "3", "--out", "corpus.txt"],
+    ["coherence", "model", "corpus.txt", "--n-top", "3", "--table", "corpus.txt"],
+    [*_CLASSIFY, "labels.csv"],
+    [*_CLASSIFY, "model/mask.json"],
+    [*_CLASSIFY, "model/manifest.json"],
+    ["sweep", "corpus.txt", "labels.csv", "seeds.txt", "--ranks", "1",
+     "--lambda-grid", "0", "--mu-grid", "0", "--trials", "1", "--max-iters", "5",
+     "--out", "labels.csv"],
+    ["plot-heatmap", "mean.csv", "--out", "mean.csv"],
+    ["ingest", "docs", "--stopwords", "stop.txt", "--out", "stop.txt"],
+], ids=["rank-scan", "rank-scan-other-name", "coherence-out", "coherence-table",
+        "classify-labels", "classify-mask", "classify-manifest", "sweep",
+        "plot-heatmap", "ingest-stopwords"])
+def test_an_output_naming_an_input_exits_2_writing_nothing(
+        pristine, tmp_path, monkeypatch, capsys, argv):
+    root = tmp_path / "ws"
+    shutil.copytree(pristine, root)
+    (root / "stop.txt").write_text("court\n", "utf-8")
+    monkeypatch.chdir(root)
+    before = _tree(root)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {argv[-1]}: an output names an input of this command\n")
+    assert _tree(root) == before
 
 
 def test_sweep_rows_do_not_depend_on_stacking(workspace, tmp_path, monkeypatch):
@@ -1941,7 +2002,7 @@ def _with_config(tmp_path, command, cfg):
 def test_flag_values_cover_every_flag():
     _, commands = cli.build_parser()
     for command, values in _FLAG_VALUES.items():
-        flags = {a.option_strings[-1][2:] for a in commands[command].flags.values()
+        flags = {a.option_strings[-1][2:] for a in commands[command]._actions
                  if a.option_strings}
         assert flags - {"help", "config"} == set(values)
 

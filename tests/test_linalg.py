@@ -10,6 +10,7 @@ from gssnmf import linalg
 from gssnmf.linalg import (
     as_matrix,
     frobenius_sq,
+    keep_inputs,
     load_matrix_csv,
     read_entries,
     read_json,
@@ -33,6 +34,13 @@ def test_json_int_takes_only_json_integers(value):
     assert linalg.json_int(2) == 2
     with pytest.raises(ValueError, match="expected an integer, got"):
         linalg.json_int(value)
+
+
+@pytest.mark.parametrize("value", [True, "2", None, [2]])
+def test_json_number_takes_only_json_numbers(value):
+    assert linalg.json_number(2) == 2 and linalg.json_number(0.5) == 0.5
+    with pytest.raises(ValueError, match="expected a number, got"):
+        linalg.json_number(value)
 
 
 def test_frobenius_sq():
@@ -342,3 +350,30 @@ def test_write_batch_refuses_a_path_written_twice(tmp_path, monkeypatch, second)
                 fh.write("second\n")
     assert (tmp_path / "a.csv").read_text("utf-8") == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "sub"]
+
+
+@pytest.mark.parametrize("name", ["a.csv", "./a.csv", "link.csv"])
+@pytest.mark.parametrize("remove", [False, True])
+def test_keep_inputs_refuses_to_replace_or_remove_a_file_read(tmp_path, monkeypatch,
+                                                             name, remove):
+    save_matrix_csv(np.ones((1, 1)), tmp_path / "a.csv")
+    (tmp_path / "link.csv").hardlink_to(tmp_path / "a.csv")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError,
+                       match=f"^{name}: an output names an input of this command$"):
+        with keep_inputs():
+            load_matrix_csv("a.csv")
+            with write_batch():
+                save_matrix_csv(np.zeros((1, 1)), "b.csv")
+                if remove:
+                    linalg.remove_file(name)
+                else:
+                    save_matrix_csv(np.zeros((1, 1)), name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "link.csv"]
+    assert (tmp_path / "a.csv").read_text("utf-8") == "1\n"
+    # Outside the block, and for a file it did not read, writes go ahead.
+    with keep_inputs():
+        save_matrix_csv(np.zeros((1, 1)), "b.csv")
+    load_matrix_csv("a.csv")
+    save_matrix_csv(np.zeros((1, 1)), "a.csv")
+    assert (tmp_path / "a.csv").read_text("utf-8") == "0\n"

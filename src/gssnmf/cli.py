@@ -46,10 +46,12 @@ from .factorization import (
     save_result,
 )
 from .linalg import (
+    file_id,
     keep_inputs,
     open_text,
     read_json,
     read_rows,
+    refuse_input,
     remove_file,
     singular_values,
     write_batch,
@@ -361,12 +363,15 @@ def run_sweep(args):
              for rank in sorted(args.ranks) for lam in sorted(args.lambda_grid)
              for mu in sorted(args.mu_grid) for trial in range(args.trials)]
     out_mean = args.out_mean or str(Path(args.out).with_suffix(".mean.csv"))
+    inputs = {file_id(p) for p in (args.corpus_file, args.labels_file, args.seeds_file)}
     named = {}
     for flag, path in (("--out", args.out), ("--out-mean", out_mean),
                        ("--best-by-lambda", args.best_by_lambda)):
         if path and named.setdefault(os.path.realpath(path), flag) != flag:
             raise ValueError(f"{flag} and {named[os.path.realpath(path)]} name "
                              f"the same file {path}")
+        if path:  # before any input is read
+            refuse_input(path, inputs)
     corpus = load_corpus(args.corpus_file)
     # What would fail every cell fails here, once, before any fit.
     _within_corpus("--ranks", max(args.ranks), corpus, args.corpus_file)

@@ -66,8 +66,8 @@ products of X are consumed: ``update_w`` takes ``X H^T``, and
 the new W. Between the halves the batch forms each product for all
 running cells at once (``_Products``):
 
-- ``X H^T`` for two or more cells comes as column blocks of one stacked
-  product ``X [H_1; ...; H_B]^T``, and for one cell as ``(H X^T)^T``;
+- ``X H^T``, for any number of cells, comes as column blocks of one
+  stacked product ``([H_1; ...; H_B] X^T)^T``, with ``X^T`` a view;
 - ``W^T X`` for two or more cells comes as row blocks of
   ``(X^T [W_1 ... W_B])^T``, with ``X^T`` a view; for one cell it is
   ``W^T X``.
@@ -286,10 +286,8 @@ def _blocks_equal(stacked, singles) -> bool:
 
 
 def _xht_blocks(x, hs):
-    """``X H_i^T`` for each H: ``(H X^T)^T`` alone, else ``X [H_1; ...]^T`` split."""
-    if len(hs) == 1:
-        return [(hs[0] @ x.T).T]
-    stacked = x @ np.concatenate(hs).T
+    """``X H_i^T`` for each H as column blocks of ``([H_1; ...] X^T)^T``."""
+    stacked = (np.concatenate(hs) @ x.T).T
     return np.split(stacked, np.cumsum([len(h) for h in hs])[:-1], axis=1)
 
 
@@ -600,6 +598,11 @@ def save_result(
             fh.write("\n")
 
 
+# Each ``ModelConfig`` field's JSON type, as a manifest holds it.
+_CONFIG_TYPES = dict(rank=json_int, lam=json_number, mu=json_number, max_iters=json_int,
+                     rng_seed=json_int, eps=json_number, tol=json_number)
+
+
 def load_result(result_dir) -> tuple[FactorizationResult, dict]:
     """Read a result directory back; returns the result and its manifest."""
     root = Path(result_dir)
@@ -612,13 +615,18 @@ def load_result(result_dir) -> tuple[FactorizationResult, dict]:
             f"{manifest_path}: invalid manifest: expected an object with a "
             "'config' object"
         )
+    config = manifest["config"]
     try:
-        config = ModelConfig(**manifest["config"])
-        for key in ("rank", "max_iters", "rng_seed"):
-            json_int(getattr(config, key))
-        for key in ("lam", "mu", "eps", "tol"):
-            json_number(getattr(config, key))
-    except (TypeError, ValueError) as exc:
+        for key in dict.fromkeys(["rank", *config]):  # rank alone has no default
+            try:
+                _CONFIG_TYPES[key](config[key])
+            except KeyError:
+                raise ValueError(f"{key}: not a config key" if key in config
+                                 else f"{key}: missing") from None
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        config = ModelConfig(**config)
+    except ValueError as exc:
         raise ValueError(f"{manifest_path}: invalid config: {exc}") from None
     try:
         iterations = json_int(manifest.get("iterations_run"))

@@ -133,12 +133,24 @@ def _queue(tmp, path) -> None:
     pending, real = _batch.get(), os.path.realpath(path)
     if any(os.path.realpath(other) == real for _, other in pending):
         raise ValueError(f"{path}: two outputs name this file")
-    inputs = _inputs.get()
-    if inputs and os.path.exists(path):
-        st = os.stat(path)
-        if (st.st_dev, st.st_ino) in inputs:
-            raise ValueError(f"{path}: an output names an input of this command")
+    refuse_input(path, _inputs.get())
     pending.append((tmp, path))
+
+
+def file_id(file):
+    """A file's (device, inode), by path or descriptor, under any of its
+    names; None if there is no such file."""
+    try:
+        st = os.stat(file)
+    except (OSError, ValueError):
+        return None
+    return st.st_dev, st.st_ino
+
+
+def refuse_input(path, inputs) -> None:
+    """Refuse an output ``path`` naming a file whose ``file_id`` is in ``inputs``."""
+    if inputs and (key := file_id(path)) is not None and key in inputs:
+        raise ValueError(f"{path}: an output names an input of this command")
 
 
 def remove_file(path) -> None:
@@ -287,8 +299,7 @@ def open_text(path):
     with open(path, "r", encoding="utf-8-sig") as fh:
         inputs = _inputs.get()
         if inputs is not None:
-            st = os.fstat(fh.fileno())
-            inputs.add((st.st_dev, st.st_ino))
+            inputs.add(file_id(fh.fileno()))
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -3,12 +3,11 @@
 Standard rule set, applied to lowercase alphabetic tokens. Words of length
 one or two are returned unchanged, matching the reference implementation.
 Within each step the longest matching suffix wins; if its condition fails
-no shorter suffix is tried.
+no shorter suffix is tried. ``porter_stem`` keeps no memo; ``build_corpus``
+keeps one per call.
 """
 
 from __future__ import annotations
-
-import functools
 
 _VOWELS = "aeiou"
 
@@ -92,15 +91,6 @@ def _replace_suffix(word: str, rules) -> str:
 
 def porter_stem(word: str) -> str:
     """Stem a lowercase alphabetic token."""
-    return _stem(word)
-
-
-# Text repeats a few thousand token types many times over; the bound keeps
-# the memo's size independent of the input's length. The memo sits behind
-# ``porter_stem`` so that the public name stays a plain function, which is
-# what perfbench's span tracer wraps.
-@functools.lru_cache(maxsize=1 << 16)
-def _stem(word: str) -> str:
     if len(word) <= 2:
         return word
     word = _replace_suffix(word, _STEP1A)

@@ -20,8 +20,7 @@ import numpy as np
 
 from .linalg import (Matrix, as_matrix, json_int, nonnegative, open_text, read_entries,
                      read_json, write_file)
-from .stemmer import porter_stem
-from .textpipe import Vocabulary, tokenize
+from .textpipe import Vocabulary, preprocess
 
 
 @dataclass
@@ -67,27 +66,18 @@ class MaskMatrix:
 def build_seed_matrix(seed_words: list[str], vocab: Vocabulary) -> SeedMatrix:
     """One unit column per seed word found in the vocabulary.
 
-    Each entry is tokenized and stemmed with the corpus stemmer before
-    lookup, so multi-word entries contribute one column per constituent
-    word that the vocabulary contains. Missing words are collected in
-    ``dropped`` rather than raising, unless nothing at all matches.
+    Each entry is tokenized and stemmed as ``preprocess`` treats the corpus,
+    with no stopwords, so multi-word entries contribute one column per
+    constituent word that the vocabulary contains. Missing words are
+    collected in ``dropped`` rather than raising, unless nothing matches.
     """
-    matched: list[str] = []
-    columns: list[int] = []
-    dropped: list[str] = []
-    for entry in seed_words:
-        for token in tokenize(entry):
-            stemmed = porter_stem(token)
-            if stemmed in vocab:
-                matched.append(stemmed)
-                columns.append(vocab.index(stemmed))
-            else:
-                dropped.append(stemmed)
+    stems = [t for entry in seed_words for t in preprocess(entry, frozenset())]
+    matched = [t for t in stems if t in vocab]
+    dropped = [t for t in stems if t not in vocab]
     if not matched:
         raise ValueError("no seed word in vocabulary")
     y = np.zeros((len(vocab), len(matched)))
-    for col, row in enumerate(columns):
-        y[row, col] = 1.0
+    y[[vocab.index(t) for t in matched], np.arange(len(matched))] = 1.0
     return SeedMatrix(y, matched, dropped)
 
 

@@ -17,6 +17,7 @@ digits, so a save/load round trip is value-exact.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -182,9 +183,9 @@ class CorpusMatrix:
         return self.x.shape[1]
 
 
-def preprocess(text: str, stopwords: frozenset[str]) -> list[str]:
-    """Tokenize, drop stopwords (raw tokens), then stem."""
-    return [porter_stem(t) for t in tokenize(text) if t not in stopwords]
+def preprocess(text: str, stopwords: frozenset[str], stem=porter_stem) -> list[str]:
+    """Tokenize, drop stopwords (raw tokens), then ``stem``."""
+    return [stem(t) for t in tokenize(text) if t not in stopwords]
 
 
 def build_corpus(docs: list[tuple[str, str]], params: PipelineParams) -> CorpusMatrix:
@@ -200,8 +201,10 @@ def build_corpus(docs: list[tuple[str, str]], params: PipelineParams) -> CorpusM
         raise ValueError(f"need at least 2 documents, got {len(docs)}")
     doc_ids = [doc_id for doc_id, _ in docs]
 
-    # One count per document serves df, the totals and the fill.
-    counts = [Counter(preprocess(text, params.stopwords)) for _, text in docs]
+    # One count per document serves df, the totals and the fill. Each
+    # distinct token is stemmed once, through a memo that ends with this call.
+    stem = functools.cache(porter_stem)
+    counts = [Counter(preprocess(text, params.stopwords, stem)) for _, text in docs]
     n = len(docs)
 
     df: Counter[str] = Counter()

@@ -331,27 +331,39 @@ def test_classify_without_label_supervision_exits_2(workspace, capsys):
     assert "not label-supervised" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mangle", [
-    lambda m: {**m, "config": {**m["config"], "bogus": 1}},  # unknown key
-    lambda m: {k: v for k, v in m.items() if k != "config"},  # missing key
-    lambda m: [m],  # not a JSON object
-    lambda m: {**m, "doc_ids": 5},  # doc_ids not a list
-    lambda m: {**m, "config": {**m["config"], "rng_seed": -1}},
+def _config(**items):
+    """A manifest edit: the config with ``items`` set, a None value removed."""
+    def mangle(m):
+        config = {**m["config"], **items}
+        return {**m, "config": {k: v for k, v in config.items() if v is not None}}
+    return mangle
+
+
+# Each mangle with the config key its message names, or None.
+@pytest.mark.parametrize("mangle, key", [
+    (_config(bogus=1), "bogus"),  # unknown key
+    (lambda m: {k: v for k, v in m.items() if k != "config"}, None),  # missing key
+    (lambda m: [m], None),  # not a JSON object
+    (lambda m: {**m, "doc_ids": 5}, None),  # doc_ids not a list
+    (_config(rng_seed=-1), "rng_seed"),
     # Counts that compare equal to an integer but are not JSON integers.
-    lambda m: {**m, "iterations_run": float(m["iterations_run"])},
-    lambda m: {**m, "config": {**m["config"], "rank": 2.0}},
-    lambda m: {**m, "config": {**m["config"], "max_iters": 5.0}},
-    lambda m: {**m, "config": {**m["config"], "rng_seed": 0.0}},
-    lambda m: {**m, "config": {**m["config"], "rank": True}},
+    (lambda m: {**m, "iterations_run": float(m["iterations_run"])}, None),
+    (_config(rank=2.0), "rank"),
+    (_config(max_iters=5.0), "max_iters"),
+    (_config(rng_seed=0.0), "rng_seed"),
+    (_config(rank=True), "rank"),
     # Weights that are not JSON numbers.
-    lambda m: {**m, "config": {**m["config"], "lam": True}},
-    lambda m: {**m, "config": {**m["config"], "mu": False}},
-    lambda m: {**m, "config": {**m["config"], "eps": True}},
-    lambda m: {**m, "config": {**m["config"], "tol": False}},
+    (_config(lam=True), "lam"),
+    (_config(mu=False), "mu"),
+    (_config(eps=True), "eps"),
+    (_config(tol=False), "tol"),
+    (_config(lam="0.3"), "lam"),
+    (_config(rank=None), "rank"),
 ], ids=["unknown-config-key", "missing-config", "list", "doc-ids-not-list",
         "negative-rng-seed", "iterations-run-float", "rank-float", "max-iters-float",
-        "rng-seed-float", "rank-bool", "lam-bool", "mu-bool", "eps-bool", "tol-bool"])
-def test_bad_manifest_exits_2_naming_it(workspace, capsys, mangle):
+        "rng-seed-float", "rank-bool", "lam-bool", "mu-bool", "eps-bool", "tol-bool",
+        "lam-string", "missing-rank"])
+def test_bad_manifest_exits_2_naming_it(workspace, capsys, mangle, key):
     out = workspace["root"] / "model_bad_manifest"
     assert main([
         "factorize", str(workspace["corpus_file"]), "--out", str(out),
@@ -368,6 +380,8 @@ def test_bad_manifest_exits_2_naming_it(workspace, capsys, mangle):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+        if key is not None:
+            assert err.startswith(f"error: {path}: invalid config: {key}")
 
 
 def test_classify_manifest_without_doc_ids_exits_2(pristine, tmp_path, capsys):
@@ -973,6 +987,34 @@ def test_an_output_naming_an_input_exits_2_writing_nothing(
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         f"error: {argv[-1]}: an output names an input of this command\n")
+    assert _tree(root) == before
+
+
+@pytest.mark.parametrize("outputs, named", [
+    (["--out", "labels.csv"], "labels.csv"),
+    (["--out", "s.csv", "--out-mean", "corpus.txt"], "corpus.txt"),
+    # --out-mean's default, the --out path with the suffix .mean.csv.
+    (["--out", "seeds.csv"], "seeds.mean.csv"),
+    (["--out", "s.csv", "--best-by-lambda", "seeds.mean.csv"], "seeds.mean.csv"),
+], ids=["out", "out-mean", "out-mean-default", "best-by-lambda"])
+def test_sweep_refuses_an_output_naming_an_input_before_reading(
+        pristine, tmp_path, monkeypatch, capsys, outputs, named):
+    root = tmp_path / "ws"
+    shutil.copytree(pristine, root)
+    shutil.move(root / "seeds.txt", root / "seeds.mean.csv")
+    monkeypatch.chdir(root)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "load_corpus", unread)
+    monkeypatch.setattr(cli, "fit_cells", unread)
+    before = _tree(root)
+    capsys.readouterr()
+    assert main(["sweep", "corpus.txt", "labels.csv", "seeds.mean.csv", "--ranks", "1",
+                 "--lambda-grid", "0", "--mu-grid", "0", *outputs]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {named}: an output names an input of this command\n")
     assert _tree(root) == before
 
 

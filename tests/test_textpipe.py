@@ -45,6 +45,29 @@ def test_preprocess_filters_stopwords_before_stemming():
     assert preprocess("was running the robbery", stop) == ["run", "robberi"]
 
 
+def test_build_corpus_stems_each_distinct_token_once(monkeypatch):
+    from gssnmf import textpipe
+    from gssnmf.stemmer import porter_stem
+
+    calls = []
+
+    def counted(word):
+        calls.append(word)
+        return porter_stem(word)
+
+    monkeypatch.setattr(textpipe, "porter_stem", counted)
+    docs = [("a", "the courts ruled and the courts heard the appeals"),
+            ("b", "courts heard appeals; the court ruled")]
+    stop = frozenset({"the", "and"})
+    corpus = build_corpus(docs, PipelineParams(stopwords=stop))
+    tokens = [t for _, text in docs for t in tokenize(text) if t not in stop]
+    assert sorted(calls) == sorted(set(tokens)) and len(calls) < len(tokens)
+    # A second call stems again: no memo outlives the one before.
+    build_corpus(docs, PipelineParams(stopwords=stop))
+    assert len(calls) == 2 * len(set(tokens))
+    assert corpus.vocab.terms == ["appeal", "court", "heard", "rule"]
+
+
 def test_vocabulary_invariants():
     v = Vocabulary(["alpha", "beta"])
     assert len(v) == 2 and "alpha" in v and v.index("beta") == 1

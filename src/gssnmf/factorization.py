@@ -66,8 +66,8 @@ products of X are consumed: ``update_w`` takes ``X H^T``, and
 the new W. Between the halves the batch forms each product for all
 running cells at once (``_Products``):
 
-- ``X H^T``, for any number of cells, comes as column blocks of one
-  stacked product ``([H_1; ...; H_B] X^T)^T``, with ``X^T`` a view;
+- ``X H^T`` for two or more cells comes as column blocks of one stacked
+  product ``X [H_1; ...; H_B]^T``, and for one cell as ``(H X^T)^T``;
 - ``W^T X`` for two or more cells comes as row blocks of
   ``(X^T [W_1 ... W_B])^T``, with ``X^T`` a view; for one cell it is
   ``W^T X``.
@@ -86,7 +86,7 @@ those of its own ``fit``.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -96,11 +96,11 @@ from .linalg import (
     Matrix,
     as_matrix,
     frobenius_sq,
-    json_int,
-    json_number,
+    REQUIRED,
     load_matrix_csv,
     nonnegative,
     open_text,
+    read_form,
     read_json,
     read_rows,
     remove_file,
@@ -143,7 +143,8 @@ class ModelConfig:
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         for name in ("lam", "mu", "eps", "tol"):
-            if not math.isfinite(getattr(self, name)):
+            # Not math.isfinite, which overflows on an int no float holds.
+            if not abs(getattr(self, name)) <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam < 0 or self.mu < 0:
             raise ValueError(f"weights must be >= 0, got lam={self.lam} mu={self.mu}")
@@ -286,8 +287,10 @@ def _blocks_equal(stacked, singles) -> bool:
 
 
 def _xht_blocks(x, hs):
-    """``X H_i^T`` for each H as column blocks of ``([H_1; ...] X^T)^T``."""
-    stacked = (np.concatenate(hs) @ x.T).T
+    """``X H_i^T`` for each H: ``(H X^T)^T`` alone, else ``X [H_1; ...]^T`` split."""
+    if len(hs) == 1:
+        return [(hs[0] @ x.T).T]
+    stacked = x @ np.concatenate(hs).T
     return np.split(stacked, np.cumsum([len(h) for h in hs])[:-1], axis=1)
 
 
@@ -598,9 +601,16 @@ def save_result(
             fh.write("\n")
 
 
-# Each ``ModelConfig`` field's JSON type, as a manifest holds it.
-_CONFIG_TYPES = dict(rank=json_int, lam=json_number, mu=json_number, max_iters=json_int,
-                     rng_seed=json_int, eps=json_number, tol=json_number)
+# The manifest ``save_result`` writes, declared for ``read_form``. Every
+# config key but ``rank`` has ``ModelConfig``'s default.
+_CONFIG = {key: (kind, getattr(ModelConfig, key, REQUIRED)) for key, kind in (
+    ("rank", "count"), ("lam", "number"), ("mu", "number"), ("max_iters", "count"),
+    ("rng_seed", "count"), ("eps", "number"), ("tol", "number"))}
+_LOSSES = dict.fromkeys(["total", "reconstruction", "guiding", "label"],
+                        ("number", REQUIRED))
+_MANIFEST = {"config": (_CONFIG, REQUIRED), "iterations_run": ("count", REQUIRED),
+             "final_losses": (_LOSSES, REQUIRED), "doc_ids": ("strings", None),
+             "label_names": ("strings", None)}
 
 
 def load_result(result_dir) -> tuple[FactorizationResult, dict]:
@@ -610,34 +620,16 @@ def load_result(result_dir) -> tuple[FactorizationResult, dict]:
     if not manifest_path.is_file():
         raise ValueError(f"{result_dir}: not a result directory (no manifest.json)")
     manifest = read_json(manifest_path, "manifest")
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
-        raise ValueError(
-            f"{manifest_path}: invalid manifest: expected an object with a "
-            "'config' object"
-        )
-    config = manifest["config"]
     try:
-        for key in dict.fromkeys(["rank", *config]):  # rank alone has no default
-            try:
-                _CONFIG_TYPES[key](config[key])
-            except KeyError:
-                raise ValueError(f"{key}: not a config key" if key in config
-                                 else f"{key}: missing") from None
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
-        config = ModelConfig(**config)
+        manifest = read_form(manifest, _MANIFEST)
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: invalid {exc}") from None
+    try:
+        config = ModelConfig(**manifest["config"])
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: invalid config: {exc}") from None
-    try:
-        iterations = json_int(manifest.get("iterations_run"))
-    except ValueError as exc:
-        raise ValueError(f"{manifest_path}: iterations_run: {exc}") from None
-    doc_ids, label_names = manifest.get("doc_ids"), manifest.get("label_names")
-    for key, names in (("doc_ids", doc_ids), ("label_names", label_names)):
-        if names is not None and not (
-            isinstance(names, list) and all(isinstance(v, str) for v in names)
-        ):
-            raise ValueError(f"{manifest_path}: {key} must be a list of strings")
+    iterations = manifest["iterations_run"]
+    doc_ids, label_names = manifest["doc_ids"], manifest["label_names"]
     w = load_matrix_csv(root / "w.csv")
     h = load_matrix_csv(root / "h.csv")
     b = load_matrix_csv(root / "b.csv") if (root / "b.csv").is_file() else None

@@ -6,13 +6,15 @@ thousand documents) dense storage is all that is needed. Products and
 entry-wise operations are numpy's own ``@`` and ``*``. The helpers here check a matrix where it enters
 (``as_matrix``), take a leading singular spectrum, write every file whole
 or not at all (never over a file read in the same ``keep_inputs``
-block), and hold the one reader of each text form every file uses.
+block), hold the one reader of each text form every file uses, and check
+each JSON form read back against the schema its module declares (``read_form``).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
@@ -324,18 +326,63 @@ def read_json(path, what: str):
         return decode_json(fh.read(), path, what)
 
 
-def json_int(value) -> int:
-    """``value`` if it is a JSON integer (not a bool); else ``ValueError``."""
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+REQUIRED = object()  # the default of a key a JSON form must hold
+# Each kind a schema names ("object" for a nested schema): what it holds
+# and a test of a decoded value. A bool is no integer, and a number must
+# fit in a float.
+_KINDS = {
+    "count": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "number": ("a number", lambda v: type(v) is float
+               or type(v) is int and abs(v) <= sys.float_info.max),
+    "string": ("a string", lambda v: type(v) is str),
+    "strings": ("an array of strings",
+                lambda v: type(v) is list and all(type(s) is str for s in v)),
+    "ints": ("an array of integers",
+             lambda v: type(v) is list and all(type(i) is int for i in v)),
+    "object": ("an object", lambda v: type(v) is dict),
+}
 
 
-def json_number(value) -> float:
-    """``value`` if it is a JSON number (not a bool); else ``ValueError``."""
-    if type(value) not in (int, float):
-        raise ValueError(f"expected a number, got {value!r}")
-    return value
+def read_form(value, schema) -> dict:
+    """``value``, a decoded JSON object, checked against ``schema``.
+
+    ``schema`` maps each key to ``(kind, default)``. The kind is a name in
+    ``_KINDS`` or, for a nested object, its own schema. The default is an
+    absent key's value, or ``REQUIRED``; a None default also admits null.
+    An undeclared key is refused. Returns every declared key's value; each
+    fault raises ``ValueError`` naming its key (``config: lam`` inside a
+    nested object)."""
+    if type(value) is not dict:
+        raise ValueError(f"top level: expected an object, got {_shown(value)}")
+    for key in value:
+        if key not in schema:
+            name = key if key.isidentifier() else json.dumps(key)
+            raise ValueError(f"{name}: not a declared key")
+    out = {}
+    for key, (kind, default) in schema.items():
+        out[key] = item = value.get(key, default)
+        if item is REQUIRED:
+            raise ValueError(f"{key}: missing")
+        if item is None and default is None:
+            continue
+        what, ok = _KINDS["object" if type(kind) is dict else kind]
+        if not ok(item):
+            raise ValueError(f"{key}: expected {what}, got {_shown(item)}")
+        if type(kind) is dict:
+            try:
+                out[key] = read_form(item, kind)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    return out
+
+
+def _shown(value) -> str:
+    """A JSON value as a fault names it: a short scalar by its JSON text,
+    anything else by its type."""
+    if type(value) is int and abs(value) > sys.float_info.max:
+        return f"an integer of {len(str(abs(value)))} digits"
+    return {str: "a string", list: "an array", dict: "an object"}.get(
+        type(value)) or json.dumps(value)
 
 
 def read_entries(lines) -> list[str]:

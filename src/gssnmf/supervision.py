@@ -7,7 +7,8 @@ documents.
 
 Each wrapper type's constructor converts its array with ``as_matrix``
 (finite, 2-D, C-order float64), and the seed and label matrices must be
-non-negative, so the solver takes them as they are.
+non-negative, so the solver takes them as they are. ``load_mask`` checks
+a mask file against the schema ``_MASK`` (``linalg.read_form``).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (Matrix, as_matrix, json_int, nonnegative, open_text, read_entries,
-                     read_json, write_file)
+from .linalg import (REQUIRED, Matrix, as_matrix, nonnegative, open_text, read_entries,
+                     read_form, read_json, write_file)
 from .textpipe import Vocabulary, preprocess
 
 
@@ -185,6 +186,11 @@ def save_mask(mask: MaskMatrix, path) -> None:
         fh.write("\n")
 
 
+# The mask file ``save_mask`` writes, declared for ``read_form``.
+_MASK = {"n_classes": ("count", REQUIRED), "n_docs": ("count", REQUIRED),
+         "train_ids": ("ints", REQUIRED), "test_ids": ("ints", REQUIRED)}
+
+
 def load_mask(path, n_classes: int, n_docs: int) -> MaskMatrix:
     """Read a mask file for ``n_classes`` x ``n_docs`` labels.
 
@@ -192,11 +198,11 @@ def load_mask(path, n_classes: int, n_docs: int) -> MaskMatrix:
     """
     obj = read_json(path, "mask file")
     try:
-        shape = (json_int(obj["n_classes"]), json_int(obj["n_docs"]))
-        train_ids = [json_int(i) for i in obj["train_ids"]]
-        test_ids = [json_int(i) for i in obj["test_ids"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        obj = read_form(obj, _MASK)
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed mask file: {exc}") from None
+    shape = (obj["n_classes"], obj["n_docs"])
+    train_ids, test_ids = obj["train_ids"], obj["test_ids"]
     if shape != (n_classes, n_docs):
         raise ValueError(
             f"{path}: mask is {shape[0]}x{shape[1]} but the labels are "

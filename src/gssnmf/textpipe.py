@@ -12,7 +12,8 @@ Corpus file layout (UTF-8 text): line 1 is a JSON header
 ``{"format": "gssnmf-corpus", "version": 1, "rows": d, "cols": n,
 "doc_ids": [...], "vocab": [...], "params": {...} | null}`` and the next
 ``d`` lines are comma-separated matrix rows printed with 17 significant
-digits, so a save/load round trip is value-exact.
+digits, so a save/load round trip is value-exact. ``load_corpus`` checks
+the header against the schema ``_HEADER`` (``linalg.read_form``).
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import (
+    REQUIRED,
     Matrix,
     as_matrix,
     decode_json,
-    json_int,
     nonnegative,
     open_text,
     read_entries,
+    read_form,
     read_rows,
     write_file,
     write_rows,
@@ -279,25 +281,20 @@ def _read_text(path) -> str:
 # ---------------------------------------------------------------------------
 
 _FORMAT_NAME = "gssnmf-corpus"
+# The header ``save_corpus`` writes, declared for ``read_form``; ``params``
+# holds ``PipelineParams``' fields, null for a corpus built without them.
+_PARAMS = {"max_df": ("number", REQUIRED), "min_df": ("number", REQUIRED),
+           "max_features": ("count", None), "stopwords": ("strings", REQUIRED)}
+_HEADER = {"format": ("string", REQUIRED), "version": ("count", REQUIRED),
+           "rows": ("count", REQUIRED), "cols": ("count", REQUIRED),
+           "doc_ids": ("strings", REQUIRED), "vocab": ("strings", REQUIRED),
+           "params": (_PARAMS, None)}
 
 
 def _params_to_json(params: PipelineParams | None):
     if params is None:
         return None
     return {**asdict(params), "stopwords": sorted(params.stopwords)}
-
-
-def _params_from_json(obj) -> PipelineParams | None:
-    if obj is None:
-        return None
-    if obj["stopwords"] is None:  # None would select the shipped list
-        raise TypeError("stopwords must be a list of strings, got null")
-    return PipelineParams(
-        max_df=obj["max_df"],
-        min_df=obj["min_df"],
-        max_features=obj["max_features"],
-        stopwords=obj["stopwords"],
-    )
 
 
 def save_corpus(corpus: CorpusMatrix, path) -> None:
@@ -326,14 +323,16 @@ def load_corpus(path) -> CorpusMatrix:
         if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
             raise ValueError(f"{path}:1: not a corpus file")
         try:
-            rows = json_int(header["rows"])
-            cols = json_int(header["cols"])
-            doc_ids, vocab_terms = header["doc_ids"], header["vocab"]
-            if not (isinstance(doc_ids, list) and isinstance(vocab_terms, list)):
-                raise TypeError("doc_ids and vocab must be arrays")
-            params = _params_from_json(header.get("params"))
-        except (KeyError, TypeError, ValueError) as exc:
+            header = read_form(header, _HEADER)
+            if header["version"] != 1:
+                raise ValueError(f"version: expected 1, got {header['version']}")
+            params = header["params"]
+            if params is not None:
+                params = PipelineParams(**params)
+        except ValueError as exc:
             raise ValueError(f"{path}:1: malformed header: {exc}") from None
+        rows, cols = header["rows"], header["cols"]
+        doc_ids, vocab_terms = header["doc_ids"], header["vocab"]
         # Checked before the matrix is allocated from the declared shape.
         if not (rows == len(vocab_terms) >= 1 and cols == len(doc_ids) >= 1):
             raise ValueError(

@@ -1349,11 +1349,15 @@ def _not_utf8(lineno):
 
 
 def _header(key, value):
-    """An edit setting the corpus header's ``key`` to ``value(old value)``."""
+    """An edit setting the corpus header's ``key`` to ``value(old value)``;
+    a None ``value`` removes the key."""
     def edit(text):
         first, rest = text.split("\n", 1)
         header = json.loads(first)
-        header[key] = value(header[key])
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value(header[key])
         return json.dumps(header, separators=(",", ":")) + "\n" + rest
     return edit
 
@@ -1493,6 +1497,14 @@ _MALFORMED = {
     "mask-long-int": ("model/mask.json", lambda t: _LONG_INT_JSON, "classify", None),
     "corpus-deep": ("corpus.txt", _line(1, _DEEP_JSON), "rank-scan", None),
     "corpus-long-int": ("corpus.txt", _line(1, _LONG_INT_JSON), "coherence", None),
+    # A weight no float holds, a corpus version other than 1 or none, and a
+    # key no form declares.
+    "manifest-huge-lam": ("model/manifest.json", lambda t: json.dumps(
+        _config(lam=10**400)(json.loads(t))), "coherence", None),
+    "corpus-version": ("corpus.txt", _header("version", lambda v: 2), "rank-scan", 1),
+    "corpus-no-version": ("corpus.txt", _header("version", None), "rank-scan", 1),
+    "mask-extra-key": ("model/mask.json", lambda t: json.dumps({**json.loads(t), "seed": 1}),
+                       "classify", None),
 }
 
 
@@ -1509,6 +1521,103 @@ def test_malformed_file_exits_2_naming_file_and_line(pristine, tmp_path, capsys,
     err = capsys.readouterr().err
     where = f"{path}:{line}:" if line else f"{path}:"
     assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
+
+
+@pytest.fixture(scope="module")
+def fuzz_ws(pristine, tmp_path_factory):
+    """A copy of ``pristine`` whose files a test may edit and restore."""
+    root = tmp_path_factory.mktemp("fuzz") / "ws"
+    shutil.copytree(pristine, root)
+    return root
+
+
+# Each JSON form: its file and the command that reads it, with an output.
+_FORMS = {
+    "manifest": ("model/manifest.json", lambda r: ["coherence", r / "model",
+                                                   r / "corpus.txt", "--out", r / "out"]),
+    "mask": ("model/mask.json", lambda r: ["classify", r / "model", r / "labels.csv",
+                                           r / "model" / "mask.json", "--out", r / "out"]),
+    "header": ("corpus.txt", lambda r: ["rank-scan", r / "corpus.txt", "--top", "2",
+                                        "--out", r / "out"]),
+}
+_DEEP = "\0deep\0"  # stands for arrays nested too deeply to decode
+# Half the time an edge value: an integer no float holds, a non-finite
+# number, deep nesting or an empty container; else a value of any JSON type.
+_VALUES = st.one_of(
+    st.sampled_from([10**400, -10**400, 2**64, math.nan, math.inf, -math.inf, _DEEP,
+                     [], {}]),
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 30), st.floats(-1e3, 1e3),
+              st.text(max_size=4), st.lists(st.integers(-1, 30), max_size=3)),
+)
+
+
+def _paths(value, path=()):
+    """The path of ``value`` and of each value inside it, each with its
+    value; of an array's items, only the first and the last."""
+    yield path, value
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list) and value:
+        items = [(i, value[i]) for i in sorted({0, len(value) - 1})]
+    else:
+        items = []
+    for key, item in items:
+        yield from _paths(item, (*path, key))
+
+
+def _mutate(doc, path, op, key, value):
+    """``doc`` with the value at ``path`` set to ``value`` ("set") or removed
+    ("drop"), or, if it is an object, given ``key`` ("add")."""
+    if not path and op != "add":
+        return value
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    target = parent[path[-1]] if path else doc
+    if op == "set":
+        parent[path[-1]] = value
+    elif op == "drop":
+        del parent[path[-1]]
+    elif isinstance(target, dict):
+        target[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("form", sorted(_FORMS))
+@given(data=st.data())
+def test_a_mutated_json_form_exits_0_or_2_with_one_error_line(fuzz_ws, form, data):
+    """A manifest, mask file or corpus header with swapped types, dropped and
+    added keys, huge integers, NaN, deep nesting or empty arrays: the command
+    that reads it exits 0, or 2 with one error line and no file written."""
+    name, argv = _FORMS[form]
+    path, out = fuzz_ws / name, fuzz_ws / "out"
+    original = path.read_text("utf-8")
+    text, rest = original.split("\n", 1) if form == "header" else (original, "")
+    doc = json.loads(text)
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        # Half the time a scalar, where most faults lie.
+        paths = list(_paths(doc))
+        scalars = [p for p, v in paths if not isinstance(v, (dict, list))]
+        where = data.draw(st.sampled_from(scalars) | st.sampled_from([p for p, _ in paths]),
+                          label="path")
+        op = data.draw(st.sampled_from(["set", "set", "drop", "add"]), label="op")
+        doc = _mutate(doc, where, op, data.draw(st.text(max_size=4), label="key"),
+                      data.draw(_VALUES, label="value"))
+    text = json.dumps(doc).replace(json.dumps(_DEEP), "[" * 100_000 + "]" * 100_000)
+    before = sorted(fuzz_ws.rglob("*"))
+    err = io.StringIO()
+    try:
+        path.write_text(text + "\n" + rest, "utf-8")
+        with redirect_stderr(err):
+            code = main([str(a) for a in argv(fuzz_ws)])
+        written = sorted(fuzz_ws.rglob("*")) != before
+    finally:
+        path.write_text(original, "utf-8")
+        out.unlink(missing_ok=True)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert code in (0, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+    assert len(errors) == (code == 2), err.getvalue()
+    assert not (code == 2 and written)
 
 
 def test_refit_into_a_model_directory_leaves_no_stale_factor(workspace, capsys):

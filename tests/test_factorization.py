@@ -60,7 +60,8 @@ def test_model_config_rejects_a_negative_rng_seed():
 
 
 @pytest.mark.parametrize("name", ["lam", "mu", "eps", "tol"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+# An integer too large for a float is no finite weight either.
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
 def test_model_config_rejects_non_finite_values(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         ModelConfig(rank=1, **{name: value})

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from gssnmf import linalg
 from gssnmf.linalg import (
+    REQUIRED,
     as_matrix,
     frobenius_sq,
     keep_inputs,
     load_matrix_csv,
     read_entries,
+    read_form,
     read_json,
     read_rows,
     save_matrix_csv,
@@ -29,18 +31,54 @@ def test_as_matrix_rejects_bad_input():
         as_matrix([[1.0, float("nan")]])
 
 
-@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None, [2]])
-def test_json_int_takes_only_json_integers(value):
-    assert linalg.json_int(2) == 2
-    with pytest.raises(ValueError, match="expected an integer, got"):
-        linalg.json_int(value)
+_FORM = {"n": ("count", REQUIRED), "w": ("number", 0.5), "name": ("string", None),
+         "ids": ("ints", REQUIRED), "terms": ("strings", None),
+         "inner": ({"k": ("count", REQUIRED)}, None)}
 
 
-@pytest.mark.parametrize("value", [True, "2", None, [2]])
-def test_json_number_takes_only_json_numbers(value):
-    assert linalg.json_number(2) == 2 and linalg.json_number(0.5) == 0.5
-    with pytest.raises(ValueError, match="expected a number, got"):
-        linalg.json_number(value)
+@pytest.mark.parametrize("value", [2.5, 2.0, -1, True, "2", None, [2]])
+def test_read_form_counts_are_non_negative_json_integers(value):
+    assert read_form({"n": 2, "ids": []}, _FORM)["n"] == 2
+    with pytest.raises(ValueError, match="^n: expected a non-negative integer, got "):
+        read_form({"n": value, "ids": []}, _FORM)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (True, "true"), ("2", "a string"), (None, "null"), ([2], "an array"),
+    (10**400, "an integer of 401 digits"), (-2**1024, "an integer of 309 digits"),
+], ids=["bool", "string", "null", "array", "huge", "minus-2-to-the-1024"])
+def test_read_form_numbers_are_json_numbers_a_float_holds(value, shown):
+    for w in (2, 0.5, -1e308, float("nan")):
+        assert read_form({"n": 0, "ids": [], "w": w}, _FORM)["w"] is w
+    with pytest.raises(ValueError) as info:
+        read_form({"n": 0, "ids": [], "w": value}, _FORM)
+    assert str(info.value) == f"w: expected a number, got {shown}"
+
+
+def test_read_form_fills_defaults_and_names_each_fault_by_its_key():
+    assert read_form({"ids": [-1, 3], "n": 1}, _FORM) == {
+        "n": 1, "w": 0.5, "name": None, "ids": [-1, 3], "terms": None, "inner": None}
+    assert read_form({"n": 1, "ids": [], "terms": ["a"], "inner": {"k": 0}},
+                     _FORM)["inner"] == {"k": 0}
+    for value, message in [
+        ([], "top level: expected an object, got an array"),
+        ({"ids": []}, "n: missing"),
+        ({"n": 1, "ids": [], "extra": 1}, "extra: not a declared key"),
+        ({"n": 1, "ids": [], "a\nb": 1}, '"a\\nb": not a declared key'),
+        ({"n": 1, "ids": [True]}, "ids: expected an array of integers, got an array"),
+        ({"n": 1, "ids": [], "terms": "ab"},
+         "terms: expected an array of strings, got a string"),
+        ({"n": 1, "ids": [], "terms": ["a", 1]},
+         "terms: expected an array of strings, got an array"),
+        ({"n": 1, "ids": None}, "ids: expected an array of integers, got null"),
+        ({"n": 1, "ids": [], "w": None}, "w: expected a number, got null"),
+        ({"n": 1, "ids": [], "inner": 3}, "inner: expected an object, got 3"),
+        ({"n": 1, "ids": [], "inner": {}}, "inner: k: missing"),
+        ({"n": 1, "ids": [], "inner": {"k": 1, "j": 2}}, "inner: j: not a declared key"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            read_form(value, _FORM)
+        assert str(info.value) == message
 
 
 def test_frobenius_sq():

@@ -225,5 +225,5 @@ def test_mask_round_trip(tmp_path):
         load_mask(path, 2, 3)
     path.write_text('{"n_classes": 2, "n_docs": 3, "train_ids": [0, 1]}\n',
                     encoding="utf-8")
-    with pytest.raises(ValueError, match="malformed mask file: 'test_ids'"):
+    with pytest.raises(ValueError, match="malformed mask file: test_ids: missing$"):
         load_mask(path, 2, 3)

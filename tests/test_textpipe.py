@@ -100,16 +100,25 @@ def test_pipeline_params_validation():
         PipelineParams(max_features=0)
 
 
-@pytest.mark.parametrize("items, message", [
-    ({"stopwords": "the"}, "stopwords must be a collection of strings, got 'the'"),
-    ({"stopwords": ["the", 1]}, "stopwords must be strings, got 1"),
-    ({"stopwords": None}, "stopwords must be a list of strings, got null"),
-    ({"max_features": 2.5}, "max_features must be an integer or None, got 2.5"),
-    ({"max_features": True}, "max_features must be an integer or None, got True"),
-    ({"max_df": True}, "max_df must be a number, got True"),
-    ({"min_df": "0"}, "min_df must be a number, got '0'"),
+# Each params edit, the fault load_corpus names, and the TypeError of the
+# same value given to PipelineParams (None: null is the shipped list there).
+@pytest.mark.parametrize("items, message, library", [
+    ({"stopwords": "the"}, "stopwords: expected an array of strings, got a string",
+     "stopwords must be a collection of strings, got 'the'"),
+    ({"stopwords": ["the", 1]}, "stopwords: expected an array of strings, got an array",
+     "stopwords must be strings, got 1"),
+    ({"stopwords": None}, "stopwords: expected an array of strings, got null", None),
+    ({"max_features": 2.5}, "max_features: expected a non-negative integer, got 2.5",
+     "max_features must be an integer or None, got 2.5"),
+    ({"max_features": True}, "max_features: expected a non-negative integer, got true",
+     "max_features must be an integer or None, got True"),
+    ({"max_df": True}, "max_df: expected a number, got true",
+     "max_df must be a number, got True"),
+    ({"min_df": "0"}, "min_df: expected a number, got a string",
+     "min_df must be a number, got '0'"),
 ])
-def test_load_corpus_checks_the_types_of_the_pipeline_params(tmp_path, items, message):
+def test_load_corpus_checks_the_types_of_the_pipeline_params(
+        tmp_path, items, message, library):
     corpus = build_corpus([("d1", "aa bb"), ("d2", "aa cc")], PipelineParams())
     path = tmp_path / "corpus.txt"
     save_corpus(corpus, path)
@@ -119,9 +128,9 @@ def test_load_corpus_checks_the_types_of_the_pipeline_params(tmp_path, items, me
     path.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
     with pytest.raises(ValueError) as info:
         load_corpus(path)
-    assert str(info.value) == f"{path}:1: malformed header: {message}"
-    if items != {"stopwords": None}:  # None is the shipped list to the library
-        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+    assert str(info.value) == f"{path}:1: malformed header: params: {message}"
+    if library is not None:
+        with pytest.raises(TypeError, match=f"^{re.escape(library)}$"):
             PipelineParams(**{**NO_FILTER, **items})
 
 

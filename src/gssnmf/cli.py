@@ -12,9 +12,9 @@ flag's own bounds and that every required flag is given, from either
 source, before any file but the config is opened. No command writes over
 or removes a file it read.
 
-Exit codes: 0 success, 1 runtime, numeric or out-of-memory failure (a
-sweep worker that died, too), 2 usage or input error; each fault is one
-``error: ...`` line on stderr, with no usage text.
+Exit codes: 0 success, 1 runtime, numeric or out-of-memory failure, 2
+usage or input error; each fault is one ``error: ...`` line on stderr, with
+no usage text.
 """
 
 from __future__ import annotations
@@ -277,32 +277,6 @@ def _topic_coherences(w, vocab: Vocabulary, present, n_top: int):
 #   2000 x 7000   18.7   15.9   10.1   8.90   8.63
 _BATCH_WIDTH = 224
 
-_WORKER_PAYLOAD = {}
-
-
-def _sweep_init(payload, failed):
-    _WORKER_PAYLOAD["payload"], _WORKER_PAYLOAD["failed"] = payload, failed
-
-
-def _sweep_run_task(task):
-    """``_sweep_eval`` of batch ``index``; None, unfitted, after a failed batch.
-
-    ``failed`` holds the smallest index of a batch that raised, shared by
-    the workers, so none fits a batch whose rows the parent would never
-    read. A batch before the failed one still runs, and may fail first.
-    """
-    index, batch = task
-    failed = _WORKER_PAYLOAD["failed"]
-    if failed.value < index:
-        return None
-    try:
-        return _sweep_eval(_WORKER_PAYLOAD["payload"], batch)
-    except Exception:
-        with failed.get_lock():
-            failed.value = min(failed.value, index)
-        raise
-
-
 def _batches(cells) -> list[list]:
     """Consecutive (config, trial) cells, packed into batches.
 
@@ -401,18 +375,29 @@ def run_sweep(args):
         cells[i * len(cells) // workers:(i + 1) * len(cells) // workers])]
     if workers > 1:
         # Imported here: the pool machinery would slow every command's start.
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        from multiprocessing import Value
+        from concurrent.futures import ThreadPoolExecutor
+        from threading import Lock
 
-        # The smallest index of a failed batch; none has failed yet.
-        failed = Value("q", len(batches))
-        try:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_sweep_init,
-                                     initargs=(payload, failed)) as pool:
-                done = list(pool.map(_sweep_run_task, enumerate(batches)))
-        except BrokenProcessPool as exc:
-            raise FactorizationError(f"a sweep worker process died: {exc}") from None
+        # numpy releases the GIL in the X products, so threads that share
+        # the payload fit in parallel. ``failed`` is the smallest index of
+        # a batch that raised: no worker fits a batch after it, whose rows
+        # would never be read. A batch before it still runs, and may fail
+        # first.
+        failed, lock = len(batches), Lock()
+
+        def run(index, batch):
+            nonlocal failed
+            if failed < index:
+                return None
+            try:
+                return _sweep_eval(payload, batch)
+            except Exception:
+                with lock:
+                    failed = min(failed, index)
+                raise
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(run, range(len(batches)), batches))
     else:
         done = [_sweep_eval(payload, batch) for batch in batches]
     # The pool and the loop consume the batches in row order, so the rows
@@ -695,7 +680,7 @@ def build_parser():
     sp.add_argument("--n-top", type=_n_top, default=30)
     _add_fit_flags(sp)
     sp.add_argument("--jobs", type=_count, default=1,
-                    help="worker processes (>= 1; capped at the number of "
+                    help="worker threads (>= 1; capped at the number of "
                          "cells and the CPUs this process may run on); "
                          "output is identical for any value")
     sp.set_defaults(func=run_sweep)

@@ -114,8 +114,7 @@ from .textpipe import CorpusMatrix, Vocabulary
 
 
 class FactorizationError(RuntimeError):
-    """A fit that failed: numbers that diverged in the update loop, or a
-    sweep worker process that died."""
+    """A fit that failed: factors or a loss that diverged in the update loop."""
 
 
 @dataclass
@@ -394,8 +393,8 @@ class _Cell:
         """The H, B and C rules and the loss, given ``wtx = W^T X`` of the new W.
 
         Appends the loss to the trace and applies the stop rule; returns
-        whether the cell runs on. The new ``hht`` is the loss's, for the
-        next W rule.
+        whether the cell runs on. A non-finite loss is a divergence. The
+        new ``hht`` is the loss's, for the next W rule.
         """
         config, p, w, h, b, c = self.config, self.p, self.w, self.h, self.b, self.c
         lam, mu, eps = config.lam, config.mu, config.eps
@@ -418,6 +417,8 @@ class _Cell:
                 return False
         self.h, self.b, self.c, self.hht = h, b, c, h @ h.T
         total, *terms = _losses(p, lam, mu, w, h, b, c, wtx, wtw, self.hht)
+        if not np.isfinite(total):
+            return self._diverged(iteration, "non-finite loss")
         self.trace.append(total)
         self.terms.append(tuple(terms))
         stop = iteration == config.max_iters
@@ -433,11 +434,13 @@ class _Cell:
 
     def _finite(self, name: str, a: Matrix, iteration: int) -> bool:
         """Whether ``a`` is finite; if not, the cell stops with that error."""
-        if np.isfinite(a).all():
-            return True
+        return np.isfinite(a).all() or self._diverged(
+            iteration, f"non-finite entries in {name}")
+
+    def _diverged(self, iteration: int, what: str) -> bool:
+        """Stop the cell with the error of a divergence; False."""
         self.outcome = FactorizationError(
-            f"update diverged at iteration {iteration}: non-finite entries in {name}"
-        )
+            f"update diverged at iteration {iteration}: {what}")
         return False
 
 
@@ -486,23 +489,29 @@ def fit_cells(
                          f"got {rank}")
     n_seeds = None if p.y is None else p.y.shape[1]
     n_classes = None if p.z is None else p.z.shape[0]
-    cells = []
-    for cfg, mask in zip(configs, masks):
-        w, h, b, c = _initial_factors(d, n, cfg, n_seeds, n_classes)
-        cells.append(_Cell(cfg, problems[id(mask)], w, h, b, c, h @ h.T))
+    # Each cell checks its own factors and loss, so the overflow of a cell
+    # that diverges stops it with one error and no numpy warning. Set here,
+    # not by the caller: a thread starts at numpy's default error state.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cells = []
+        for cfg, mask in zip(configs, masks):
+            w, h, b, c = _initial_factors(d, n, cfg, n_seeds, n_classes)
+            cells.append(_Cell(cfg, problems[id(mask)], w, h, b, c, h @ h.T))
 
-    products = _Products(p.x)
-    running, i = cells, 0
-    while running:
-        i += 1
-        # Each list of products goes once its half of the step consumed
-        # it, so one stacked product is alive at a time.
-        xhts = products.xht([cell.h for cell in running])
-        running = [cell for cell, xht in zip(running, xhts) if cell.update_w(xht, i)]
-        del xhts
-        wtxs = products.wtx([cell.w for cell in running])
-        running = [cell for cell, wtx in zip(running, wtxs) if cell.update_hbc(wtx, i)]
-        del wtxs
+        products = _Products(p.x)
+        running, i = cells, 0
+        while running:
+            i += 1
+            # Each list of products goes once its half of the step consumed
+            # it, so one stacked product is alive at a time.
+            xhts = products.xht([cell.h for cell in running])
+            running = [cell for cell, xht in zip(running, xhts)
+                       if cell.update_w(xht, i)]
+            del xhts
+            wtxs = products.wtx([cell.w for cell in running])
+            running = [cell for cell, wtx in zip(running, wtxs)
+                       if cell.update_hbc(wtx, i)]
+            del wtxs
     return [cell.outcome for cell in cells]
 
 

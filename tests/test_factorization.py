@@ -604,18 +604,18 @@ def test_fit_cells_use_stacked_wtx_once_its_width_passed(monkeypatch):
 
 def test_fit_cells_diverging_cell_leaves_the_batch():
     x, y, z, mask = _labelled_problem(3, 50, 40)
-    # The second cell diverges in the W update, the fourth in the H update.
+    # The second cell diverges in the W update, the fourth on its loss.
     configs = [ModelConfig(rank=3, lam=lam, mu=mu, max_iters=20, rng_seed=1)
                for lam, mu in ((0.2, 0.1), (1.7e308, 0.1), (0.5, 0.1), (0.2, 1.7e308))]
     with np.errstate(all="ignore"):
         results = fit_cells(x, configs, y=y, z=z, l=mask)
-        for i, factor in ((1, "W"), (3, "H")):
+        for i, what in ((1, "non-finite entries in W"), (3, "non-finite loss")):
             with pytest.raises(FactorizationError) as alone:
                 fit(x, configs[i], y=y, z=z, l=mask)
             assert isinstance(results[i], FactorizationError)
             assert str(results[i]) == str(alone.value)
             assert "iteration" in str(alone.value)
-            assert str(alone.value).endswith(f"non-finite entries in {factor}")
+            assert str(alone.value).endswith(what)
     for i in (0, 2):
         _assert_same_fit(results[i], fit(x, configs[i], y=y, z=z, l=mask))
 

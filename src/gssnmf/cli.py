@@ -23,6 +23,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,7 @@ from .linalg import (
     open_text,
     read_json,
     read_rows,
-    refuse_input,
+    refuse_output,
     remove_file,
     singular_values,
     write_batch,
@@ -293,7 +294,7 @@ def _batches(cells) -> list[list]:
     return batches
 
 
-def _sweep_eval(payload, batch):
+def _sweep_eval(batch, corpus, seeds, labels, splits, metric, n_top):
     """Fit and score (config, trial) cells as one ``fit_cells`` batch.
 
     Each cell's mask is its trial's split, and each fit draws its own start
@@ -301,25 +302,22 @@ def _sweep_eval(payload, batch):
     cell, in the batch's order. The first cell that fails, in that order,
     raises its error, named for the cell.
     """
-    corpus, labels = payload["corpus"], payload["labels"]
     configs = [config for config, _ in batch]
-    masks = [payload["splits"][trial] for _, trial in batch]
-    fits = fit_cells(corpus, configs, y=payload["seeds"], z=labels, l=masks)
+    masks = [splits[trial] for _, trial in batch]
+    fits = fit_cells(corpus, configs, y=seeds, z=labels, l=masks)
     # One byte per entry, built after the fits; every cell reads its
     # keywords' rows.
-    present = corpus.x != 0 if payload["metric"] == "avg_coherence" else None
+    present = corpus.x != 0 if metric == "avg_coherence" else None
     rows = []
     for (config, trial), mask, result in zip(batch, masks, fits):
         rank, lam, mu = config.rank, config.lam, config.mu
         try:
             if isinstance(result, Exception):
                 raise result
-            if payload["metric"] == "macro_f1":
+            if present is None:
                 value, _ = _test_macro_f1(result, labels, mask)
             else:
-                _, scores = _topic_coherences(
-                    result.w, corpus.vocab, present, payload["n_top"]
-                )
+                _, scores = _topic_coherences(result.w, corpus.vocab, present, n_top)
                 value = avg_coherence(scores)
         except (ValueError, FactorizationError) as exc:
             raise type(exc)(
@@ -341,11 +339,10 @@ def run_sweep(args):
     named = {}
     for flag, path in (("--out", args.out), ("--out-mean", out_mean),
                        ("--best-by-lambda", args.best_by_lambda)):
-        if path and named.setdefault(os.path.realpath(path), flag) != flag:
-            raise ValueError(f"{flag} and {named[os.path.realpath(path)]} name "
-                             f"the same file {path}")
         if path:  # before any input is read
-            refuse_input(path, inputs)
+            refuse_output(path, inputs)
+            if (other := named.setdefault(os.path.realpath(path), flag)) != flag:
+                raise ValueError(f"{flag} and {other} name the same file {path}")
     corpus = load_corpus(args.corpus_file)
     # What would fail every cell fails here, once, before any fit.
     _within_corpus("--ranks", max(args.ranks), corpus, args.corpus_file)
@@ -357,15 +354,8 @@ def run_sweep(args):
     # Each trial's split, drawn once, before any fit.
     splits = [split_mask(corpus.n_docs, args.train_fraction, args.base_seed + t,
                          len(labels.label_names)) for t in range(args.trials)]
-    payload = {
-        # The checked wrappers, so no cell checks X, Y or Z again.
-        "corpus": corpus,
-        "seeds": seeds,
-        "labels": labels,
-        "splits": splits,
-        "metric": args.metric,
-        "n_top": args.n_top,
-    }
+    evaluate = partial(_sweep_eval, corpus=corpus, seeds=seeds, labels=labels,
+                       splits=splits, metric=args.metric, n_top=args.n_top)
     # The cells are split into one contiguous share per worker; each share
     # is packed into fit_cells batches.
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -374,12 +364,14 @@ def run_sweep(args):
     batches = [batch for i in range(workers) for batch in _batches(
         cells[i * len(cells) // workers:(i + 1) * len(cells) // workers])]
     if workers > 1:
-        # Imported here: the pool machinery would slow every command's start.
+        # One worker stays in the main thread: through a pool of one, sweep_grid
+        # (seed 11, 2 CPUs, 1 BLAS thread) peaked at 44.7 MB of RSS, not 43.0, and a
+        # SIGINT ended a 128-cell sweep after the batch in hand: 0.8 s, not 0.03 s.
         from concurrent.futures import ThreadPoolExecutor
         from threading import Lock
 
         # numpy releases the GIL in the X products, so threads that share
-        # the payload fit in parallel. ``failed`` is the smallest index of
+        # the inputs fit in parallel. ``failed`` is the smallest index of
         # a batch that raised: no worker fits a batch after it, whose rows
         # would never be read. A batch before it still runs, and may fail
         # first.
@@ -390,7 +382,7 @@ def run_sweep(args):
             if failed < index:
                 return None
             try:
-                return _sweep_eval(payload, batch)
+                return evaluate(batch)
             except Exception:
                 with lock:
                     failed = min(failed, index)
@@ -399,7 +391,7 @@ def run_sweep(args):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run, range(len(batches)), batches))
     else:
-        done = [_sweep_eval(payload, batch) for batch in batches]
+        done = [evaluate(batch) for batch in batches]
     # The pool and the loop consume the batches in row order, so the rows
     # are in row order and the first failing cell in that order raises.
     # No batch after a failed one is read.
@@ -680,9 +672,11 @@ def build_parser():
     sp.add_argument("--n-top", type=_n_top, default=30)
     _add_fit_flags(sp)
     sp.add_argument("--jobs", type=_count, default=1,
-                    help="worker threads (>= 1; capped at the number of "
-                         "cells and the CPUs this process may run on); "
-                         "output is identical for any value")
+                    help="worker threads (>= 1; capped at the number of cells and "
+                         "the CPUs this process may run on); output is identical "
+                         "for any value. Above 1, set OPENBLAS_NUM_THREADS=1 or your "
+                         "BLAS's equivalent: unset, --jobs 2 took 2.02 s to --jobs "
+                         "1's 1.20 s on a paper-size sweep with 2 CPUs")
     sp.set_defaults(func=run_sweep)
 
     sp = sub.add_parser("plot-heatmap", help="SVG heatmap from a sweep mean CSV")

@@ -129,13 +129,13 @@ def _queue(tmp, path) -> None:
     ``tmp`` None, removed.
 
     A path the batch already writes or removes, under any name, is refused:
-    its two writes would share one temporary. So is a file read in the
-    enclosing ``keep_inputs`` block.
+    its two writes would share one temporary. So is a path ``refuse_output``
+    refuses, given the files read in the enclosing ``keep_inputs`` block.
     """
     pending, real = _batch.get(), os.path.realpath(path)
     if any(os.path.realpath(other) == real for _, other in pending):
         raise ValueError(f"{path}: two outputs name this file")
-    refuse_input(path, _inputs.get())
+    refuse_output(path, _inputs.get(), written=tmp is not None)
     pending.append((tmp, path))
 
 
@@ -149,8 +149,13 @@ def file_id(file):
     return st.st_dev, st.st_ino
 
 
-def refuse_input(path, inputs) -> None:
-    """Refuse an output ``path`` naming a file whose ``file_id`` is in ``inputs``."""
+def refuse_output(path, inputs, written=True) -> None:
+    """Refuse an output ``path`` that names a directory, a file whose ``file_id`` is
+    in ``inputs`` or, ``written``, a file in a directory that does not exist."""
+    if os.path.isdir(path or "."):
+        raise ValueError(f"{path}: an output names a directory")
+    if written and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"{path}: its directory does not exist")
     if inputs and (key := file_id(path)) is not None and key in inputs:
         raise ValueError(f"{path}: an output names an input of this command")
 

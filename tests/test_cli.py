@@ -940,6 +940,37 @@ def test_sweep_outputs_naming_one_file_exit_2_before_any_input(
     assert (out / "sweep.csv").read_bytes() == b"old rows\n"
 
 
+@pytest.mark.parametrize("flag", ["--out", "--out-mean", "--best-by-lambda"])
+@pytest.mark.parametrize("name, message", [
+    ("taken", "an output names a directory"),
+    ("nodir/x.csv", "its directory does not exist"),
+])
+def test_sweep_output_it_cannot_write_exits_2_before_any_input(
+        workspace, tmp_path, monkeypatch, capsys, flag, name, message):
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "load_corpus", no_read)
+    monkeypatch.setattr(cli, "fit_cells", no_read)
+    out = tmp_path / "out"
+    (out / "taken").mkdir(parents=True)
+    path = str(out / name)
+    assert main(_sweep_args(workspace, out, extra=(flag, path))) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert [p.name for p in out.rglob("*")] == ["taken"]
+
+
+def test_rank_scan_out_naming_a_directory_exits_2_and_leaves_no_temporary(
+        workspace, capsys):
+    out = workspace["root"] / "scan"
+    out.mkdir()
+    assert main(["rank-scan", str(workspace["corpus_file"]), "--top", "2",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out}: an output names a directory\n"
+    assert list(out.iterdir()) == []
+    assert list(workspace["root"].rglob("*.tmp")) == []
+
+
 def test_coherence_out_and_table_naming_one_file_write_neither(workspace, capsys):
     model = workspace["root"] / "model"
     assert main(["factorize", str(workspace["corpus_file"]), "--out", str(model),
@@ -1055,9 +1086,9 @@ def test_sweep_rows_do_not_depend_on_batching(workspace, tmp_path, monkeypatch,
                                               metric):
     real, batches = cli._sweep_eval, []
 
-    def spy(payload, batch):
+    def spy(batch, **inputs):
         batches.append([(config.rank, trial) for config, trial in batch])
-        return real(payload, batch)
+        return real(batch, **inputs)
 
     monkeypatch.setattr(cli, "_sweep_eval", spy)
     extra = ("--ranks", "1,2", "--metric", metric, "--n-top", "4")
@@ -1127,6 +1158,32 @@ def test_sweep_jobs_are_capped_by_the_cpus_this_process_may_run_on(
     assert main(_sweep_args(workspace, serial)) == 0
     assert main(_sweep_args(workspace, capped, extra=("--jobs", "2"))) == 0
     assert (serial / "sweep.csv").read_bytes() == (capped / "sweep.csv").read_bytes()
+
+
+def test_sweep_pool_has_one_worker_per_cpu_this_process_may_run_on(
+        workspace, tmp_path, monkeypatch):
+    import concurrent.futures
+
+    real, sizes = concurrent.futures.ThreadPoolExecutor, []
+
+    class RecordedPool(real):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
+    serial, capped = tmp_path / "serial", tmp_path / "capped"
+    serial.mkdir()
+    capped.mkdir()
+    assert main(_sweep_args(workspace, serial)) == 0
+    assert sizes == []
+    assert main(_sweep_args(workspace, capped, extra=("--jobs", "5"))) == 0
+    assert sizes == [2]
+    for name in ("sweep.csv", "sweep.mean.csv"):
+        assert (serial / name).read_bytes() == (capped / name).read_bytes()
 
 
 def test_sweep_split_fault_exits_2_before_any_fit(workspace, tmp_path, monkeypatch,

@@ -366,11 +366,12 @@ def test_write_batch_commits_all_or_nothing(tmp_path, monkeypatch):
 
 
 def test_write_batch_removes_temporaries_when_a_rename_fails(tmp_path):
-    (tmp_path / "dir.csv").mkdir()
     with pytest.raises(OSError):
         with write_batch():
             save_matrix_csv(np.ones((1, 1)), tmp_path / "dir.csv")
             save_matrix_csv(np.ones((1, 1)), tmp_path / "b.csv")
+            # After the path was checked: its rename fails.
+            (tmp_path / "dir.csv").mkdir()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.csv"]
     assert not any((tmp_path / "dir.csv").iterdir())
 
@@ -388,6 +389,30 @@ def test_write_batch_refuses_a_path_written_twice(tmp_path, monkeypatch, second)
                 fh.write("second\n")
     assert (tmp_path / "a.csv").read_text("utf-8") == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "sub"]
+
+
+@pytest.mark.parametrize("path, message", [
+    ("out", "an output names a directory"),
+    ("", "an output names a directory"),
+    ("nodir/a.csv", "its directory does not exist"),
+    ("a.csv/b.csv", "its directory does not exist"),
+])
+def test_write_file_refuses_a_directory_or_a_file_in_none(tmp_path, monkeypatch,
+                                                          path, message):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "a.csv").write_text("old\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=f"^{path}: {message}$"):
+        with write_batch():
+            save_matrix_csv(np.ones((1, 1)), "b.csv")
+            save_matrix_csv(np.ones((1, 1)), path)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.csv", "out"]
+    # A file in no directory is not there to remove; a directory is refused.
+    with write_batch():
+        linalg.remove_file("nodir/a.csv")
+    with pytest.raises(ValueError, match="^out: an output names a directory$"):
+        linalg.remove_file("out")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.csv", "out"]
 
 
 @pytest.mark.parametrize("name", ["a.csv", "./a.csv", "link.csv"])

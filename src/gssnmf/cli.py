@@ -13,8 +13,8 @@ source, before any file but the config is opened. No command writes over
 or removes a file it read.
 
 Exit codes: 0 success, 1 runtime, numeric or out-of-memory failure, 2
-usage or input error; each fault is one ``error: ...`` line on stderr, with
-no usage text.
+usage or input error, 130 interrupted; each fault is one ``error: ...`` line
+on stderr, with no usage text.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ from .textpipe import (
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130
 
 
 def _write_csv(path, header: str, rows) -> None:
@@ -127,6 +128,10 @@ def run_factorize(args):
         raise ValueError("--lambda > 0 requires --seeds FILE")
     if config.mu > 0 and not args.labels:
         raise ValueError("--mu > 0 requires --labels FILE")
+    out = Path(args.out)
+    for path in (out, *out.parents):  # each is a directory, or is made one
+        if os.path.lexists(path) and not path.is_dir():
+            raise ValueError(f"--out {args.out}: {path} is not a directory")
     corpus = load_corpus(args.corpus_file)
 
     seed_matrix = _seed_matrix(args.seeds, corpus.vocab) if args.seeds else None
@@ -707,6 +712,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:  # a write batch has removed its temporaries
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

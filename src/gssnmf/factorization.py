@@ -628,11 +628,8 @@ def load_result(result_dir) -> tuple[FactorizationResult, dict]:
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise ValueError(f"{result_dir}: not a result directory (no manifest.json)")
-    manifest = read_json(manifest_path, "manifest")
-    try:
-        manifest = read_form(manifest, _MANIFEST)
-    except ValueError as exc:
-        raise ValueError(f"{manifest_path}: invalid {exc}") from None
+    manifest = read_form(read_json(manifest_path, "manifest"), _MANIFEST,
+                         f"{manifest_path}: invalid ")
     try:
         config = ModelConfig(**manifest["config"])
     except ValueError as exc:

@@ -348,36 +348,33 @@ _KINDS = {
 }
 
 
-def read_form(value, schema) -> dict:
+def read_form(value, schema, where="") -> dict:
     """``value``, a decoded JSON object, checked against ``schema``.
 
     ``schema`` maps each key to ``(kind, default)``. The kind is a name in
     ``_KINDS`` or, for a nested object, its own schema. The default is an
     absent key's value, or ``REQUIRED``; a None default also admits null.
     An undeclared key is refused. Returns every declared key's value; each
-    fault raises ``ValueError`` naming its key (``config: lam`` inside a
-    nested object)."""
+    fault raises ``ValueError``: ``where``, the caller's file prefix, then
+    its key (``config: lam`` inside a nested object)."""
     if type(value) is not dict:
-        raise ValueError(f"top level: expected an object, got {_shown(value)}")
+        raise ValueError(f"{where}top level: expected an object, got {_shown(value)}")
     for key in value:
         if key not in schema:
             name = key if key.isidentifier() else json.dumps(key)
-            raise ValueError(f"{name}: not a declared key")
+            raise ValueError(f"{where}{name}: not a declared key")
     out = {}
     for key, (kind, default) in schema.items():
         out[key] = item = value.get(key, default)
         if item is REQUIRED:
-            raise ValueError(f"{key}: missing")
+            raise ValueError(f"{where}{key}: missing")
         if item is None and default is None:
             continue
         what, ok = _KINDS["object" if type(kind) is dict else kind]
         if not ok(item):
-            raise ValueError(f"{key}: expected {what}, got {_shown(item)}")
+            raise ValueError(f"{where}{key}: expected {what}, got {_shown(item)}")
         if type(kind) is dict:
-            try:
-                out[key] = read_form(item, kind)
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
+            out[key] = read_form(item, kind, f"{where}{key}: ")
     return out
 
 

@@ -196,11 +196,7 @@ def load_mask(path, n_classes: int, n_docs: int) -> MaskMatrix:
 
     Its shape and its ids are checked before the mask is allocated.
     """
-    obj = read_json(path, "mask file")
-    try:
-        obj = read_form(obj, _MASK)
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed mask file: {exc}") from None
+    obj = read_form(read_json(path, "mask file"), _MASK, f"{path}: malformed mask file: ")
     shape = (obj["n_classes"], obj["n_docs"])
     train_ids, test_ids = obj["train_ids"], obj["test_ids"]
     if shape != (n_classes, n_docs):

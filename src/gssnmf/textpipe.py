@@ -322,15 +322,16 @@ def load_corpus(path) -> CorpusMatrix:
         header = decode_json(first.rstrip("\n"), path, "header")
         if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
             raise ValueError(f"{path}:1: not a corpus file")
-        try:
-            header = read_form(header, _HEADER)
-            if header["version"] != 1:
-                raise ValueError(f"version: expected 1, got {header['version']}")
-            params = header["params"]
-            if params is not None:
+        where = f"{path}:1: malformed header: "
+        header = read_form(header, _HEADER, where)
+        if header["version"] != 1:
+            raise ValueError(f"{where}version: expected 1, got {header['version']}")
+        params = header["params"]
+        if params is not None:
+            try:
                 params = PipelineParams(**params)
-        except ValueError as exc:
-            raise ValueError(f"{path}:1: malformed header: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{where}{exc}") from None
         rows, cols = header["rows"], header["cols"]
         doc_ids, vocab_terms = header["doc_ids"], header["vocab"]
         # Checked before the matrix is allocated from the declared shape.

@@ -400,10 +400,17 @@ def _config(**items):
     (_config(tol=False), "tol"),
     (_config(lam="0.3"), "lam"),
     (_config(rank=None), "rank"),
+    # Forms read_form passes and ModelConfig refuses.
+    (_config(rank=0), "rank"),
+    (_config(max_iters=0), "max_iters"),
+    (_config(eps=0), "eps"),
+    (_config(tol=math.nan), "tol"),
+    (_config(lam=-1), None),  # names both weights
 ], ids=["unknown-config-key", "missing-config", "list", "doc-ids-not-list",
         "negative-rng-seed", "iterations-run-float", "rank-float", "max-iters-float",
         "rng-seed-float", "rank-bool", "lam-bool", "mu-bool", "eps-bool", "tol-bool",
-        "lam-string", "missing-rank"])
+        "lam-string", "missing-rank", "rank-zero", "max-iters-zero", "eps-zero",
+        "tol-nan", "lam-negative"])
 def test_bad_manifest_exits_2_naming_it(workspace, capsys, mangle, key):
     out = workspace["root"] / "model_bad_manifest"
     assert main([
@@ -1038,6 +1045,88 @@ def test_an_output_naming_an_input_exits_2_writing_nothing(
     assert capsys.readouterr().err == (
         f"error: {argv[-1]}: an output names an input of this command\n")
     assert _tree(root) == before
+
+
+@pytest.mark.parametrize("out, blocker", [
+    ("afile", "afile"),
+    ("afile/sub", "afile"),
+    ("corpus.txt", "corpus.txt"),  # the command's own input
+    ("model", None),  # a result directory: reruns write into it
+    ("new/sub/model", None),  # missing parents are made when it is written
+])
+def test_factorize_refuses_an_out_under_a_file_before_reading(
+        pristine, tmp_path, monkeypatch, capsys, out, blocker):
+    root = tmp_path / "ws"
+    shutil.copytree(pristine, root)
+    (root / "afile").write_bytes(b"kept\n")
+    monkeypatch.chdir(root)
+
+    def unread(*args, **kwargs):
+        raise ValueError("an input was read")
+
+    monkeypatch.setattr(cli, "load_corpus", unread)
+    monkeypatch.setattr(cli, "fit", unread)
+    before = _tree(root)
+    capsys.readouterr()
+    assert main(["factorize", "corpus.txt", "--out", out, "--rank", "7"]) == 2
+    err = capsys.readouterr().err
+    if blocker is None:
+        assert err == "error: an input was read\n"
+    else:
+        assert err == f"error: --out {out}: {blocker} is not a directory\n"
+    assert _tree(root) == before
+
+
+def _main_catching_interrupts(argv):
+    """``main(argv)``; an interrupt it lets escape fails the test, not the
+    session."""
+    try:
+        return main(argv)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+
+
+@pytest.mark.parametrize("command", ["sweep-1", "sweep-2", "factorize"])
+def test_an_interrupted_command_ends_with_one_line_and_exit_130(
+        workspace, tmp_path, monkeypatch, capsys, command):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(cli, "fit_cells", interrupt)
+    monkeypatch.setattr(cli, "fit", interrupt)
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "factorize":
+        args = ["factorize", str(workspace["corpus_file"]), "--out",
+                str(out / "model"), "--rank", "2"]
+    else:
+        args = _sweep_args(workspace, out, extra=("--jobs", command[-1]))
+    capsys.readouterr()
+    assert _main_catching_interrupts(args) == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert list(out.iterdir()) == []
+
+
+def test_an_interrupt_while_writing_leaves_no_temporary_and_no_result(
+        workspace, monkeypatch, capsys):
+    out = workspace["root"] / "model"
+    held = []
+
+    def interrupt(*args, **kwargs):
+        held.extend(out.glob("*.tmp"))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "save_mask", interrupt)
+    capsys.readouterr()
+    assert _main_catching_interrupts([
+        "factorize", str(workspace["corpus_file"]), "--out", str(out), "--rank", "2",
+        "--mu", "0.1", "--max-iters", "5", "--labels", str(workspace["labels"])]) == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert held  # the batch held the result's temporaries
+    assert list(out.iterdir()) == []
+    assert list(workspace["root"].rglob("*.tmp")) == []
 
 
 @pytest.mark.parametrize("outputs, named", [

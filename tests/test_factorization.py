@@ -620,12 +620,16 @@ def test_fit_cells_diverging_cell_leaves_the_batch():
         _assert_same_fit(results[i], fit(x, configs[i], y=y, z=z, l=mask))
 
 
-@pytest.mark.parametrize("factor", ["B", "C"])
-def test_fit_cells_divergence_in_b_or_c_is_that_of_fit(factor):
+@pytest.mark.parametrize("factor", ["H", "B", "C"])
+def test_fit_cells_divergence_in_h_b_or_c_is_that_of_fit(factor):
     # B and C are updated even at a zero weight, so an overflowing Y or Z
-    # stops every cell, in the rule of the factor it feeds.
+    # stops every cell, in the rule of the factor it feeds. A mu near the
+    # float maximum overflows the label term of the H rule.
     x, y, z, mask = _labelled_problem(4, 30, 20)
-    if factor == "B":
+    if factor == "H":
+        z = np.ones_like(z)
+        grid = [(lam, 1.7e308) for lam in (0.0, 0.3)]
+    elif factor == "B":
         y[:, 0] = 1.7e308
         grid = [(0.0, mu) for mu in (0.0, 0.05)]
     else:

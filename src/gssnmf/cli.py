@@ -275,11 +275,12 @@ def _topic_coherences(w, vocab: Vocabulary, present, n_top: int):
 # The widest batch of cells a sweep fits at once, as the sum of their
 # ranks; the cells are packed in row order, so one rank and trial's cells
 # may span batches. A cell's share of the two stacked products of X costs
-# less the wider the batch, up to about this width. In ms per rank-7
-# cell, at widths 28 / 56 / 112 / 224 / 448, on a 2-CPU Xeon with one
-# OpenBLAS 0.3.31 thread and X 5% nonzero:
-#   600 x 700     0.389  0.285  0.262  0.224  0.266
-#   700 x 2000    1.49   1.12   0.867  0.751  0.779
+# less the wider the batch, and only a few percent less past this width.
+# In ms per rank-7 cell, in the forms the check picks (median of 5; the
+# last row: earlier forms, min of 3), at widths 28 / 56 / 112 / 224 / 448,
+# on a 2-CPU Xeon with one OpenBLAS 0.3.31 thread and X 5% nonzero:
+#   600 x 700     0.337  0.246  0.218  0.201  0.188
+#   700 x 2000    1.06   0.766  0.686  0.623  0.609
 #   2000 x 7000   18.7   15.9   10.1   8.90   8.63
 _BATCH_WIDTH = 224
 

@@ -66,21 +66,21 @@ products of X are consumed: ``update_w`` takes ``X H^T``, and
 the new W. Between the halves the batch forms each product for all
 running cells at once (``_Products``):
 
-- ``X H^T`` for two or more cells comes as column blocks of one stacked
-  product ``X [H_1; ...; H_B]^T``, and for one cell as ``(H X^T)^T``;
-- ``W^T X`` for two or more cells comes as row blocks of
-  ``(X^T [W_1 ... W_B])^T``, with ``X^T`` a view; for one cell it is
-  ``W^T X``.
+- ``X H^T`` as row blocks of ``[H_1; ...; H_B] X^T``, each transposed,
+  else as column blocks of ``X [H_1; ...; H_B]^T``;
+- ``W^T X`` as row blocks of ``[W_1 ... W_B]^T X``, else of
+  ``(X^T [W_1 ... W_B])^T``, with ``X^T`` a view.
 
+One cell is a stack of one: its first forms are ``(H X^T)^T`` and ``W^T X``.
 Each block is as wide as its cell's rank. The wider the stacked product,
 the less each cell's share costs, so a sweep packs many cells into one
 batch. These forms sum in another order than the per-cell products
 ``X H^T`` and ``W^T X`` for some shapes under some BLAS builds. So each
-(product, block widths) pair is compared ``==`` with the per-cell
-products once, on its first use. A pair that mismatches stacks each of
-its widths apart, under a check of its own, or, of one width, keeps the
-per-cell products. Every cell's factors and traces are therefore bitwise
-those of its own ``fit``.
+(product, block widths) key keeps the first form, in the order above,
+whose blocks ``==`` the per-cell products on the key's first use. A key
+that no form matched stacks each of its widths apart, under a check of
+its own, or, of one width, keeps the per-cell products. Every cell's
+factors and traces are therefore bitwise those of its own ``fit``.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -285,67 +286,64 @@ def _blocks_equal(stacked, singles) -> bool:
     return all(np.array_equal(s, t) for s, t in zip(stacked, singles))
 
 
-def _xht_blocks(x, hs):
-    """``X H_i^T`` for each H: ``(H X^T)^T`` alone, else ``X [H_1; ...]^T`` split."""
-    if len(hs) == 1:
-        return [(hs[0] @ x.T).T]
-    stacked = x @ np.concatenate(hs).T
-    return np.split(stacked, np.cumsum([len(h) for h in hs])[:-1], axis=1)
+def _blocks(stacked, factors, axis):
+    """Row blocks of ``stacked``, one as tall as each factor's rank."""
+    widths = [f.shape[axis] for f in factors]
+    return [stacked[end - k:end] for k, end in zip(widths, accumulate(widths))]
 
 
-def _wtx_blocks(x, ws):
-    """``W_i^T X`` for each W as blocks of ``(X^T [W_1 ...])^T``; None for one W."""
-    if len(ws) < 2:
-        return None
-    stacked = (x.T @ np.concatenate(ws, axis=1)).T
-    return np.split(stacked, np.cumsum([w.shape[1] for w in ws])[:-1])
+# Each product's stacked forms of every H or W, in the order they are tried.
+_XHT_FORMS = (lambda x, hs: [b.T for b in _blocks(np.concatenate(hs) @ x.T, hs, 0)],
+              lambda x, hs: [b.T for b in _blocks((x @ np.concatenate(hs).T).T, hs, 0)])
+_WTX_FORMS = (lambda x, ws: _blocks(np.concatenate(ws, axis=1).T @ x, ws, 1),
+              lambda x, ws: _blocks((x.T @ np.concatenate(ws, axis=1)).T, ws, 1))
 
 
 class _Products:
     """``X H_i^T`` and ``W_i^T X`` for the factors of every running cell.
 
     Each product has a reference form per cell (``X H^T``, ``W^T X``) and
-    a faster form for the whole batch (``_xht_blocks``, ``_wtx_blocks``).
-    BLAS may sum the faster form in another order, so a (product, widths)
-    pair, with the widths the tuple of the cells' ranks in batch order,
-    uses it only after its blocks compared ``==`` with the reference
-    products. That check runs on the pair's first use; until it passed,
-    every cell gets its reference product. After a mismatch, a pair of
-    several widths stacks the cells of each width apart, and a pair of
-    one width keeps the reference products for good. No two cells share
-    a factor array, so each reference product is formed once per cell.
+    a tuple of stacked forms for the whole batch (``_XHT_FORMS``,
+    ``_WTX_FORMS``); one cell is a stack of one. BLAS may sum a stacked
+    form in another order, so a (product, widths) key, with the widths the
+    tuple of the cells' ranks in batch order, uses the first form whose
+    blocks ``==`` the reference products on the key's first use; until
+    then, every cell gets its reference product. If none matched, a key of
+    several widths stacks the cells of each width apart, and a key of one
+    width keeps the reference products for good. No two cells share a
+    factor array, so each reference product is formed once per cell.
     """
 
     def __init__(self, x):
         self.x = x
-        self.exact = {}  # (form, widths) -> whether the form matched
+        self.form = {}  # (forms, widths) -> the first form that matched, or None
 
     def xht(self, hs):
-        return self._products(_xht_blocks, lambda h: self.x @ h.T, hs, 0)
+        return self._products(_XHT_FORMS, lambda h: self.x @ h.T, hs, 0)
 
     def wtx(self, ws):
-        return self._products(_wtx_blocks, lambda w: w.T @ self.x, ws, 1)
+        return self._products(_WTX_FORMS, lambda w: w.T @ self.x, ws, 1)
 
-    def _products(self, form, reference, factors, axis):
+    def _products(self, forms, reference, factors, axis):
         widths = tuple(f.shape[axis] for f in factors)
-        key = (form, widths)
-        if self.exact.get(key):
+        key = (forms, widths)
+        if (form := self.form.get(key)) is not None:
             return form(self.x, factors)
-        if key in self.exact and len(set(widths)) > 1:
+        if key in self.form and len(set(widths)) > 1:
             # BLAS may sum the own products of some widths in another order
             # (OpenBLAS does for rank 2), so after a mismatch each width
             # gets a stack, and a check, of its own.
             out = [None] * len(factors)
             for width in dict.fromkeys(widths):
                 at = [i for i, k in enumerate(widths) if k == width]
-                products = self._products(form, reference, [factors[i] for i in at], axis)
+                products = self._products(forms, reference, [factors[i] for i in at], axis)
                 for i, product in zip(at, products):
                     out[i] = product
             return out
         singles = [reference(f) for f in factors]
-        if key not in self.exact:
-            blocks = form(self.x, factors)
-            self.exact[key] = blocks is not None and _blocks_equal(blocks, singles)
+        if factors and key not in self.form:  # empty once every cell stopped in W
+            self.form[key] = next((form for form in forms if _blocks_equal(
+                form(self.x, factors), singles)), None)
         return singles
 
 

@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import asdict
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 import pytest
@@ -452,6 +452,7 @@ _GRID = [(lam, mu) for lam in (0.0, 0.3) for mu in (0.0, 0.05)]
     (50, 40, 1.0, 2, 30),
     (50, 40, 1.0, 3, 30),
     (600, 700, 0.05, 7, 3),
+    (700, 2000, 0.12, 7, 3),
 ])
 def test_fit_cells_equal_standalone_fit(d, n, density, rank, iters):
     x, y, z, mask = _labelled_problem(rank, d, n, density)
@@ -519,9 +520,9 @@ def test_fit_cells_without_stacking_still_equal_fit(monkeypatch):
     configs = [ModelConfig(rank=3, lam=lam, mu=mu, max_iters=12, rng_seed=2)
                for lam, mu in _GRID]
     results = fit_cells(x, configs, y=y, z=z, l=mask)
-    # One check per (product, width), on the first iteration; after them
-    # every cell runs on its own products.
-    assert checked == [("xht", 4), ("wtx", 4)]
+    # One check per (product, width), on the first iteration, of each form
+    # in turn; after them every cell runs on its own products.
+    assert checked == [("xht", 4), ("xht", 4), ("wtx", 4), ("wtx", 4)]
     for got, config in zip(results, configs):
         _assert_same_fit(got, fit(x, config, y=y, z=z, l=mask))
 
@@ -540,9 +541,11 @@ def test_fit_cells_stack_each_width_apart_after_a_mixed_mismatch(monkeypatch):
     configs = [ModelConfig(rank=rank, lam=lam, mu=0.05, max_iters=5, rng_seed=3)
                for rank in (2, 3) for lam in (0.0, 0.3)]
     results = fit_cells(x, configs, y=y, z=z, l=mask)
-    assert checked == [("xht", (2, 2, 3, 3)), ("wtx", (2, 2, 3, 3)),
-                       ("xht", (2, 2)), ("xht", (3, 3)),
-                       ("wtx", (2, 2)), ("wtx", (3, 3))]
+    # Both forms of each mixed key mismatch, and so do both of each
+    # rank-2 key; the first form of each rank-3 key matches.
+    assert checked == [("xht", (2, 2, 3, 3))] * 2 + [("wtx", (2, 2, 3, 3))] * 2 + [
+        ("xht", (2, 2)), ("xht", (2, 2)), ("xht", (3, 3)),
+        ("wtx", (2, 2)), ("wtx", (2, 2)), ("wtx", (3, 3))]
     for got, config in zip(results, configs):
         _assert_same_fit(got, fit(x, config, y=y, z=z, l=mask))
 
@@ -566,40 +569,81 @@ def test_fit_cells_stop_each_cell_on_its_own(monkeypatch):
     results = fit_cells(x, configs, y=y, z=z, l=mask)
     stops = [r.iterations for r in results]
     assert len(set(stops)) == 4 and stops[0] == 60
-    # Each (product, width) pair the batch ran at was checked once, on its
-    # first use, whatever the earlier checks found. One W^T X has no other
-    # form, so it has no check.
-    assert checks == [("xht", 4), ("wtx", 4), ("xht", 3), ("wtx", 3),
-                      ("xht", 2), ("wtx", 2), ("xht", 1)]
+    # Each (product, width) key the batch ran at was checked on its first
+    # use, whatever the earlier checks found, and never again. A check
+    # tries the forms in turn, so a key may have several in a row; one cell
+    # is a stack of one, so it has checks too.
+    assert [key for key, _ in groupby(checks)] == [
+        ("xht", 4), ("wtx", 4), ("xht", 3), ("wtx", 3),
+        ("xht", 2), ("wtx", 2), ("xht", 1), ("wtx", 1)]
     for got, config in zip(results, configs):
         _assert_same_fit(got, fit(x, config, y=y, z=z, l=mask))
 
 
 def test_fit_cells_use_stacked_wtx_once_its_width_passed(monkeypatch):
     x, y, z, mask = _labelled_problem(10, 40, 30)
-    real_blocks, real_update = factorization._wtx_blocks, factorization._Cell.update_hbc
+    (first, *rest), real_update = factorization._WTX_FORMS, factorization._Cell.update_hbc
     formed, consumed = [], []
 
     def form(x, ws):
-        formed.append(real_blocks(x, ws))
+        formed.append(first(x, ws))
         return formed[-1]
 
     def update(cell, wtx, iteration):
         consumed.append(wtx)
         return real_update(cell, wtx, iteration)
 
-    monkeypatch.setattr(factorization, "_wtx_blocks", form)
+    monkeypatch.setattr(factorization, "_WTX_FORMS", (form, *rest))
     monkeypatch.setattr(factorization._Cell, "update_hbc", update)
     monkeypatch.setattr(factorization, "_blocks_equal", lambda *blocks: True)
     configs = [ModelConfig(rank=3, lam=lam, mu=mu, max_iters=6, rng_seed=1)
                for lam, mu in _GRID]
     fit_cells(x, configs, y=y, z=z, l=mask)
-    # Formed for the check on the first iteration, whose cells consume
-    # their own products, then consumed on each of the other five.
+    # The first form is formed for the check on the first iteration, whose
+    # cells consume their own products, then consumed on each of the other
+    # five.
     assert [len(blocks) for blocks in formed] == [4] * 6
     assert not any(a is b for a in consumed[:4] for b in formed[0])
     assert all(a is b for a, b in zip(consumed[4:], sum(formed[1:], [])))
     assert len(consumed) == 4 * 6
+
+
+@pytest.mark.parametrize("off", [1, 2])
+def test_fit_cells_skip_a_form_one_ulp_off(monkeypatch, off):
+    # The first ``off`` forms of each product return their blocks moved one
+    # ulp up; the lone fits run on the real forms.
+    x, y, z, mask = _labelled_problem(10, 40, 30)
+    configs = [ModelConfig(rank=3, lam=lam, mu=mu, max_iters=6, rng_seed=1)
+               for lam, mu in _GRID]
+    alone = [fit(x, config, y=y, z=z, l=mask) for config in configs]
+    real, checked, formed = factorization._blocks_equal, [], []
+
+    def spy(stacked, singles):
+        checked.append((_product_name(stacked, x), real(stacked, singles)))
+        return checked[-1][1]
+
+    def counted(name, i, form):
+        def counted_form(x, factors):
+            formed.append((name, i))
+            blocks = form(x, factors)
+            return [np.nextafter(b, np.inf) for b in blocks] if i < off else blocks
+        return counted_form
+
+    for name in ("xht", "wtx"):
+        attr = f"_{name.upper()}_FORMS"
+        forms = getattr(factorization, attr)
+        monkeypatch.setattr(factorization, attr,
+                            tuple(counted(name, i, f) for i, f in enumerate(forms)))
+    monkeypatch.setattr(factorization, "_blocks_equal", spy)
+    results = fit_cells(x, configs, y=y, z=z, l=mask)
+    # One check per product, on the first iteration, of each form in turn
+    # up to the first that matched. The second form serves the other five
+    # iterations; with both off, every cell keeps its own products.
+    assert checked == [("xht", False), ("xht", off == 1), ("wtx", False), ("wtx", off == 1)]
+    first_use = [(name, i) for name in ("xht", "wtx") for i in (0, 1)]
+    assert formed == first_use + [("xht", 1), ("wtx", 1)] * (5 if off == 1 else 0)
+    for got, want in zip(results, alone):
+        _assert_same_fit(got, want)
 
 
 def test_fit_cells_diverging_cell_leaves_the_batch():

@@ -78,9 +78,9 @@ batch. These forms sum in another order than the per-cell products
 ``X H^T`` and ``W^T X`` for some shapes under some BLAS builds. So each
 (product, block widths) key keeps the first form, in the order above,
 whose blocks ``==`` the per-cell products on the key's first use. A key
-that no form matched stacks each of its widths apart, under a check of
-its own, or, of one width, keeps the per-cell products. Every cell's
-factors and traces are therefore bitwise those of its own ``fit``.
+that no form matched is split into two contiguous halves, each a key
+with a check of its own, and a one-cell key keeps the per-cell products.
+So every cell's factors and traces are bitwise those of its own ``fit``.
 """
 
 from __future__ import annotations
@@ -308,9 +308,9 @@ class _Products:
     form in another order, so a (product, widths) key, with the widths the
     tuple of the cells' ranks in batch order, uses the first form whose
     blocks ``==`` the reference products on the key's first use; until
-    then, every cell gets its reference product. If none matched, a key of
-    several widths stacks the cells of each width apart, and a key of one
-    width keeps the reference products for good. No two cells share a
+    then, every cell gets its reference product. If none matched, the
+    stack splits into two contiguous halves, each a key of its own, and a
+    one-cell key keeps the reference products. No two cells share a
     factor array, so each reference product is formed once per cell.
     """
 
@@ -329,17 +329,11 @@ class _Products:
         key = (forms, widths)
         if (form := self.form.get(key)) is not None:
             return form(self.x, factors)
-        if key in self.form and len(set(widths)) > 1:
-            # BLAS may sum the own products of some widths in another order
-            # (OpenBLAS does for rank 2), so after a mismatch each width
-            # gets a stack, and a check, of its own.
-            out = [None] * len(factors)
-            for width in dict.fromkeys(widths):
-                at = [i for i, k in enumerate(widths) if k == width]
-                products = self._products(forms, reference, [factors[i] for i in at], axis)
-                for i, product in zip(at, products):
-                    out[i] = product
-            return out
+        if key in self.form and len(factors) > 1:
+            # No form matched: each half of the stack gets a check of its own.
+            half = len(factors) // 2
+            return (self._products(forms, reference, factors[:half], axis)
+                    + self._products(forms, reference, factors[half:], axis))
         singles = [reference(f) for f in factors]
         if factors and key not in self.form:  # empty once every cell stopped in W
             self.form[key] = next((form for form in forms if _blocks_equal(

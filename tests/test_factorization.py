@@ -520,14 +520,20 @@ def test_fit_cells_without_stacking_still_equal_fit(monkeypatch):
     configs = [ModelConfig(rank=3, lam=lam, mu=mu, max_iters=12, rng_seed=2)
                for lam, mu in _GRID]
     results = fit_cells(x, configs, y=y, z=z, l=mask)
-    # One check per (product, width), on the first iteration, of each form
-    # in turn; after them every cell runs on its own products.
-    assert checked == [("xht", 4), ("xht", 4), ("wtx", 4), ("wtx", 4)]
+    # Each key is checked once, on its first use, of each form in turn. The
+    # 4-cell stack mismatches on the first iteration, so the second checks
+    # its first half (2 cells); that mismatches too, so the second half,
+    # the same key, halves at once, and of its halves only the first
+    # one-cell key is checked. After that every cell runs on its own
+    # products.
+    assert checked == [("xht", 4)] * 2 + [("wtx", 4)] * 2 + [
+        ("xht", 2), ("xht", 2), ("xht", 1), ("xht", 1),
+        ("wtx", 2), ("wtx", 2), ("wtx", 1), ("wtx", 1)]
     for got, config in zip(results, configs):
         _assert_same_fit(got, fit(x, config, y=y, z=z, l=mask))
 
 
-def test_fit_cells_stack_each_width_apart_after_a_mixed_mismatch(monkeypatch):
+def test_fit_cells_halve_a_mixed_stack_into_its_widths(monkeypatch):
     x, y, z, mask = _labelled_problem(12, 60, 50)
     checked = []
 
@@ -541,13 +547,71 @@ def test_fit_cells_stack_each_width_apart_after_a_mixed_mismatch(monkeypatch):
     configs = [ModelConfig(rank=rank, lam=lam, mu=0.05, max_iters=5, rng_seed=3)
                for rank in (2, 3) for lam in (0.0, 0.3)]
     results = fit_cells(x, configs, y=y, z=z, l=mask)
-    # Both forms of each mixed key mismatch, and so do both of each
-    # rank-2 key; the first form of each rank-3 key matches.
+    # Both forms of each mixed key mismatch, so the next iteration halves
+    # it into a rank-2 and a rank-3 stack. Both forms of each rank-2 key
+    # mismatch too, and the iteration after halves it into one-cell keys,
+    # which mismatch as well; the first form of each rank-3 key matches.
     assert checked == [("xht", (2, 2, 3, 3))] * 2 + [("wtx", (2, 2, 3, 3))] * 2 + [
         ("xht", (2, 2)), ("xht", (2, 2)), ("xht", (3, 3)),
-        ("wtx", (2, 2)), ("wtx", (2, 2)), ("wtx", (3, 3))]
+        ("wtx", (2, 2)), ("wtx", (2, 2)), ("wtx", (3, 3)),
+        ("xht", (2,)), ("xht", (2,)), ("wtx", (2,)), ("wtx", (2,))]
     for got, config in zip(results, configs):
         _assert_same_fit(got, fit(x, config, y=y, z=z, l=mask))
+
+
+def test_fit_cells_halve_a_stack_until_it_matches(monkeypatch):
+    x, y, z, mask = _labelled_problem(13, 60, 50)
+    configs = [ModelConfig(rank=rank, lam=0.3, mu=0.05, max_iters=6, rng_seed=seed)
+               for rank, seed in ((3, 1), (4, 1), (3, 2), (4, 2), (2, 1), (2, 2))]
+    alone = [fit(x, config, y=y, z=z, l=mask) for config in configs]
+    checked, formed, consumed = [], [], []
+
+    def equal(stacked, singles):
+        # A BLAS on which only stacks of at most 2 blocks match, and whose
+        # own products of rank-2 factors sum in another order.
+        widths = tuple(min(block.shape) for block in stacked)
+        checked.append((_product_name(stacked, x), widths))
+        return len(widths) <= 2 and 2 not in widths
+
+    def spied(form):
+        def spied_form(x, factors):
+            blocks = form(x, factors)
+            formed.extend(blocks)
+            return blocks
+        return spied_form
+
+    def spied_update(update):
+        def spied_update_step(cell, product, iteration):
+            consumed.append((iteration, configs.index(cell.config), product))
+            return update(cell, product, iteration)
+        return spied_update_step
+
+    for attr in ("_XHT_FORMS", "_WTX_FORMS"):
+        first, *rest = getattr(factorization, attr)
+        monkeypatch.setattr(factorization, attr, (spied(first), *rest))
+    for attr in ("update_w", "update_hbc"):
+        monkeypatch.setattr(factorization._Cell, attr,
+                            spied_update(getattr(factorization._Cell, attr)))
+    monkeypatch.setattr(factorization, "_blocks_equal", equal)
+    results = fit_cells(x, configs, y=y, z=z, l=mask)
+    # Each iteration halves the stacks that mismatched on the one before:
+    # the 6 cells, then 3 and 3, then 1 and 2 of each. A half of the same
+    # widths as one already checked is that key, and is not checked again.
+    # The one-cell rank-2 key matches nothing: it is checked on the fourth
+    # iteration, of both forms, and never again.
+    steps = [[(3, 4, 3, 4, 2, 2)] * 2, [(3, 4, 3)] * 2 + [(4, 2, 2)] * 2,
+             [(3,), (4, 3), (4,), (2, 2), (2, 2)], [(2,)] * 2]
+    assert checked == [(name, widths) for step in steps for name in ("xht", "wtx")
+                       for widths in step]
+    # The halves that matched on the third iteration consume their stacked
+    # form from the fourth on, for both products; the rank-2 cells consume
+    # their own products throughout.
+    stacked = [(i, cell) for i, cell, product in consumed
+               if any(product is block for block in formed)]
+    assert sorted(stacked) == sorted([(i, cell) for i in range(4, 7)
+                                      for cell in range(4)] * 2)
+    for got, want in zip(results, alone):
+        _assert_same_fit(got, want)
 
 
 def test_fit_cells_stop_each_cell_on_its_own(monkeypatch):
@@ -636,12 +700,21 @@ def test_fit_cells_skip_a_form_one_ulp_off(monkeypatch, off):
                             tuple(counted(name, i, f) for i, f in enumerate(forms)))
     monkeypatch.setattr(factorization, "_blocks_equal", spy)
     results = fit_cells(x, configs, y=y, z=z, l=mask)
-    # One check per product, on the first iteration, of each form in turn
-    # up to the first that matched. The second form serves the other five
-    # iterations; with both off, every cell keeps its own products.
-    assert checked == [("xht", False), ("xht", off == 1), ("wtx", False), ("wtx", off == 1)]
+    # One check per key, on its first use, of each form in turn up to the
+    # first that matched. With one form off, the second matches the 4-cell
+    # stack on the first iteration and serves the other five.
     first_use = [(name, i) for name in ("xht", "wtx") for i in (0, 1)]
-    assert formed == first_use + [("xht", 1), ("wtx", 1)] * (5 if off == 1 else 0)
+    if off == 1:
+        assert checked == [("xht", False), ("xht", True), ("wtx", False), ("wtx", True)]
+        assert formed == first_use + [("xht", 1), ("wtx", 1)] * 5
+    else:
+        # With both off, no stack matches: the second iteration checks a
+        # 2-cell half and then a one-cell half of each product, and every
+        # cell keeps its own products.
+        assert checked == [(name, False) for name in ("xht",) * 2 + ("wtx",) * 2
+                           + ("xht",) * 4 + ("wtx",) * 4]
+        assert formed == first_use + [(name, i) for name in ("xht", "wtx")
+                                      for i in (0, 1, 0, 1)]
     for got, want in zip(results, alone):
         _assert_same_fit(got, want)
 

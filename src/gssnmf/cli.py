@@ -274,14 +274,12 @@ def _topic_coherences(w, vocab: Vocabulary, present, n_top: int):
 
 # The widest batch of cells a sweep fits at once, as the sum of their
 # ranks; the cells are packed in row order, so one rank and trial's cells
-# may span batches. A cell's share of the two stacked products of X costs
-# less the wider the batch, and only a few percent less past this width.
-# In ms per rank-7 cell, in the forms the check picks (median of 5; the
-# last row: earlier forms, min of 3), at widths 28 / 56 / 112 / 224 / 448,
-# on a 2-CPU Xeon with one OpenBLAS 0.3.31 thread and X 5% nonzero:
-#   600 x 700     0.337  0.246  0.218  0.201  0.188
-#   700 x 2000    1.06   0.766  0.686  0.623  0.609
-#   2000 x 7000   18.7   15.9   10.1   8.90   8.63
+# may span batches. The cap bounds the memory a batch's stacked factors
+# and products hold. On an 80-cell sweep of a 700 x 2000 corpus (ranks 6
+# and 7, 10 trials, --jobs 1, one OpenBLAS thread on a 2-CPU Xeon), with
+# rows identical either way:
+#   width 224     4.6-5.3 s   67.4-67.6 MB peak RSS
+#   unbounded     4.0-5.0 s   83.7-83.8 MB
 _BATCH_WIDTH = 224
 
 def _batches(cells) -> list[list]:

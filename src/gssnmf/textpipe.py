@@ -21,11 +21,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from importlib import resources
+from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -36,6 +36,7 @@ from .linalg import (
     Matrix,
     as_matrix,
     decode_json,
+    file_id,
     nonnegative,
     open_text,
     read_entries,
@@ -209,17 +210,13 @@ def build_corpus(docs: list[tuple[str, str]], params: PipelineParams) -> CorpusM
     counts = [Counter(preprocess(text, params.stopwords, stem)) for _, text in docs]
     n = len(docs)
 
-    df: Counter[str] = Counter()
-    totals: Counter[str] = Counter()
-    for doc_counts in counts:
-        df.update(doc_counts.keys())
-        totals.update(doc_counts)
-
+    df = Counter(chain.from_iterable(counts))
     kept = [
         t for t in df
         if not (df[t] > params.max_df * n or df[t] < params.min_df * n)
     ]
     if params.max_features is not None and len(kept) > params.max_features:
+        totals = Counter(chain.from_iterable(c.elements() for c in counts))
         kept.sort(key=lambda t: (-totals[t], t))
         kept = kept[: params.max_features]
     terms = sorted(kept)
@@ -256,24 +253,22 @@ def doc_token_sets(corpus: CorpusMatrix) -> list[set[str]]:
 def read_corpus_dir(root, exclude=()) -> list[tuple[str, str]]:
     """Load every regular ``.txt`` file under ``root`` (recursively), UTF-8.
 
-    Files that are one of the paths in ``exclude`` (say, an ingest's own
-    output and stopword list) are left out. Document ids are file paths
-    relative to ``root``, sorted lexicographically; this fixes the matrix
-    column order.
+    Files that are one of the files in ``exclude``, under any name (say,
+    an ingest's own output and stopword list), are left out. Document ids
+    are file paths relative to ``root``, sorted lexicographically; this
+    fixes the matrix column order.
     """
     rootp = Path(root)
     if not rootp.is_dir():
         raise ValueError(f"corpus directory not found: {root}")
-    skip = {os.path.realpath(p) for p in exclude}
-    paths = sorted((p for p in rootp.rglob("*.txt")
-                    if p.is_file() and os.path.realpath(p) not in skip),
-                   key=lambda p: p.relative_to(rootp).as_posix())
-    return [(p.relative_to(rootp).as_posix(), _read_text(p)) for p in paths]
-
-
-def _read_text(path) -> str:
-    with open_text(path) as fh:
-        return fh.read()
+    skip = {file_id(p) for p in exclude}
+    named = sorted((p.relative_to(rootp).as_posix(), p) for p in rootp.rglob("*.txt")
+                   if p.is_file() and file_id(p) not in skip)
+    docs = []
+    for doc_id, p in named:
+        with open_text(p) as fh:
+            docs.append((doc_id, fh.read()))
+    return docs
 
 
 # ---------------------------------------------------------------------------

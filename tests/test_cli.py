@@ -107,6 +107,11 @@ def test_ingest_into_its_own_corpus_dir_is_repeatable(workspace, capsys):
     assert "documents=20" in summaries[0]
     assert files[0] == files[1]
     assert "corpus.txt" not in load_corpus(out).doc_ids
+    # A hard link to the output is the output, not a document.
+    os.link(out, docs / "linked.txt")
+    assert main(["ingest", str(docs), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == summaries[0]
+    assert out.read_bytes() == files[0]
 
 
 def test_ingest_leaves_out_a_stopword_file_in_its_corpus_dir(workspace):

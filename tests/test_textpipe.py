@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 import re
 import string
 import tracemalloc
@@ -266,13 +267,15 @@ def test_read_corpus_dir_leaves_out_excluded_paths(tmp_path, monkeypatch):
     (tmp_path / "sub").mkdir()
     for name in ("a.txt", "out.txt", "sub/stop.txt"):
         (tmp_path / name).write_text(name, encoding="utf-8")
+    os.link(tmp_path / "out.txt", tmp_path / "sub" / "linked.txt")
     monkeypatch.chdir(tmp_path / "sub")
-    # Relative, absolute and roundabout spellings of the same files.
+    # Relative, absolute and roundabout spellings of the same files, and a
+    # hard link to one of them under another name.
     docs = read_corpus_dir(tmp_path, ["../out.txt", str(tmp_path / "sub" / "stop.txt"),
                                       str(tmp_path / "missing.txt")])
     assert docs == [("a.txt", "a.txt")]
     assert [d for d, _ in read_corpus_dir(tmp_path, [])] == [
-        "a.txt", "out.txt", "sub/stop.txt"]
+        "a.txt", "out.txt", "sub/linked.txt", "sub/stop.txt"]
 
 
 def test_save_load_round_trip(tmp_path):

@@ -53,7 +53,6 @@ from .linalg import (
     read_json,
     read_rows,
     refuse_output,
-    remove_file,
     singular_values,
     write_batch,
     write_file,
@@ -64,7 +63,6 @@ from .supervision import (
     load_label_assignments,
     load_mask,
     load_seed_words,
-    save_mask,
     split_mask,
 )
 from .textpipe import (
@@ -97,7 +95,8 @@ def _write_csv(path, header: str, rows) -> None:
 def run_ingest(args):
     params = PipelineParams(max_df=args.max_df, min_df=args.min_df,
                             max_features=args.max_features)
-    if args.stopwords:  # read only once the flags have passed
+    refuse_output(args.out, {file_id(p) for p in (args.stopwords, args.config) if p})
+    if args.stopwords:  # read only once the flags and --out have passed
         params = replace(params, stopwords=load_stopwords(args.stopwords))
     docs = read_corpus_dir(args.corpus_dir, filter(None, (args.out, args.stopwords)))
     if not docs:
@@ -148,12 +147,8 @@ def run_factorize(args):
         )
 
     result = fit(corpus, config, y=seed_matrix, z=labels, l=mask)
-    with write_batch():
-        save_result(result, args.out, doc_ids=corpus.doc_ids, label_names=label_names)
-        if mask is None:  # an earlier fit's split would score this fit
-            remove_file(Path(args.out) / "mask.json")
-        else:
-            save_mask(mask, Path(args.out) / "mask.json")
+    save_result(result, args.out, doc_ids=corpus.doc_ids, label_names=label_names,
+                mask=mask)
 
     losses = result.final_losses
     print(
@@ -339,7 +334,8 @@ def run_sweep(args):
              for rank in sorted(args.ranks) for lam in sorted(args.lambda_grid)
              for mu in sorted(args.mu_grid) for trial in range(args.trials)]
     out_mean = args.out_mean or str(Path(args.out).with_suffix(".mean.csv"))
-    inputs = {file_id(p) for p in (args.corpus_file, args.labels_file, args.seeds_file)}
+    inputs = {file_id(p) for p in (args.corpus_file, args.labels_file, args.seeds_file,
+                                   args.config) if p}
     named = {}
     for flag, path in (("--out", args.out), ("--out-mean", out_mean),
                        ("--best-by-lambda", args.best_by_lambda)):

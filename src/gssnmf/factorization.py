@@ -110,7 +110,7 @@ from .linalg import (
     write_file,
     write_rows,
 )
-from .supervision import LabelMatrix, MaskMatrix, SeedMatrix
+from .supervision import LabelMatrix, MaskMatrix, SeedMatrix, save_mask
 from .textpipe import CorpusMatrix, Vocabulary
 
 
@@ -566,7 +566,7 @@ def _top_keywords(w: Matrix, vocab: Vocabulary, topic: int, n_top: int):
 
 
 # ---------------------------------------------------------------------------
-# Result directory: one CSV per factor, a loss trace, and a JSON manifest.
+# Result directory: one CSV per factor, a loss trace, a JSON manifest, the split.
 # ---------------------------------------------------------------------------
 
 def save_result(
@@ -574,7 +574,14 @@ def save_result(
     out_dir,
     doc_ids: list[str] | None = None,
     label_names: list[str] | None = None,
+    mask: MaskMatrix | None = None,
 ) -> None:
+    """Write ``result`` into ``out_dir``, made if missing, as one ``write_batch``:
+    ``w.csv``, ``h.csv``, ``trace.csv`` and ``manifest.json``; ``b.csv`` and
+    ``c.csv`` if the result has B and C; ``mask.json``, through ``save_mask``,
+    if given the ``mask`` it was fit on. Each of the last three that it does
+    not write it removes: an earlier fit's file would load as this one's.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -587,7 +594,7 @@ def save_result(
     with write_batch():
         for name, a in (("w", result.w), ("h", result.h), ("b", result.b),
                         ("c", result.c)):
-            if a is None:  # an earlier fit's factor would load as this one's
+            if a is None:
                 remove_file(out / f"{name}.csv")
             else:
                 save_matrix_csv(a, out / f"{name}.csv")
@@ -600,6 +607,10 @@ def save_result(
         with write_file(out / "manifest.json") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
+        if mask is None:
+            remove_file(out / "mask.json")
+        else:
+            save_mask(mask, out / "mask.json")
 
 
 # The manifest ``save_result`` writes, declared for ``read_form``. Every

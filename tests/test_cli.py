@@ -135,6 +135,32 @@ def test_ingest_checks_flags_before_reading_the_stopword_file(workspace, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out, fault", [
+    ("nodir/c.txt", "its directory does not exist"),
+    ("docs", "an output names a directory"),
+    ("stop.txt", "an output names an input of this command"),
+    ("cfg.json", "an output names an input of this command"),
+], ids=["missing-dir", "directory", "stopwords", "config"])
+def test_ingest_refuses_its_out_before_reading(workspace, monkeypatch, capsys, out,
+                                               fault):
+    root = workspace["root"]
+    (root / "stop.txt").write_text("courtx\n", "utf-8")
+    (root / "cfg.json").write_text('{"min-df": 0.0}\n', "utf-8")
+    monkeypatch.chdir(root)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "read_corpus_dir", unread)
+    monkeypatch.setattr(cli, "load_stopwords", unread)
+    before = _tree(root)
+    capsys.readouterr()
+    assert main(["ingest", "docs", "--out", out, "--stopwords", "stop.txt",
+                 "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err == f"error: {out}: {fault}\n"
+    assert _tree(root) == before
+
+
 def test_rank_scan_known_spectrum(tmp_path):
     # corpus file written directly around a diagonal-like matrix
     from gssnmf.textpipe import CorpusMatrix, Vocabulary, save_corpus
@@ -1116,6 +1142,8 @@ def test_an_interrupted_command_ends_with_one_line_and_exit_130(
 
 def test_an_interrupt_while_writing_leaves_no_temporary_and_no_result(
         workspace, monkeypatch, capsys):
+    from gssnmf import factorization
+
     out = workspace["root"] / "model"
     held = []
 
@@ -1123,7 +1151,7 @@ def test_an_interrupt_while_writing_leaves_no_temporary_and_no_result(
         held.extend(out.glob("*.tmp"))
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "save_mask", interrupt)
+    monkeypatch.setattr(factorization, "save_mask", interrupt)
     capsys.readouterr()
     assert _main_catching_interrupts([
         "factorize", str(workspace["corpus_file"]), "--out", str(out), "--rank", "2",
@@ -1140,12 +1168,14 @@ def test_an_interrupt_while_writing_leaves_no_temporary_and_no_result(
     # --out-mean's default, the --out path with the suffix .mean.csv.
     (["--out", "seeds.csv"], "seeds.mean.csv"),
     (["--out", "s.csv", "--best-by-lambda", "seeds.mean.csv"], "seeds.mean.csv"),
-], ids=["out", "out-mean", "out-mean-default", "best-by-lambda"])
+    (["--out", "cfg.json", "--config", "cfg.json"], "cfg.json"),
+], ids=["out", "out-mean", "out-mean-default", "best-by-lambda", "config"])
 def test_sweep_refuses_an_output_naming_an_input_before_reading(
         pristine, tmp_path, monkeypatch, capsys, outputs, named):
     root = tmp_path / "ws"
     shutil.copytree(pristine, root)
     shutil.move(root / "seeds.txt", root / "seeds.mean.csv")
+    (root / "cfg.json").write_text('{"trials": 1}\n', "utf-8")
     monkeypatch.chdir(root)
 
     def unread(*args, **kwargs):
@@ -1841,6 +1871,8 @@ def test_a_byte_order_mark_is_read_as_no_character(workspace, tmp_path, kind):
 
 
 def test_failed_factorize_leaves_the_old_model(pristine, tmp_path, monkeypatch, capsys):
+    from gssnmf import factorization
+
     root = tmp_path / "ws"
     shutil.copytree(pristine, root)
     model = root / "model"
@@ -1851,7 +1883,7 @@ def test_failed_factorize_leaves_the_old_model(pristine, tmp_path, monkeypatch, 
             fh.write("{")
             raise OSError("disk full")
 
-    monkeypatch.setattr(cli, "save_mask", failing_save_mask)
+    monkeypatch.setattr(factorization, "save_mask", failing_save_mask)
     # Another seed, so every file of the new model would differ.
     assert main([
         "factorize", str(root / "corpus.txt"), "--out", str(model),

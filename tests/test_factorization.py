@@ -21,7 +21,7 @@ from gssnmf.factorization import (
     save_result,
     top_keywords,
 )
-from gssnmf.supervision import LabelMatrix, MaskMatrix, SeedMatrix, split_mask
+from gssnmf.supervision import LabelMatrix, MaskMatrix, SeedMatrix, save_mask, split_mask
 from gssnmf.textpipe import CorpusMatrix, Vocabulary
 
 
@@ -863,6 +863,24 @@ def test_result_round_trip(tmp_path):
     trace.write_text("step" + trace.read_text("utf-8"), "utf-8")
     with pytest.raises(ValueError, match=f"^{trace}:1: unexpected header$"):
         load_result(tmp_path / "run")
+
+
+def test_save_result_writes_the_split_and_removes_a_stale_one(tmp_path):
+    rng = np.random.default_rng(9)
+    x = rng.random((10, 8))
+    z = np.zeros((2, 8))
+    z[rng.integers(0, 2, 8), np.arange(8)] = 1.0
+    mask = split_mask(8, 0.7, rng_seed=4, n_classes=2)
+    run = tmp_path / "run"
+    save_result(fit(x, ModelConfig(rank=2, mu=0.2, max_iters=5), z=z, l=mask), run,
+                label_names=["a", "b"], mask=mask)
+    save_mask(mask, tmp_path / "mask.json")
+    assert (run / "mask.json").read_bytes() == (tmp_path / "mask.json").read_bytes()
+    # An unsupervised fit into the same directory leaves none of the
+    # supervised fit's C or split to score it by.
+    save_result(fit(x, ModelConfig(rank=2, max_iters=5)), run)
+    assert sorted(p.name for p in run.iterdir()) == [
+        "h.csv", "manifest.json", "trace.csv", "w.csv"]
 
 
 def test_initial_factors_draw_order_is_stable():

@@ -9,8 +9,10 @@ precedence; its values are parsed as the same text given to the flag. The
 command's parser reads ``--config`` from the command's own arguments and
 installs the file's values before it parses them, so argparse checks each
 flag's own bounds and that every required flag is given, from either
-source, before any file but the config is opened. No command writes over
-or removes a file it read.
+source, before any file but the config is opened. Each command runs in
+one ``write_batch`` that names its output and input files, the config
+among them, and so refuses an output it cannot write before it reads any
+input; no command writes over or removes a file it read.
 
 Exit codes: 0 success, 1 runtime, numeric or out-of-memory failure, 2
 usage or input error, 130 interrupted; each fault is one ``error: ...`` line
@@ -47,12 +49,9 @@ from .factorization import (
     save_result,
 )
 from .linalg import (
-    file_id,
-    keep_inputs,
     open_text,
     read_json,
     read_rows,
-    refuse_output,
     singular_values,
     write_batch,
     write_file,
@@ -95,13 +94,15 @@ def _write_csv(path, header: str, rows) -> None:
 def run_ingest(args):
     params = PipelineParams(max_df=args.max_df, min_df=args.min_df,
                             max_features=args.max_features)
-    refuse_output(args.out, {file_id(p) for p in (args.stopwords, args.config) if p})
-    if args.stopwords:  # read only once the flags and --out have passed
-        params = replace(params, stopwords=load_stopwords(args.stopwords))
-    docs = read_corpus_dir(args.corpus_dir, filter(None, (args.out, args.stopwords)))
-    if not docs:
-        raise ValueError("no documents")
-    corpus = build_corpus(docs, params)
+    with write_batch([args.out], [args.stopwords, args.config]):
+        if args.stopwords:  # read only once the flags and --out have passed
+            params = replace(params, stopwords=load_stopwords(args.stopwords))
+        docs = read_corpus_dir(args.corpus_dir,
+                               filter(None, (args.out, args.stopwords)))
+        if not docs:
+            raise ValueError("no documents")
+        corpus = build_corpus(docs, params)
+    # After the batch, so that the file is in place when save_corpus returns.
     save_corpus(corpus, args.out)
     density = float(np.count_nonzero(corpus.x)) / corpus.x.size
     print(
@@ -111,10 +112,11 @@ def run_ingest(args):
 
 
 def run_rank_scan(args):
-    corpus = load_corpus(args.corpus_file)
-    _within_corpus("--top", args.top, corpus, args.corpus_file)
-    spectrum = singular_values(corpus.x, args.top)
-    _write_csv(args.out, "index,singular_value", enumerate(spectrum, start=1))
+    with write_batch([args.out], [args.corpus_file, args.config]):
+        corpus = load_corpus(args.corpus_file)
+        _within_corpus("--top", args.top, corpus, args.corpus_file)
+        spectrum = singular_values(corpus.x, args.top)
+        _write_csv(args.out, "index,singular_value", enumerate(spectrum, start=1))
     print(f"wrote {args.out} ({args.top} singular values, "
           f"largest={spectrum[0]:.6g})")
 
@@ -131,24 +133,26 @@ def run_factorize(args):
     for path in (out, *out.parents):  # each is a directory, or is made one
         if os.path.lexists(path) and not path.is_dir():
             raise ValueError(f"--out {args.out}: {path} is not a directory")
-    corpus = load_corpus(args.corpus_file)
+    # A result directory is no file output: its files are checked as written.
+    with write_batch((), [args.corpus_file, args.seeds, args.labels, args.config]):
+        corpus = load_corpus(args.corpus_file)
 
-    seed_matrix = _seed_matrix(args.seeds, corpus.vocab) if args.seeds else None
+        seed_matrix = _seed_matrix(args.seeds, corpus.vocab) if args.seeds else None
 
-    labels = mask = None
-    label_names = None
-    if args.labels:
-        assignments = load_label_assignments(args.labels)
-        labels = build_label_matrix(assignments, corpus.doc_ids)
-        label_names = labels.label_names
-        mask = split_mask(
-            corpus.n_docs, args.train_fraction, args.split_seed,
-            len(labels.label_names),
-        )
+        labels = mask = None
+        label_names = None
+        if args.labels:
+            assignments = load_label_assignments(args.labels)
+            labels = build_label_matrix(assignments, corpus.doc_ids)
+            label_names = labels.label_names
+            mask = split_mask(
+                corpus.n_docs, args.train_fraction, args.split_seed,
+                len(labels.label_names),
+            )
 
-    result = fit(corpus, config, y=seed_matrix, z=labels, l=mask)
-    save_result(result, args.out, doc_ids=corpus.doc_ids, label_names=label_names,
-                mask=mask)
+        result = fit(corpus, config, y=seed_matrix, z=labels, l=mask)
+        save_result(result, args.out, doc_ids=corpus.doc_ids, label_names=label_names,
+                    mask=mask)
 
     losses = result.final_losses
     print(
@@ -164,31 +168,34 @@ def run_factorize(args):
 
 
 def run_classify(args):
-    result, manifest = load_result(args.result_dir)
-    if result.c is None:
-        raise ValueError("model was not label-supervised")
-    doc_ids = manifest.get("doc_ids")
-    if not doc_ids:
-        raise ValueError(
-            f"{args.result_dir}: manifest carries no document ids; "
-            "re-run factorize on the corpus"
-        )
-    assignments = load_label_assignments(args.labels_file)
-    labels = build_label_matrix(assignments, doc_ids)
-    if labels.label_names != manifest.get("label_names"):
-        raise ValueError(f"{args.labels_file}: classes {labels.label_names}, but "
-                         f"{args.result_dir} was fit on {manifest.get('label_names')}")
-    p, n = labels.z.shape
-    mask = load_mask(args.mask_file, p, n)
-    if not mask.test_ids:  # a fit may train on every document; a score cannot
-        raise ValueError(f"{args.mask_file}: no test documents to score")
+    with write_batch([args.out], [args.labels_file, args.mask_file, args.config]):
+        result, manifest = load_result(args.result_dir)
+        if result.c is None:
+            raise ValueError("model was not label-supervised")
+        doc_ids = manifest.get("doc_ids")
+        if not doc_ids:
+            raise ValueError(
+                f"{args.result_dir}: manifest carries no document ids; "
+                "re-run factorize on the corpus"
+            )
+        assignments = load_label_assignments(args.labels_file)
+        labels = build_label_matrix(assignments, doc_ids)
+        if labels.label_names != manifest.get("label_names"):
+            raise ValueError(
+                f"{args.labels_file}: classes {labels.label_names}, but "
+                f"{args.result_dir} was fit on {manifest.get('label_names')}")
+        p, n = labels.z.shape
+        mask = load_mask(args.mask_file, p, n)
+        if not mask.test_ids:  # a fit may train on every document; a score cannot
+            raise ValueError(f"{args.mask_file}: no test documents to score")
 
-    macro, per_class = _test_macro_f1(result, labels, mask)
-    report = EvalReport(
-        macro_f1=macro, per_class_f1=per_class, label_names=labels.label_names
-    )
+        macro, per_class = _test_macro_f1(result, labels, mask)
+        report = EvalReport(
+            macro_f1=macro, per_class_f1=per_class, label_names=labels.label_names
+        )
+        if args.out:
+            save_report(report, args.out)
     if args.out:
-        save_report(report, args.out)
         print(f"wrote {args.out}")
     print(f"macro_f1={macro:.6f} over {len(mask.test_ids)} test documents")
     for name, f1 in zip(labels.label_names, per_class):
@@ -224,23 +231,23 @@ def _seed_matrix(path, vocab: Vocabulary):
 
 
 def run_coherence(args):
-    result, _ = load_result(args.result_dir)
-    corpus = load_corpus(args.corpus_file)
-    _within_corpus("--n-top", args.n_top, corpus, args.corpus_file)
-    if result.w.shape[0] != corpus.n_terms:
-        raise ValueError(
-            f"model has {result.w.shape[0]} term rows but corpus has "
-            f"{corpus.n_terms}; corpora mismatch"
+    with write_batch([args.out, args.table], [args.corpus_file, args.config]):
+        result, _ = load_result(args.result_dir)
+        corpus = load_corpus(args.corpus_file)
+        _within_corpus("--n-top", args.n_top, corpus, args.corpus_file)
+        if result.w.shape[0] != corpus.n_terms:
+            raise ValueError(
+                f"model has {result.w.shape[0]} term rows but corpus has "
+                f"{corpus.n_terms}; corpora mismatch"
+            )
+        topics, per_topic = _topic_coherences(
+            result.w, corpus.vocab, corpus.x != 0, args.n_top
         )
-    topics, per_topic = _topic_coherences(
-        result.w, corpus.vocab, corpus.x != 0, args.n_top
-    )
-    report = EvalReport(
-        per_topic_coherence=per_topic,
-        avg_coherence=avg_coherence(per_topic),
-        topics=topics,
-    )
-    with write_batch():
+        report = EvalReport(
+            per_topic_coherence=per_topic,
+            avg_coherence=avg_coherence(per_topic),
+            topics=topics,
+        )
         if args.out:
             save_report(report, args.out)
         if args.table:
@@ -334,79 +341,72 @@ def run_sweep(args):
              for rank in sorted(args.ranks) for lam in sorted(args.lambda_grid)
              for mu in sorted(args.mu_grid) for trial in range(args.trials)]
     out_mean = args.out_mean or str(Path(args.out).with_suffix(".mean.csv"))
-    inputs = {file_id(p) for p in (args.corpus_file, args.labels_file, args.seeds_file,
-                                   args.config) if p}
-    named = {}
-    for flag, path in (("--out", args.out), ("--out-mean", out_mean),
-                       ("--best-by-lambda", args.best_by_lambda)):
-        if path:  # before any input is read
-            refuse_output(path, inputs)
-            if (other := named.setdefault(os.path.realpath(path), flag)) != flag:
-                raise ValueError(f"{flag} and {other} name the same file {path}")
-    corpus = load_corpus(args.corpus_file)
-    # What would fail every cell fails here, once, before any fit.
-    _within_corpus("--ranks", max(args.ranks), corpus, args.corpus_file)
-    if args.metric == "avg_coherence":
-        _within_corpus("--n-top", args.n_top, corpus, args.corpus_file)
-    seeds = _seed_matrix(args.seeds_file, corpus.vocab)
-    assignments = load_label_assignments(args.labels_file)
-    labels = build_label_matrix(assignments, corpus.doc_ids)
-    # Each trial's split, drawn once, before any fit.
-    splits = [split_mask(corpus.n_docs, args.train_fraction, args.base_seed + t,
-                         len(labels.label_names)) for t in range(args.trials)]
-    evaluate = partial(_sweep_eval, corpus=corpus, seeds=seeds, labels=labels,
-                       splits=splits, metric=args.metric, n_top=args.n_top)
-    # The cells are split into one contiguous share per worker; each share
-    # is packed into fit_cells batches.
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(args.jobs, len(cells), cpus)
-    batches = [batch for i in range(workers) for batch in _batches(
-        cells[i * len(cells) // workers:(i + 1) * len(cells) // workers])]
-    if workers > 1:
-        # One worker stays in the main thread: through a pool of one, sweep_grid
-        # (seed 11, 2 CPUs, 1 BLAS thread) peaked at 44.7 MB of RSS, not 43.0, and a
-        # SIGINT ended a 128-cell sweep after the batch in hand: 0.8 s, not 0.03 s.
-        from concurrent.futures import ThreadPoolExecutor
-        from threading import Lock
+    with write_batch([args.out, out_mean, args.best_by_lambda], [
+            args.corpus_file, args.labels_file, args.seeds_file, args.config]):
+        corpus = load_corpus(args.corpus_file)
+        # What would fail every cell fails here, once, before any fit.
+        _within_corpus("--ranks", max(args.ranks), corpus, args.corpus_file)
+        if args.metric == "avg_coherence":
+            _within_corpus("--n-top", args.n_top, corpus, args.corpus_file)
+        seeds = _seed_matrix(args.seeds_file, corpus.vocab)
+        assignments = load_label_assignments(args.labels_file)
+        labels = build_label_matrix(assignments, corpus.doc_ids)
+        # Each trial's split, drawn once, before any fit.
+        splits = [split_mask(corpus.n_docs, args.train_fraction, args.base_seed + t,
+                             len(labels.label_names)) for t in range(args.trials)]
+        evaluate = partial(_sweep_eval, corpus=corpus, seeds=seeds, labels=labels,
+                           splits=splits, metric=args.metric, n_top=args.n_top)
+        # The cells are split into one contiguous share per worker; each share
+        # is packed into fit_cells batches.
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(args.jobs, len(cells), cpus)
+        batches = [batch for i in range(workers) for batch in _batches(
+            cells[i * len(cells) // workers:(i + 1) * len(cells) // workers])]
+        if workers > 1:
+            # One worker stays in the main thread: through a pool of one,
+            # sweep_grid (seed 11, 2 CPUs, 1 BLAS thread) peaked at 44.7 MB of
+            # RSS, not 43.0, and a SIGINT ended a 128-cell sweep after the
+            # batch in hand: 0.8 s, not 0.03 s.
+            from concurrent.futures import ThreadPoolExecutor
+            from threading import Lock
 
-        # numpy releases the GIL in the X products, so threads that share
-        # the inputs fit in parallel. ``failed`` is the smallest index of
-        # a batch that raised: no worker fits a batch after it, whose rows
-        # would never be read. A batch before it still runs, and may fail
-        # first.
-        failed, lock = len(batches), Lock()
+            # numpy releases the GIL in the X products, so threads that share
+            # the inputs fit in parallel. ``failed`` is the smallest index of
+            # a batch that raised: no worker fits a batch after it, whose rows
+            # would never be read. A batch before it still runs, and may fail
+            # first.
+            failed, lock = len(batches), Lock()
 
-        def run(index, batch):
-            nonlocal failed
-            if failed < index:
-                return None
-            try:
-                return evaluate(batch)
-            except Exception:
-                with lock:
-                    failed = min(failed, index)
-                raise
+            def run(index, batch):
+                nonlocal failed
+                if failed < index:
+                    return None
+                try:
+                    return evaluate(batch)
+                except Exception:
+                    with lock:
+                        failed = min(failed, index)
+                    raise
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run, range(len(batches)), batches))
-    else:
-        done = [evaluate(batch) for batch in batches]
-    # The pool and the loop consume the batches in row order, so the rows
-    # are in row order and the first failing cell in that order raises.
-    # No batch after a failed one is read.
-    rows = [row for batch in done for row in batch]
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                done = list(pool.map(run, range(len(batches)), batches))
+        else:
+            done = [evaluate(batch) for batch in batches]
+        # The pool and the loop consume the batches in row order, so the rows
+        # are in row order and the first failing cell in that order raises.
+        # No batch after a failed one is read.
+        rows = [row for batch in done for row in batch]
 
-    values: dict[tuple, list[float]] = {}
-    for rank, lam, mu, _, value in rows:
-        values.setdefault((rank, lam, mu), []).append(value)
-    means = {cell: sum(v) / len(v) for cell, v in sorted(values.items())}
-    best: dict[tuple, tuple] = {}
-    for (rank, lam, mu), mean in means.items():
-        # Strict > keeps the smallest mu on ties.
-        if (rank, lam) not in best or mean > best[rank, lam][1]:
-            best[rank, lam] = (mu, mean)
-    with write_batch():
+        values: dict[tuple, list[float]] = {}
+        for rank, lam, mu, _, value in rows:
+            values.setdefault((rank, lam, mu), []).append(value)
+        means = {cell: sum(v) / len(v) for cell, v in sorted(values.items())}
+        best: dict[tuple, tuple] = {}
+        for (rank, lam, mu), mean in means.items():
+            # Strict > keeps the smallest mu on ties.
+            if (rank, lam) not in best or mean > best[rank, lam][1]:
+                best[rank, lam] = (mu, mean)
         _write_csv(args.out, "rank,lambda,mu,trial,metric_value", rows)
         _write_csv(out_mean, "rank,lambda,mu,mean_metric_value",
                    (cell + (mean,) for cell, mean in means.items()))
@@ -429,69 +429,70 @@ def _heat_color(t: float) -> str:
 
 
 def run_plot_heatmap(args):
-    with open_text(args.mean_csv) as fh:
-        if fh.readline().strip() != "rank,lambda,mu,mean_metric_value":
-            raise ValueError(f"{args.mean_csv}: not a sweep mean CSV")
-        rows = read_rows(fh, args.mean_csv, 4, first=2, ints=(0,)).tolist()
-    seen = {}
-    for lineno, (rk, lam, mu, _) in enumerate(rows, start=2):
-        if seen.setdefault((rk, lam, mu), lineno) != lineno:
-            raise ValueError(f"{args.mean_csv}:{lineno}: repeats the cell of line "
-                             f"{seen[rk, lam, mu]}")
-    ranks = sorted({int(r[0]) for r in rows})
-    rank = args.rank if args.rank is not None else ranks[0]
-    cells = {(lam, mu): v for rk, lam, mu, v in rows if rk == rank}
-    if not cells:
-        raise ValueError(f"rank {rank} not present in {args.mean_csv} "
-                         f"(available: {ranks})")
-    lams = sorted({lam for lam, _ in cells})
-    mus = sorted({mu for _, mu in cells})
-    vmin = min(cells.values())
-    vmax = max(cells.values())
-    span = vmax - vmin
+    with write_batch([args.out], [args.mean_csv, args.config]):
+        with open_text(args.mean_csv) as fh:
+            if fh.readline().strip() != "rank,lambda,mu,mean_metric_value":
+                raise ValueError(f"{args.mean_csv}: not a sweep mean CSV")
+            rows = read_rows(fh, args.mean_csv, 4, first=2, ints=(0,)).tolist()
+        seen = {}
+        for lineno, (rk, lam, mu, _) in enumerate(rows, start=2):
+            if seen.setdefault((rk, lam, mu), lineno) != lineno:
+                raise ValueError(f"{args.mean_csv}:{lineno}: repeats the cell of line "
+                                 f"{seen[rk, lam, mu]}")
+        ranks = sorted({int(r[0]) for r in rows})
+        rank = args.rank if args.rank is not None else ranks[0]
+        cells = {(lam, mu): v for rk, lam, mu, v in rows if rk == rank}
+        if not cells:
+            raise ValueError(f"rank {rank} not present in {args.mean_csv} "
+                             f"(available: {ranks})")
+        lams = sorted({lam for lam, _ in cells})
+        mus = sorted({mu for _, mu in cells})
+        vmin = min(cells.values())
+        vmax = max(cells.values())
+        span = vmax - vmin
 
-    cell, left, top = 56, 86, 46
-    width = left + cell * len(mus) + 20
-    height = top + cell * len(lams) + 40
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" font-family="monospace" font-size="11">',
-        f'<text x="{left}" y="18">mean metric by lambda (rows) and mu '
-        f'(columns), rank {rank}</text>',
-        f'<text x="{left}" y="34">linear color scale: {vmin:.6g} (light) to '
-        f'{vmax:.6g} (dark)</text>',
-    ]
-    for col, mu in enumerate(mus):
-        parts.append(
-            f'<text x="{left + col * cell + 4}" y="{top - 6}">{mu:.6g}</text>'
-        )
-    for row, lam in enumerate(lams):
-        y0 = top + row * cell
-        parts.append(f'<text x="6" y="{y0 + cell // 2}">{lam:.6g}</text>')
+        cell, left, top = 56, 86, 46
+        width = left + cell * len(mus) + 20
+        height = top + cell * len(lams) + 40
+        parts = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{height}" font-family="monospace" font-size="11">',
+            f'<text x="{left}" y="18">mean metric by lambda (rows) and mu '
+            f'(columns), rank {rank}</text>',
+            f'<text x="{left}" y="34">linear color scale: {vmin:.6g} (light) to '
+            f'{vmax:.6g} (dark)</text>',
+        ]
         for col, mu in enumerate(mus):
-            v = cells.get((lam, mu))
-            x0 = left + col * cell
-            if v is None:
+            parts.append(
+                f'<text x="{left + col * cell + 4}" y="{top - 6}">{mu:.6g}</text>'
+            )
+        for row, lam in enumerate(lams):
+            y0 = top + row * cell
+            parts.append(f'<text x="6" y="{y0 + cell // 2}">{lam:.6g}</text>')
+            for col, mu in enumerate(mus):
+                v = cells.get((lam, mu))
+                x0 = left + col * cell
+                if v is None:
+                    parts.append(
+                        f'<rect x="{x0}" y="{y0}" width="{cell}" height="{cell}" '
+                        f'fill="none" stroke="#999"/>'
+                    )
+                    continue
+                t = 0.5 if span == 0 else (v - vmin) / span
+                shade = _heat_color(t)
+                text_fill = "#000000" if t < 0.6 else "#ffffff"
                 parts.append(
                     f'<rect x="{x0}" y="{y0}" width="{cell}" height="{cell}" '
-                    f'fill="none" stroke="#999"/>'
+                    f'fill="{shade}" stroke="#555"/>'
                 )
-                continue
-            t = 0.5 if span == 0 else (v - vmin) / span
-            shade = _heat_color(t)
-            text_fill = "#000000" if t < 0.6 else "#ffffff"
-            parts.append(
-                f'<rect x="{x0}" y="{y0}" width="{cell}" height="{cell}" '
-                f'fill="{shade}" stroke="#555"/>'
-            )
-            parts.append(
-                f'<text x="{x0 + 3}" y="{y0 + cell // 2 + 4}" '
-                f'fill="{text_fill}">{v:.4g}</text>'
-            )
-    parts.append("</svg>")
-    with write_file(args.out) as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+                parts.append(
+                    f'<text x="{x0 + 3}" y="{y0 + cell // 2 + 4}" '
+                    f'fill="{text_fill}">{v:.4g}</text>'
+                )
+        parts.append("</svg>")
+        with write_file(args.out) as fh:
+            fh.write("\n".join(parts))
+            fh.write("\n")
     print(f"wrote {args.out} ({len(lams)}x{len(mus)} cells)")
 
 
@@ -692,9 +693,8 @@ def build_parser():
 def main(argv=None) -> int:
     parser, _ = build_parser()
     try:
-        with keep_inputs():
-            args = parser.parse_args(argv)
-            args.func(args)
+        args = parser.parse_args(argv)
+        args.func(args)
         return EXIT_OK
     except SystemExit as exc:  # --help, which prints the help
         return int(exc.code or 0)

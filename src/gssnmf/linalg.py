@@ -5,8 +5,8 @@ corpus sizes this package targets (up to a few thousand terms by a few
 thousand documents) dense storage is all that is needed. Products and
 entry-wise operations are numpy's own ``@`` and ``*``. The helpers here check a matrix where it enters
 (``as_matrix``), take a leading singular spectrum, write every file whole
-or not at all (never over a file read in the same ``keep_inputs``
-block), hold the one reader of each text form every file uses, and check
+or not at all (never over a file read in the same ``write_batch``),
+hold the one reader of each text form every file uses, and check
 each JSON form read back against the schema its module declares (``read_form``).
 """
 
@@ -73,43 +73,37 @@ def singular_values(a: Matrix, top: int) -> list[float]:
 # Files: whole-or-absent writes and the one reader of each text form.
 # ---------------------------------------------------------------------------
 
-# The (temporary, final) paths of the write batch open in this context.
-_batch: ContextVar[list | None] = ContextVar("write_batch", default=None)
-# The (device, inode) of each file read in the ``keep_inputs`` block open
-# in this context.
-_inputs: ContextVar[set | None] = ContextVar("keep_inputs", default=None)
+# The write batch open in this context: the (temporary, final) paths it
+# queued, and the (device, inode) of each of its inputs.
+_batch: ContextVar[tuple[list, set] | None] = ContextVar("write_batch", default=None)
 
 
 @contextmanager
-def keep_inputs():
-    """Refuse, inside the block, to replace or remove a file read inside it.
+def write_batch(outputs=(), inputs=()):
+    """A command's I/O scope: the files written inside the block are whole
+    or absent, together, and none of them is a file read inside it.
 
-    ``open_text`` records each file it opens, at the cost of one ``fstat``;
-    a ``write_file`` or ``remove_file`` of an existing path that is one of
-    them, under any name, raises ``ValueError`` naming the path before
-    anything is written.
-    """
-    token = _inputs.set(set())
-    try:
-        yield
-    finally:
-        _inputs.reset(token)
-
-
-@contextmanager
-def write_batch():
-    """Make the files written inside the block whole or absent, together.
-
+    Before the block runs, each of ``outputs`` (None or "" skipped) that
+    ``refuse_output`` refuses, given the files ``inputs`` names and the
+    outputs before it, raises ``ValueError``. Inside, ``open_text``
+    records each file it opens as an input, at the cost of one ``fstat``.
     Each ``write_file`` inside writes a temporary sibling of its path, and
     each ``remove_file`` marks a path for removal. The outermost batch
     renames the files into place and removes the marked paths if it exits
-    normally, and removes the temporaries if anything raised first.
+    normally, and removes the temporaries if anything raised first. A
+    nested batch joins it: its outputs are checked against every input of
+    the outermost batch, and the outermost batch commits.
     """
-    if _batch.get() is not None:  # nested: the outermost batch commits
+    outer = _batch.get()
+    pending, reads = outer or ([], set())
+    reads.update(file_id(p) for p in inputs if p)
+    outputs = [path for path in outputs if path]
+    for i, path in enumerate(outputs):
+        refuse_output(path, reads, outputs[:i])
+    if outer is not None:  # nested: the outermost batch commits
         yield
         return
-    pending = []
-    token = _batch.set(pending)
+    token = _batch.set((pending, reads))
     try:
         yield
         for tmp, path in pending:
@@ -126,16 +120,11 @@ def write_batch():
 
 def _queue(tmp, path) -> None:
     """Queue ``path`` in the open batch, to be replaced by ``tmp`` or, with
-    ``tmp`` None, removed.
-
-    A path the batch already writes or removes, under any name, is refused:
-    its two writes would share one temporary. So is a path ``refuse_output``
-    refuses, given the files read in the enclosing ``keep_inputs`` block.
-    """
-    pending, real = _batch.get(), os.path.realpath(path)
-    if any(os.path.realpath(other) == real for _, other in pending):
-        raise ValueError(f"{path}: two outputs name this file")
-    refuse_output(path, _inputs.get(), written=tmp is not None)
+    ``tmp`` None, removed, unless ``refuse_output`` refuses it given the
+    batch's inputs and the paths it already writes or removes (two writes
+    of one file would share one temporary)."""
+    pending, reads = _batch.get()
+    refuse_output(path, reads, [other for _, other in pending], written=tmp is not None)
     pending.append((tmp, path))
 
 
@@ -149,15 +138,19 @@ def file_id(file):
     return st.st_dev, st.st_ino
 
 
-def refuse_output(path, inputs, written=True) -> None:
-    """Refuse an output ``path`` that names a directory, a file whose ``file_id`` is
-    in ``inputs`` or, ``written``, a file in a directory that does not exist."""
+def refuse_output(path, inputs, outputs=(), written=True) -> None:
+    """Refuse an output ``path`` that names a directory, a file whose ``file_id``
+    is in ``inputs``, the file of one of ``outputs`` under any name or,
+    ``written``, a file in a directory that does not exist."""
     if os.path.isdir(path or "."):
         raise ValueError(f"{path}: an output names a directory")
     if written and not os.path.isdir(os.path.dirname(path) or "."):
         raise ValueError(f"{path}: its directory does not exist")
     if inputs and (key := file_id(path)) is not None and key in inputs:
         raise ValueError(f"{path}: an output names an input of this command")
+    real = os.path.realpath(path)
+    if any(os.path.realpath(other) == real for other in outputs):
+        raise ValueError(f"{path}: two outputs name this file")
 
 
 def remove_file(path) -> None:
@@ -302,11 +295,10 @@ def _numbers(chunk, path, first) -> Matrix:
 def open_text(path):
     """``path`` opened as UTF-8 text, a leading byte-order mark dropped;
     bytes that are not UTF-8 raise ``ValueError`` naming ``path``. Inside
-    ``keep_inputs`` the file is recorded as an input."""
+    a ``write_batch`` the file is recorded as an input of the batch."""
     with open(path, "r", encoding="utf-8-sig") as fh:
-        inputs = _inputs.get()
-        if inputs is not None:
-            inputs.add(file_id(fh.fileno()))
+        if (batch := _batch.get()) is not None:
+            batch[1].add(file_id(fh.fileno()))
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -972,8 +972,7 @@ def test_sweep_outputs_naming_one_file_exit_2_before_any_input(
     (out / "sweep.csv").write_bytes(b"old rows\n")
     flag, path = flags[0], flags[1].format(out=out)
     assert main(_sweep_args(workspace, out, extra=(flag, path))) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag} and --") and "the same file" in err, err
+    assert capsys.readouterr().err == f"error: {path}: two outputs name this file\n"
     assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
     assert (out / "sweep.csv").read_bytes() == b"old rows\n"
 
@@ -1078,6 +1077,45 @@ def test_an_output_naming_an_input_exits_2_writing_nothing(
     assert _tree(root) == before
 
 
+_WRITERS = {
+    "rank-scan": (["rank-scan", "corpus.txt", "--top", "2", "--out"], "corpus.txt"),
+    "classify": (_CLASSIFY, "labels.csv"),
+    "coherence-out": (["coherence", "model", "corpus.txt", "--n-top", "3", "--out"],
+                      "corpus.txt"),
+    "coherence-table": (["coherence", "model", "corpus.txt", "--n-top", "3",
+                         "--table"], "corpus.txt"),
+    "plot-heatmap": (["plot-heatmap", "mean.csv", "--out"], "mean.csv"),
+}
+
+
+@pytest.mark.parametrize("command", list(_WRITERS))
+@pytest.mark.parametrize("fault", ["directory", "missing-dir", "input"])
+def test_an_output_it_cannot_write_exits_2_before_any_read(
+        pristine, tmp_path, monkeypatch, capsys, command, fault):
+    argv, named = _WRITERS[command]
+    out, message = {
+        "directory": ("model", "an output names a directory"),
+        "missing-dir": ("nodir/x.out", "its directory does not exist"),
+        "input": (named, "an output names an input of this command"),
+    }[fault]
+    root = tmp_path / "ws"
+    shutil.copytree(pristine, root)
+    monkeypatch.chdir(root)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for name in ("load_corpus", "load_result", "open_text"):
+        monkeypatch.setattr(cli, name, unread)
+    before = _tree(root)
+    capsys.readouterr()
+    assert main([*argv, out]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {out}: {message}\n")
+    assert _tree(root) == before
+    assert sorted(p.name for p in root.iterdir() if p.is_dir()) == ["docs", "model"]
+
+
 @pytest.mark.parametrize("out, blocker", [
     ("afile", "afile"),
     ("afile/sub", "afile"),
@@ -1162,33 +1200,61 @@ def test_an_interrupt_while_writing_leaves_no_temporary_and_no_result(
     assert list(workspace["root"].rglob("*.tmp")) == []
 
 
-@pytest.mark.parametrize("outputs, named", [
-    (["--out", "labels.csv"], "labels.csv"),
-    (["--out", "s.csv", "--out-mean", "corpus.txt"], "corpus.txt"),
+_SWEEP = ["sweep", "corpus.txt", "labels.csv", "seeds.mean.csv", "--ranks", "1",
+          "--lambda-grid", "0", "--mu-grid", "0"]
+# A config file of each command's own flags.
+_OWN_CONFIG = {"sweep": '{"trials": 1}', "ingest": '{"min-df": 0.0}',
+               "rank-scan": '{"top": 2}', "factorize": '{"rank": 2}',
+               "classify": "{}", "coherence": '{"n-top": 3}',
+               "plot-heatmap": '{"rank": 2}'}
+_INPUT = "an output names an input of this command"
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([*_SWEEP, "--out", "labels.csv"], f"labels.csv: {_INPUT}"),
+    ([*_SWEEP, "--out", "s.csv", "--out-mean", "corpus.txt"], f"corpus.txt: {_INPUT}"),
     # --out-mean's default, the --out path with the suffix .mean.csv.
-    (["--out", "seeds.csv"], "seeds.mean.csv"),
-    (["--out", "s.csv", "--best-by-lambda", "seeds.mean.csv"], "seeds.mean.csv"),
-    (["--out", "cfg.json", "--config", "cfg.json"], "cfg.json"),
-], ids=["out", "out-mean", "out-mean-default", "best-by-lambda", "config"])
-def test_sweep_refuses_an_output_naming_an_input_before_reading(
-        pristine, tmp_path, monkeypatch, capsys, outputs, named):
+    ([*_SWEEP, "--out", "seeds.csv"], f"seeds.mean.csv: {_INPUT}"),
+    ([*_SWEEP, "--out", "s.csv", "--best-by-lambda", "seeds.mean.csv"],
+     f"seeds.mean.csv: {_INPUT}"),
+    # Every command counts its --config file among its inputs.
+    ([*_SWEEP, "--out", "cfg.json", "--config", "cfg.json"], f"cfg.json: {_INPUT}"),
+    (["ingest", "docs", "--config", "cfg.json", "--out", "cfg.json"],
+     f"cfg.json: {_INPUT}"),
+    (["rank-scan", "corpus.txt", "--config", "cfg.json", "--out", "cfg.json"],
+     f"cfg.json: {_INPUT}"),
+    (["factorize", "corpus.txt", "--config", "cfg.json", "--out", "cfg.json"],
+     "--out cfg.json: cfg.json is not a directory"),
+    ([*_CLASSIFY[:-1], "--config", "cfg.json", "--out", "cfg.json"],
+     f"cfg.json: {_INPUT}"),
+    (["coherence", "model", "corpus.txt", "--config", "cfg.json", "--out", "cfg.json"],
+     f"cfg.json: {_INPUT}"),
+    (["coherence", "model", "corpus.txt", "--config", "cfg.json", "--table",
+      "cfg.json"], f"cfg.json: {_INPUT}"),
+    (["plot-heatmap", "mean.csv", "--config", "cfg.json", "--out", "cfg.json"],
+     f"cfg.json: {_INPUT}"),
+], ids=["sweep-out", "sweep-out-mean", "sweep-out-mean-default", "sweep-best-by-lambda",
+        "sweep-config", "ingest-config", "rank-scan-config", "factorize-config",
+        "classify-config", "coherence-out-config", "coherence-table-config",
+        "plot-heatmap-config"])
+def test_an_output_naming_an_input_or_the_config_exits_2_before_reading(
+        pristine, tmp_path, monkeypatch, capsys, argv, error):
     root = tmp_path / "ws"
     shutil.copytree(pristine, root)
     shutil.move(root / "seeds.txt", root / "seeds.mean.csv")
-    (root / "cfg.json").write_text('{"trials": 1}\n', "utf-8")
+    (root / "cfg.json").write_text(_OWN_CONFIG[argv[0]] + "\n", "utf-8")
     monkeypatch.chdir(root)
 
     def unread(*args, **kwargs):
         raise AssertionError("an input was read")
 
-    monkeypatch.setattr(cli, "load_corpus", unread)
-    monkeypatch.setattr(cli, "fit_cells", unread)
+    for name in ("load_corpus", "load_result", "open_text", "read_corpus_dir",
+                 "load_stopwords", "fit", "fit_cells"):
+        monkeypatch.setattr(cli, name, unread)
     before = _tree(root)
     capsys.readouterr()
-    assert main(["sweep", "corpus.txt", "labels.csv", "seeds.mean.csv", "--ranks", "1",
-                 "--lambda-grid", "0", "--mu-grid", "0", *outputs]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {named}: an output names an input of this command\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert _tree(root) == before
 
 

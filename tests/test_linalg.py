@@ -11,7 +11,6 @@ from gssnmf.linalg import (
     REQUIRED,
     as_matrix,
     frobenius_sq,
-    keep_inputs,
     load_matrix_csv,
     read_entries,
     read_form,
@@ -417,14 +416,14 @@ def test_write_file_refuses_a_directory_or_a_file_in_none(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("name", ["a.csv", "./a.csv", "link.csv"])
 @pytest.mark.parametrize("remove", [False, True])
-def test_keep_inputs_refuses_to_replace_or_remove_a_file_read(tmp_path, monkeypatch,
+def test_write_batch_refuses_to_replace_or_remove_a_file_read(tmp_path, monkeypatch,
                                                              name, remove):
     save_matrix_csv(np.ones((1, 1)), tmp_path / "a.csv")
     (tmp_path / "link.csv").hardlink_to(tmp_path / "a.csv")
     monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError,
                        match=f"^{name}: an output names an input of this command$"):
-        with keep_inputs():
+        with write_batch():
             load_matrix_csv("a.csv")
             with write_batch():
                 save_matrix_csv(np.zeros((1, 1)), "b.csv")
@@ -434,9 +433,57 @@ def test_keep_inputs_refuses_to_replace_or_remove_a_file_read(tmp_path, monkeypa
                     save_matrix_csv(np.zeros((1, 1)), name)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "link.csv"]
     assert (tmp_path / "a.csv").read_text("utf-8") == "1\n"
-    # Outside the block, and for a file it did not read, writes go ahead.
-    with keep_inputs():
+    # Outside the batch, and for a file it did not read, writes go ahead.
+    with write_batch():
         save_matrix_csv(np.zeros((1, 1)), "b.csv")
     load_matrix_csv("a.csv")
     save_matrix_csv(np.zeros((1, 1)), "a.csv")
     assert (tmp_path / "a.csv").read_text("utf-8") == "0\n"
+
+
+@pytest.mark.parametrize("outputs, inputs, message", [
+    (["out"], [], "out: an output names a directory"),
+    (["nodir/a.csv"], [], "nodir/a.csv: its directory does not exist"),
+    (["a.csv", "./a.csv"], [], "./a.csv: two outputs name this file"),
+    (["b.csv", None, "sub/../b.csv"], [], "sub/../b.csv: two outputs name this file"),
+    (["b.csv", "a.csv"], [None, "a.csv"],
+     "a.csv: an output names an input of this command"),
+    (["link.csv"], ["./a.csv"], "link.csv: an output names an input of this command"),
+], ids=["directory", "missing-dir", "same-file", "same-file-other-name", "input",
+        "input-link"])
+def test_write_batch_refuses_its_outputs_before_its_body_runs(
+        tmp_path, monkeypatch, outputs, inputs, message):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.csv").write_text("old\n", encoding="utf-8")
+    (tmp_path / "link.csv").hardlink_to(tmp_path / "a.csv")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        with write_batch(outputs, inputs):
+            raise AssertionError("the body ran")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+    assert (tmp_path / "a.csv").read_text("utf-8") == "old\n"
+    # An input named to the batch is refused as a file read in it is.
+    with pytest.raises(ValueError, match="^a.csv: an output names an input"):
+        with write_batch((), ["link.csv"]):
+            save_matrix_csv(np.zeros((1, 1)), "a.csv")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+def test_a_nested_batch_checks_its_outputs_against_the_outer_reads(tmp_path,
+                                                                   monkeypatch):
+    save_matrix_csv(np.ones((1, 1)), tmp_path / "a.csv")
+    monkeypatch.chdir(tmp_path)
+    with write_batch(["b.csv"]):
+        load_matrix_csv("./a.csv")
+        with pytest.raises(ValueError,
+                           match="^a.csv: an output names an input of this command$"):
+            with write_batch(["c.csv", "a.csv"]):
+                raise AssertionError("the body ran")
+        with write_batch(["c.csv"]):  # joins the outer batch
+            save_matrix_csv(np.zeros((1, 1)), "c.csv")
+        save_matrix_csv(np.zeros((1, 1)), "b.csv")
+        assert not (tmp_path / "b.csv").exists() and not (tmp_path / "c.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv", "c.csv"]
+    assert (tmp_path / "a.csv").read_text("utf-8") == "1\n"
